@@ -3,10 +3,15 @@ stochastic attention (SA = permute -> windowed attention -> un-permute),
 rotary embeddings on original positions, gated SA+SWA fusion, and an
 analytic backward pass for the masked core.
 
+``swa_forward`` and ``sa_forward`` share one blocked windowed-attention core
+(``_windowed_attention``): rows are split into blocks of w slots and each
+block attends to its key span of at most 2w-1 slots with one matmul, so a
+call evaluates at most n*(2w-1) score cells and never builds an n x n array.
 ``sa_forward`` genuinely routes through permuted space (gather, windowed
-attention, scatter back); the mask-route equivalent, full attention under
-``intersect_causal(build_stochastic_mask(...))``, is kept as an independent
-oracle in the test suite, and the two must agree to 1e-12.
+attention, scatter back). The dense masked core ``attention_forward`` is kept
+as the independent oracle: full attention under
+``intersect_causal(build_stochastic_mask(...))`` must agree with
+``sa_forward`` to 1e-12.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import Convention, WindowSpec, build_window_mask
+from .masks import Convention, WindowSpec
 from .numerics import SeededRng, as_matrix, masked_row_softmax
 from .permute import Permutation, invert, permute_rows, sample_permutation
 
@@ -165,21 +170,62 @@ def attention_backward(
     return dq, dk, dv
 
 
+def _windowed_attention(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    w: int,
+    convention: Convention,
+    token_of_slot: np.ndarray | None,
+    temperature: float,
+) -> np.ndarray:
+    """Windowed attention over slots 0..n-1, one row block of w slots at a time.
+
+    Row block [s, e) attends to its key span with one matmul:
+    ``CAUSAL_ONE_SIDED`` spans slots [s-w+1, e), clipped at 0;
+    ``SYMMETRIC_CIRCULAR`` spans s-back .. e-1+fwd mod n, or every slot once
+    when that span reaches n, so no key is counted twice. A cell of the
+    block is valid when the key slot is in the query slot's window, when
+    ``token_of_slot`` (original token per slot, None for the identity) puts
+    the key token at or before the query token, and on the diagonal.
+    """
+    n = q.shape[0]
+    if not 1 <= w <= n:
+        raise ValueError(f"window size must satisfy 1 <= w <= n, got w={w}, n={n}")
+    scale = 1.0 / (np.sqrt(q.shape[1]) * temperature)
+    circular = convention is Convention.SYMMETRIC_CIRCULAR
+    back, fwd = WindowSpec(w, convention).offsets() if circular else (w - 1, 0)
+    # Both windows cover w consecutive offsets, so with the span starting
+    # `back` slots before the block, row i sees span columns i .. i+w-1.
+    idx = np.arange(w)
+    band_off = np.arange(2 * w - 1)[None, :] - idx[:, None]
+    band = (band_off >= 0) & (band_off < w)
+    out = np.empty_like(v)
+    for s in range(0, n, w):
+        e = min(s + w, n)
+        rows = idx[: e - s]
+        if circular and e - s + w - 1 >= n:
+            lo, keys = 0, slice(0, n)
+            off = (np.arange(n)[None, :] - (s + rows)[:, None]) % n
+            valid = (off <= fwd) | (off >= n - back)
+        else:
+            lo, hi = (s - back, e + fwd) if circular else (max(s - back, 0), e)
+            keys = slice(lo, hi) if 0 <= lo and hi <= n else np.arange(lo, hi) % n
+            valid = band[: e - s, lo - s + back : hi - s + back].copy()
+        if token_of_slot is not None:
+            valid &= token_of_slot[keys][None, :] <= token_of_slot[s:e, None]
+        valid[rows, rows + s - lo] = True
+        scores = q[s:e] @ k[keys].T
+        scores *= scale
+        np.matmul(masked_row_softmax(scores, valid), v[keys], out=out[s:e])
+    return out
+
+
 def swa_forward(inp: AttentionInputs, w: int, temperature: float = 1.0) -> np.ndarray:
     """Causal sliding-window attention: each token sees the previous w tokens
     (itself included)."""
-    mask = build_window_mask(inp.n, WindowSpec(w, Convention.CAUSAL_ONE_SIDED))
-    return attention_forward(inp, mask, temperature=temperature)
-
-
-def _permuted_causal_mask(n: int, spec: WindowSpec, p: Permutation) -> np.ndarray:
-    """Mask in permuted space: window on slots, causality on original tokens."""
-    window = build_window_mask(n, spec)
-    token_of_slot = p.inverse
-    causal = token_of_slot[None, :] <= token_of_slot[:, None]
-    out = window & causal
-    np.fill_diagonal(out, True)
-    return out
+    return _windowed_attention(inp.q, inp.k, inp.v, w, Convention.CAUSAL_ONE_SIDED, None,
+                               temperature)
 
 
 def sa_forward(
@@ -205,12 +251,10 @@ def sa_forward(
     """
     if p.n != inp.n:
         raise ValueError(f"permutation size {p.n} does not match sequence length {inp.n}")
-    spec = WindowSpec(w, convention)
     qp = permute_rows(inp.q, p)
     kp = permute_rows(inp.k, p)
     vp = permute_rows(inp.v, p)
-    mask_p = _permuted_causal_mask(inp.n, spec, p)
-    yp = attention_forward(AttentionInputs(qp, kp, vp), mask_p, temperature=temperature)
+    yp = _windowed_attention(qp, kp, vp, w, convention, p.inverse, temperature)
     return permute_rows(yp, invert(p))
 
 

@@ -185,6 +185,8 @@ def cmd_coverage(args) -> int:
 
 def cmd_connprob(args) -> int:
     _check_positive(n=args.n, w=args.w, trials=args.trials)
+    if args.n < 2:
+        raise UsageError("--n must be at least 2: the probability is about a pair of tokens")
     if args.w > args.n:
         raise UsageError("--w must not exceed --n")
     rng = SeededRng(args.seed)

@@ -91,19 +91,6 @@ def _window_or_circular(s: np.ndarray, back: int, fwd: int) -> np.ndarray:
     return t
 
 
-def _window_or_backward(s: np.ndarray, w: int) -> np.ndarray:
-    """Row p of the result is the OR of rows max(0, p-w+1) .. p (no wrap)."""
-    t = s.copy()
-    covered = 1
-    while covered < w:
-        step = min(covered, w - covered)
-        shifted = np.zeros_like(t)
-        shifted[step:] = t[:-step]
-        t |= shifted
-        covered += step
-    return t
-
-
 def _propagate_circular(reached: np.ndarray, back: int, fwd: int,
                         perm: Permutation | None) -> np.ndarray:
     if perm is None:
@@ -251,6 +238,8 @@ def expansion_lower_bound(r: int, n: int, w: int) -> float:
 def connection_probability_analytic(n: int, w: int, causal: bool = False) -> float:
     """(w-1)/(n-1) for a fixed token pair; halved when the mask is also
     filtered to causally accessible tokens."""
+    if n < 2:
+        raise ValueError(f"a token pair needs n >= 2, got n={n}")
     p = (w - 1) / (n - 1)
     return p / 2.0 if causal else p
 

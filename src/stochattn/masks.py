@@ -2,7 +2,9 @@
 and causal intersections.
 
 Masks are dense boolean arrays of shape (n, n); True means "query row i may
-attend to key column j".
+attend to key column j". The attention kernels do not build them (they
+evaluate their windows block by block); dense masks are the kernels' test
+oracle and the input of graph analysis and mask images.
 
 Window conventions:
 

@@ -111,6 +111,8 @@ def masked_row_softmax(scores, mask) -> np.ndarray:
     Masked positions are exactly 0 in the output and each row sums to 1.
     Stabilized by subtracting the per-row maximum over unmasked entries, so
     the result is invariant to adding a constant to a row's unmasked scores.
+    Masked cells are shifted to exactly 0 before ``exp`` and zeroed after it,
+    so a masked score never reaches ``exp`` and cannot overflow.
 
     Raises:
         FullyMaskedRowError: if some row of ``mask`` has no True entry.
@@ -122,10 +124,11 @@ def masked_row_softmax(scores, mask) -> np.ndarray:
     row_has_any = m.any(axis=1)
     if not row_has_any.all():
         raise FullyMaskedRowError(int(np.argmin(row_has_any)))
-    neg_inf = np.where(m, s, -np.inf)
-    row_max = neg_inf.max(axis=1, keepdims=True)
-    e = np.exp(s - row_max)
-    e[~m] = 0.0
-    out = e / e.sum(axis=1, keepdims=True)
+    row_max = np.where(m, s, -np.inf).max(axis=1, keepdims=True)
+    out = np.where(m, s, row_max)
+    out -= row_max
+    np.exp(out, out=out)
+    out *= m
+    out /= out.sum(axis=1, keepdims=True)
     _require_finite(out, "softmax output")
     return out

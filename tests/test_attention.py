@@ -1,8 +1,13 @@
 """Attention kernels: forward/backward, the permuted route against the
 mask route, rotary embeddings, and the gated dual path."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stochattn import (
     AttentionInputs,
@@ -166,6 +171,69 @@ class TestSa:
         inp = _random_inputs(rng, 8, 2)
         with pytest.raises(ValueError):
             sa_forward(inp, 3, sample_permutation(9, rng))
+
+
+@st.composite
+def _kernel_case(draw):
+    """(n, w, d_h, seed) with 1 <= w <= n <= 96 and 1 <= d_h <= 8."""
+    n = draw(st.integers(1, 96))
+    return n, draw(st.integers(1, n)), draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestBlockedKernels:
+    """The blocked windowed route of swa_forward/sa_forward against the dense
+    masked core, its floating-point hygiene and its memory."""
+
+    @given(_kernel_case())
+    @example((70, 32, 3, 1))   # n is not a multiple of w
+    @example((70, 1, 2, 2))    # w = 1
+    @example((70, 70, 5, 3))   # w = n: the circular span wraps past n
+    @example((1, 1, 1, 4))
+    def test_matches_dense_oracle(self, case):
+        n, w, d_h, seed = case
+        rng = SeededRng(seed)
+        inp = _random_inputs(rng, n, d_h)
+        perm = sample_permutation(n, rng)
+        for conv in Convention:
+            mask = intersect_causal(build_stochastic_mask(n, WindowSpec(w, conv), perm))
+            oracle = attention_forward(inp, mask)
+            assert np.abs(sa_forward(inp, w, perm, conv) - oracle).max() <= 1e-12
+        mask = build_window_mask(n, WindowSpec(w, Convention.CAUSAL_ONE_SIDED))
+        assert np.abs(swa_forward(inp, w) - attention_forward(inp, mask)).max() <= 1e-12
+
+    def test_no_floating_point_warning(self):
+        rng = SeededRng(20)
+        n, w = 300, 64
+        inp = _random_inputs(rng, n, 16)
+        perm = sample_permutation(n, rng)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            swa_forward(inp, w)
+            for conv in Convention:
+                sa_forward(inp, w, perm, conv)
+
+    def test_window_outside_sequence_rejected(self):
+        inp = _random_inputs(SeededRng(21), 6, 2)
+        with pytest.raises(ValueError):
+            swa_forward(inp, 7)
+        with pytest.raises(ValueError):
+            sa_forward(inp, 0, identity_permutation(6))
+
+    def test_peak_memory_is_linear_in_n(self):
+        # one dense n x n float64 array at n = 8192 is 512 MB
+        n, d_h, w = 8192, 64, 64
+        rng = SeededRng(22)
+        inp = _random_inputs(rng, n, d_h)
+        perm = sample_permutation(n, rng)
+        for kernel in (lambda: swa_forward(inp, w),
+                       lambda: sa_forward(inp, w, perm, Convention.CAUSAL_ONE_SIDED)):
+            tracemalloc.start()
+            try:
+                kernel()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20
 
 
 class TestRope:

@@ -109,6 +109,12 @@ class TestConnprob:
         data = json.loads((tmp_path / "connprob.json").read_text())
         assert data["analytic"] == pytest.approx(7 / 126)
 
+    def test_single_token_is_one_line_usage_error(self, tmp_path, capsys):
+        assert run(["--out", tmp_path, "connprob", "--n", 1, "--w", 1]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestMaskviz:
     def _expected_swa_pgm(self, n, w, meta):

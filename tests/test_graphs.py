@@ -148,6 +148,10 @@ class TestConnectionProbability:
         assert connection_probability_analytic(64, 8, causal=True) == pytest.approx(
             0.5 * connection_probability_analytic(64, 8))
 
+    def test_analytic_needs_a_pair(self):
+        with pytest.raises(ValueError):
+            connection_probability_analytic(1, 1)
+
     def test_causal_mc(self):
         n, w = 64, 8
         est, _ = connection_probability_mc(n, w, 1500, causal=True, rng=SeededRng(10))

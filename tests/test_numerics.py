@@ -1,6 +1,7 @@
 """Matrix primitives, masked softmax, and the seeded RNG tree."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,16 @@ class TestMaskedRowSoftmax:
         base = masked_row_softmax(scores, mask)
         shifted = masked_row_softmax(scores + rng.normal(size=(6, 1)), mask)
         np.testing.assert_allclose(base, shifted, atol=1e-12)
+
+    def test_masked_scores_are_not_exponentiated(self):
+        # exp(1000 - 0) would overflow; the masked cell must never reach exp
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            out = masked_row_softmax([[0.0, 1000.0], [0.0, 1.0]],
+                                     [[True, False], [True, True]])
+        assert out[0, 0] == 1.0 and out[0, 1] == 0.0
+        np.testing.assert_allclose(out[1], [1.0 / (1.0 + math.e), math.e / (1.0 + math.e)],
+                                   atol=1e-15)
 
 
 class TestSeedDerivation:
