@@ -56,7 +56,7 @@ from .masks import (
     mask_to_pgm,
     symmetrize,
 )
-from .numerics import FullyMaskedRowError, SeededRng, derive_seed, masked_row_softmax, matmul
+from .numerics import FullyMaskedRowError, SeededRng, derive_seed, masked_row_softmax
 from .permute import Permutation, identity_permutation, invert, permute_rows, sample_permutation
 from .stats import (
     BiasReport,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .masks import Convention, WindowSpec
 from .numerics import SeededRng, as_matrix, masked_row_softmax
@@ -110,15 +111,6 @@ class LayerConfig:
     @property
     def scale(self) -> float:
         return 1.0 / np.sqrt(self.d_h)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def attention_forward(
@@ -297,8 +289,8 @@ def gated_fusion(y_swa: np.ndarray, y_sa: np.ndarray, g: GateParams) -> np.ndarr
         raise ValueError(f"path outputs disagree: {y_swa.shape} vs {y_sa.shape}")
     if y_swa.shape[1] != g.d:
         raise ValueError(f"gate width {g.d} does not match output width {y_swa.shape[1]}")
-    gate_sa = _sigmoid(y_sa @ g.w_gate_sa.T)
-    gate_swa = _sigmoid(y_swa @ g.w_gate_swa.T)
+    gate_sa = expit(y_sa @ g.w_gate_sa.T)
+    gate_swa = expit(y_swa @ g.w_gate_swa.T)
     return gate_sa * y_sa + gate_swa * y_swa
 
 

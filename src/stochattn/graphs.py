@@ -121,8 +121,11 @@ def _simulate_seed_circular(n: int, w: int, layers: int, mode: RoutingMode,
     return counts
 
 
-def _layer_mask_dense(n: int, w: int, mode: RoutingMode, convention: Convention,
-                      rng: SeededRng) -> np.ndarray:
+def layer_mask(n: int, w: int, mode: RoutingMode, convention: Convention,
+               rng: SeededRng) -> np.ndarray:
+    """Dense mask of one layer: the window (SWA), the permuted window drawn
+    from ``rng`` and, under the one-sided convention, made causal (SA), or
+    their union (FUSED)."""
     spec = WindowSpec(w, convention)
     window = build_window_mask(n, spec)
     if mode is RoutingMode.SWA:
@@ -142,7 +145,7 @@ def _simulate_seed_dense(n: int, w: int, layers: int, mode: RoutingMode,
     counts = np.empty((layers + 1, n), dtype=np.int64)
     counts[0] = 1
     for ell in range(1, layers + 1):
-        mask = _layer_mask_dense(n, w, mode, convention, rng)
+        mask = layer_mask(n, w, mode, convention, rng)
         reached = (mask.astype(np.float64) @ reached.astype(np.float64)) > 0.0
         counts[ell] = reached.sum(axis=1)
     return counts

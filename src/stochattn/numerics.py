@@ -94,17 +94,6 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    """Strict matrix product: float64, dimension-checked, finite in and out."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    out = a @ b
-    _require_finite(out, "product")
-    return out
-
-
 def masked_row_softmax(scores, mask) -> np.ndarray:
     """Row softmax restricted to unmasked entries.
 

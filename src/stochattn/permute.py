@@ -44,9 +44,6 @@ class Permutation:
     def n(self) -> int:
         return self.forward.shape[0]
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.forward, np.arange(self.n)))
-
 
 def identity_permutation(n: int) -> Permutation:
     idx = np.arange(n, dtype=np.int64)

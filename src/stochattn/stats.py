@@ -21,8 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
-from .attention import GateParams, _sigmoid
+from .attention import GateParams
 from .masks import Convention, WindowSpec, build_stochastic_mask, intersect_causal
 from .numerics import SeededRng, as_matrix
 from .permute import sample_permutation
@@ -261,8 +262,8 @@ def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
     for _ in range(n_anchor):
         anchor += _causal_uniform_sa_sample(v, w, anchor_rng)
     anchor /= n_anchor
-    g_sa = _sigmoid(anchor @ gates.w_gate_sa.T)
-    g_swa = _sigmoid(y_swa @ gates.w_gate_swa.T)
+    g_sa = expit(anchor @ gates.w_gate_sa.T)
+    g_swa = expit(y_swa @ gates.w_gate_swa.T)
     swa_part = g_swa * b_swa
 
     rhs_samples = np.empty((n_rhs, n, d))

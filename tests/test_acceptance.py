@@ -1,50 +1,21 @@
 """Acceptance suite: every release criterion at its stated tolerance.
 
+C1-C12 run the ``stochattn.checks`` registry, the same code as
+``stochattn verify``, at larger sizes: each row names a criterion, its check,
+a root seed, the sizes and a runtime budget. C13 runs the CLI itself.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
-per criterion alongside the measured values. Budgets are asserted too; they
-are generous on current hardware.
+per criterion alongside the measured values; ``-k C4`` runs one criterion.
+Budgets are asserted too; they are generous on current hardware.
 """
 
 import json
 import time
 
-import numpy as np
+import pytest
 
-from stochattn import (
-    AttentionInputs,
-    Convention,
-    GateParams,
-    RoutingMode,
-    SeededRng,
-    WindowSpec,
-    attention_backward,
-    attention_forward,
-    build_stochastic_mask,
-    build_window_mask,
-    circulant_spectrum,
-    connection_probability_exhaustive,
-    connection_probability_mc,
-    connectome_depth_prediction,
-    cost_model,
-    eigenvalue_multiset_distance,
-    expansion_lower_bound,
-    fusion_bv_decompose,
-    graph_clustering,
-    graph_path_length,
-    intersect_causal,
-    layers_to_coverage,
-    multilayer_mixing,
-    per_seed_layers_to_coverage,
-    permuted_transition_matrix,
-    ring_lattice_clustering,
-    sa_bias_mc,
-    sa_forward,
-    sa_variance_exact,
-    sa_variance_mc,
-    sample_permutation,
-    simulate_reachability,
-    symmetrize,
-)
+from stochattn import SeededRng
+from stochattn.checks import CHECKS
 from stochattn.cli import main as cli_main
 
 
@@ -56,237 +27,33 @@ def _report(criterion: str, passed: bool, detail: str, started: float, budget: f
     assert elapsed < budget, f"{criterion}: exceeded {budget}s budget ({elapsed:.1f}s)"
 
 
-def test_c01_equivalence_keystone():
+# (criterion, check, root seed, sizes, budget in seconds)
+CRITERIA = [
+    ("C1 equivalence", "equivalence", 101, {"n_min": 2, "n_max": 64}, 10.0),
+    ("C2 connection probability", "connprob", 102,
+     {"n": 256, "w": 16, "trials": 100_000}, 30.0),
+    ("C3 causal connection probability", "connprob_causal", 103,
+     {"n": 256, "w": 16, "trials": 10_000}, 30.0),
+    ("C4 coverage depth", "coverage", 104,
+     {"n": 2048, "w": 32, "seeds": 100, "sa_layers": 6, "swa_layers": 70}, 120.0),
+    ("C5 connectome prediction", "connectome", 105, {}, 5.0),
+    ("C6 spectral similarity", "spectrum", 106, {"mixing_n": 256, "mixing_seeds": 20}, 120.0),
+    ("C7 variance", "variance", 107, {"trials": 10_000, "bound_cases": 100}, 60.0),
+    ("C8 bias decay", "bias", 108, {"n": 256, "w": 16, "trials": 10_000}, 60.0),
+    ("C9 bias-variance decomposition", "bvdecomp", 109, {"trials": 10_000}, 60.0),
+    ("C10 gradient correctness", "gradcheck", 110, {"instances": 20}, 10.0),
+    ("C11 cost scaling", "cost", 111, {"lengths": (512, 1024, 2048, 4096, 8192, 16384)}, 5.0),
+    ("C12 small-world regime", "smallworld", 112, {"n": 1024, "seeds": 20}, 120.0),
+]
+
+
+@pytest.mark.parametrize("criterion, check, seed, sizes, budget", CRITERIA,
+                         ids=[row[0].split()[0] for row in CRITERIA])
+def test_criterion(criterion, check, seed, sizes, budget):
     t0 = time.monotonic()
-    rng = SeededRng(101)
-    worst = 0.0
-    for case in range(100):
-        n = int(rng.integers(2, 65))
-        d_h = int(rng.integers(1, 9))
-        w = int(rng.integers(2, n + 1)) if n > 1 else 1
-        conv = Convention.SYMMETRIC_CIRCULAR if case % 2 == 0 else Convention.CAUSAL_ONE_SIDED
-        q, k, v = (np.asarray(rng.normal(size=(n, d_h))) for _ in range(3))
-        perm = sample_permutation(n, rng)
-        inp = AttentionInputs(q, k, v)
-        direct = sa_forward(inp, w, perm, conv)
-        mask = intersect_causal(build_stochastic_mask(n, WindowSpec(w, conv), perm))
-        oracle = attention_forward(inp, mask)
-        worst = max(worst, float(np.abs(direct - oracle).max()))
-    _report("C1 equivalence", worst <= 1e-12,
-            f"max |permuted-route - mask-route| = {worst:.2e} over 100 configs",
-            t0, 10.0)
-
-
-def test_c02_connection_probability():
-    t0 = time.monotonic()
-    exact = connection_probability_exhaustive(6, 3)
-    est, stderr = connection_probability_mc(256, 16, 100_000, rng=SeededRng(102))
-    target = 15 / 255
-    ok = exact == 2 / 5 and abs(est - target) <= 3 * stderr
-    _report("C2 connection probability", ok,
-            f"exhaustive={exact} (want 0.4 exactly); mc={est:.5f} vs {target:.5f} "
-            f"within {abs(est - target) / stderr:.2f} stderr",
-            t0, 30.0)
-
-
-def test_c03_causal_connection_probability():
-    t0 = time.monotonic()
-    est, stderr = connection_probability_mc(256, 16, 10_000, causal=True,
-                                            rng=SeededRng(103))
-    target = 15 / 510
-    rel = abs(est - target) / target
-    _report("C3 causal connection probability", rel <= 0.15,
-            f"density={est:.6f} vs (w-1)/(2(n-1))={target:.6f}, rel err {rel:.3%}",
-            t0, 30.0)
-
-
-def test_c04_coverage_depth():
-    t0 = time.monotonic()
-    n, w, seeds = 2048, 32, 100
-    sa = simulate_reachability(n, w, 6, RoutingMode.SA,
-                               Convention.SYMMETRIC_CIRCULAR, SeededRng(104),
-                               n_seeds=seeds)
-    median_depth = float(np.median(per_seed_layers_to_coverage(sa, 1.0)))
-
-    swa = simulate_reachability(n, w, 70, RoutingMode.SWA,
-                                Convention.SYMMETRIC_CIRCULAR, SeededRng(104))
-    swa_depth = layers_to_coverage(swa, 1.0)
-    swa_exact = all(swa.mean[ell] == min(1.0, (ell * (w - 1) + 1) / n)
-                    for ell in range(71))
-
-    stderr = sa.mean_stderr()
-    worst_margin = float("inf")
-    for ell in range(6):
-        r = int(round(sa.mean[ell] * n))
-        bound = expansion_lower_bound(max(1, min(n, r)), n, w) / n
-        worst_margin = min(worst_margin,
-                           float(sa.mean[ell + 1] - (bound - 3 * stderr[ell + 1])))
-    # the bound is exactly tight at layer 1 (both sides equal w/n), so allow
-    # float roundoff on top of the 3-stderr band
-    ok = median_depth <= 4 and swa_depth == 67 and swa_exact and worst_margin >= -1e-12
-    _report("C4 coverage depth", ok,
-            f"sa median depth={median_depth} (<=4); swa depth={swa_depth} (=67, "
-            f"closed form {'exact' if swa_exact else 'BROKEN'}); "
-            f"expansion margin {worst_margin:.2e}",
-            t0, 120.0)
-
-
-def test_c05_connectome_prediction():
-    t0 = time.monotonic()
-    depth = connectome_depth_prediction(130_000, 21)
-    _report("C5 connectome prediction", depth == 4, f"ceil(log_21 130000) = {depth}",
-            t0, 5.0)
-
-
-def test_c06_spectral_similarity_and_mixing():
-    t0 = time.monotonic()
-    report = circulant_spectrum(64, 8)
-    dense = np.linalg.eigvals(
-        build_window_mask(64, WindowSpec(8, Convention.SYMMETRIC_CIRCULAR))
-        .astype(float) / 8)
-    dft_dev = eigenvalue_multiset_distance(report.eigenvalues, dense)
-    rng = SeededRng(106)
-    sim_dev = 0.0
-    for s in range(20):
-        perm = sample_permutation(64, rng.child(0, s))
-        eigs = np.linalg.eigvals(permuted_transition_matrix(64, 8, perm))
-        sim_dev = max(sim_dev, eigenvalue_multiset_distance(eigs, report.eigenvalues))
-    mixing = multilayer_mixing(256, 8, 3, 20, rng.child(1, 0))
-    ok = (dft_dev <= 1e-9 and sim_dev <= 1e-9
-          and mixing.median_product_lambda2 < mixing.circulant_lambda2_pow_depth)
-    _report("C6 spectral similarity", ok,
-            f"dft-vs-dense={dft_dev:.2e}; similarity={sim_dev:.2e}; "
-            f"3-layer |lambda2| median={mixing.median_product_lambda2:.4f} < "
-            f"{mixing.circulant_lambda2_pow_depth:.4f}",
-            t0, 120.0)
-
-
-def test_c07_variance():
-    t0 = time.monotonic()
-    v = np.asarray(SeededRng(107).uniform(-1, 1, size=(64, 4)))
-    report = sa_variance_mc(v, 8, 10_000, SeededRng(1070))
-    rel = abs(report.mc_variance - report.exact) / report.exact
-    bound_rng = SeededRng(1071)
-    bound_ok = True
-    for _ in range(100):
-        n = int(bound_rng.integers(4, 64))
-        d = int(bound_rng.integers(1, 8))
-        w = int(bound_rng.integers(1, n + 1))
-        vv = np.asarray(bound_rng.normal(size=(n, d)))
-        r = sa_variance_exact(vv, w)
-        bound_ok = bound_ok and (r.exact <= r.bound + 1e-12)
-    ok = rel <= 0.05 and bound_ok
-    _report("C7 variance", ok,
-            f"mc={report.mc_variance:.6f} vs exact={report.exact:.6f} "
-            f"(rel {rel:.3%}); 4B^2/w bound held on 100 random V: {bound_ok}",
-            t0, 60.0)
-
-
-def test_c08_bias_decay():
-    t0 = time.monotonic()
-    v = np.asarray(SeededRng(108).uniform(-1, 1, size=(256, 4)))
-    report = sa_bias_mc(v, [16, 32], 10_000, SeededRng(1080))
-    ratio = report.deviations[1] / report.deviations[0]
-    _report("C8 bias decay", 0.3 <= ratio <= 0.8,
-            f"deviation(w=16)={report.deviations[0]:.5f}, "
-            f"deviation(w=32)={report.deviations[1]:.5f}, ratio={ratio:.3f} in [0.3, 0.8]",
-            t0, 60.0)
-
-
-def test_c09_bias_variance_decomposition():
-    t0 = time.monotonic()
-    v = np.asarray(SeededRng(109).uniform(-1, 1, size=(32, 4)))
-    gates = GateParams(np.zeros((4, 4)), np.zeros((4, 4)))
-    report = fusion_bv_decompose(v, gates, 8, 10_000, SeededRng(1090))
-    identity_ok = abs(report.residual) <= 3 * report.combined_stderr
-
-    vpos = np.asarray(SeededRng(1091).uniform(0.5, 1.5, size=(32, 4)))
-    degenerate = fusion_bv_decompose(vpos, GateParams(np.zeros((4, 4)),
-                                                      -1000.0 * np.eye(4)),
-                                     8, 1000, SeededRng(1092))
-    degen_ok = (degenerate.variance_term == 0.0
-                and abs(degenerate.mse - degenerate.bias_sq) <= 1e-12)
-    _report("C9 bias-variance decomposition", identity_ok and degen_ok,
-            f"|residual|={abs(report.residual):.4f} <= 3*se={3 * report.combined_stderr:.4f}; "
-            f"suppressed-gate case collapses to swa bias: {degen_ok}",
-            t0, 60.0)
-
-
-def test_c10_gradient_correctness():
-    t0 = time.monotonic()
-    rng = SeededRng(110)
-    h = 1e-5
-    worst = 0.0
-    for _ in range(20):
-        q, k, v = (np.asarray(rng.normal(size=(8, 4))) for _ in range(3))
-        upstream = np.asarray(rng.normal(size=(8, 4)))
-        perm = sample_permutation(8, rng)
-        mask = intersect_causal(build_stochastic_mask(
-            8, WindowSpec(4, Convention.SYMMETRIC_CIRCULAR), perm))
-        inp = AttentionInputs(q, k, v)
-        analytic = attention_backward(inp, mask, upstream)
-        for which, a in zip(("q", "k", "v"), analytic):
-            numeric = np.zeros_like(a)
-            for idx in np.ndindex(a.shape):
-                fields = {f: getattr(inp, f).copy() for f in ("q", "k", "v")}
-                fields[which][idx] += h
-                up = attention_forward(AttentionInputs(**fields), mask)
-                fields[which][idx] -= 2 * h
-                down = attention_forward(AttentionInputs(**fields), mask)
-                numeric[idx] = ((up - down) * upstream).sum() / (2 * h)
-            rel = np.linalg.norm(a - numeric) / max(np.linalg.norm(numeric), 1e-12)
-            worst = max(worst, float(rel))
-    _report("C10 gradient correctness", worst <= 1e-6,
-            f"max relative error vs central differences = {worst:.2e} over 20 instances",
-            t0, 10.0)
-
-
-def test_c11_cost_scaling():
-    t0 = time.monotonic()
-    w, d = 64, 128
-    full_ok = sa_ok = True
-    for n in (512, 1024, 2048, 4096, 8192, 16384):
-        if n < 8 * w:
-            continue
-        a, b = cost_model(n, w, d), cost_model(2 * n, w, d)
-        full_ok = full_ok and abs(b.flops["full"] / a.flops["full"] - 4.0) <= 0.04
-        sa_ok = sa_ok and abs(b.flops["sa"] / a.flops["sa"] - 2.0) <= 0.02
-    fused = cost_model(4096, w, d)
-    fused_ok = fused.attention_flops["fused"] == 2 * fused.attention_flops["sa"]
-    _report("C11 cost scaling", full_ok and sa_ok and fused_ok,
-            f"full x4 within 1%: {full_ok}; sa x2 within 1%: {sa_ok}; "
-            f"fused attention == 2x sa attention exactly: {fused_ok}",
-            t0, 5.0)
-
-
-def test_c12_smallworld_regime():
-    t0 = time.monotonic()
-    n, w, seeds = 1024, 16, 20
-    spec = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR)
-    window = build_window_mask(n, spec)
-    ring = symmetrize(window)
-    np.fill_diagonal(ring, False)
-    c_swa = graph_clustering(ring)
-    l_swa = graph_path_length(ring)
-
-    k = w // 2
-    formula_ok = abs(c_swa - ring_lattice_clustering(k)) <= 1e-12
-
-    rng = SeededRng(112)
-    cs, ls = [], []
-    for s in range(seeds):
-        perm = sample_permutation(n, rng.child(0, s))
-        union = symmetrize(window | build_stochastic_mask(n, spec, perm))
-        np.fill_diagonal(union, False)
-        cs.append(graph_clustering(union))
-        ls.append(graph_path_length(union))
-    med_c, med_l = float(np.median(cs)), float(np.median(ls))
-    ok = formula_ok and med_l < l_swa / 2 and med_c > c_swa / 2
-    _report("C12 small-world regime", ok,
-            f"ring C={c_swa:.4f} matches 3(k-1)/(2(2k-1)): {formula_ok}; "
-            f"union medians C={med_c:.4f} (> {c_swa / 2:.4f}), "
-            f"L={med_l:.3f} (< {l_swa / 2:.3f})",
-            t0, 120.0)
+    result = CHECKS[check](SeededRng(seed), **sizes)
+    _report(criterion, result["passed"], json.dumps(result["measured"], sort_keys=True),
+            t0, budget)
 
 
 def test_c13_determinism(tmp_path):

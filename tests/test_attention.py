@@ -288,6 +288,14 @@ class TestGatedFusion:
         assert abs(expected - 1.5232) < 5e-5
         np.testing.assert_allclose(out, [[expected]], atol=1e-12)
 
+    def test_saturated_gates_raise_no_warning(self):
+        g = GateParams(np.eye(2), np.eye(2))
+        y_sa = np.array([[1000.0, -1000.0]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            out = gated_fusion(np.zeros((1, 2)), y_sa, g)
+        assert np.array_equal(out, [[1000.0, 0.0]])
+
     def test_shape_mismatch(self):
         g = GateParams(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):

@@ -26,6 +26,23 @@ class TestExitCodes:
     def test_verify_unknown_check_is_usage_error(self, tmp_path):
         assert run(["--out", tmp_path, "verify", "--only", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("args", [
+        ["connprob", "--n", 1, "--w", 1],
+        ["connprob", "--exhaustive", "--n", 9, "--w", 3],
+        ["gradcheck", "--n", 1],
+        ["stats", "bvdecomp", "--trials", 50],
+        ["smallworld", "--n", 64, "--w", 1],
+        ["--precision", -1, "cost"],
+        ["coverage", "--n", 64, "--seeds", "0,0"],
+        ["verify", "--only", ","],
+    ], ids=["connprob-n1", "exhaustive-n9", "gradcheck-n1", "bvdecomp-trials50",
+            "smallworld-w1", "precision-negative", "duplicate-seeds", "verify-only-empty"])
+    def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, args):
+        assert run(["--out", tmp_path, *args]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_perturbed_backward_fails_gradcheck(self, tmp_path):
         assert run(["--out", tmp_path, "gradcheck", "--instances", 2,
                     "--perturb-backward"]) == 2
@@ -109,12 +126,6 @@ class TestConnprob:
         data = json.loads((tmp_path / "connprob.json").read_text())
         assert data["analytic"] == pytest.approx(7 / 126)
 
-    def test_single_token_is_one_line_usage_error(self, tmp_path, capsys):
-        assert run(["--out", tmp_path, "connprob", "--n", 1, "--w", 1]) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.startswith("error: ") and err.count("\n") == 1
-
 
 class TestMaskviz:
     def _expected_swa_pgm(self, n, w, meta):
@@ -189,6 +200,14 @@ class TestVerify:
         data = json.loads((tmp_path / "verify.json").read_text())
         assert [c["name"] for c in data["checks"]] == ["cost", "connectome"]
         assert data["all_passed"] is True
+
+    def test_streams_keyed_by_registry_position(self, tmp_path):
+        entries = []
+        for only in ("bias", "variance,bias"):
+            assert run(["--seed", 3, "--out", tmp_path, "verify", "--only", only]) == 0
+            entries.append(json.loads((tmp_path / "verify.json").read_text())["checks"][-1])
+        assert entries[0]["name"] == "bias"
+        assert entries[0] == entries[1]
 
     def test_seed_recorded(self, tmp_path):
         assert run(["--seed", 123, "--out", tmp_path, "verify", "--only", "cost"]) == 0

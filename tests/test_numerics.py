@@ -1,4 +1,4 @@
-"""Matrix primitives, masked softmax, and the seeded RNG tree."""
+"""Masked softmax, input validation, and the seeded RNG tree."""
 
 import math
 import warnings
@@ -6,58 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stochattn import FullyMaskedRowError, SeededRng, derive_seed, masked_row_softmax, matmul
-
-
-def triple_loop_matmul(a, b):
-    """Independent oracle: naive accumulation in row-major, ascending-k order."""
-    m, kk = a.shape
-    _, p = b.shape
-    out = np.zeros((m, p))
-    for i in range(m):
-        for j in range(p):
-            acc = 0.0
-            for k in range(kk):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.arange(12, dtype=float).reshape(3, 4)
-        assert np.array_equal(matmul(np.eye(3), b), b)
-
-    def test_zero_annihilates(self):
-        b = np.arange(6, dtype=float).reshape(2, 3)
-        assert np.array_equal(matmul(np.zeros((4, 2)), b), np.zeros((4, 3)))
-
-    def test_two_by_two_oracle(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        expected = triple_loop_matmul(a, b)
-        assert np.array_equal(expected, np.array([[19.0, 22.0], [43.0, 50.0]]))
-        assert np.array_equal(matmul(a, b), expected)
-
-    def test_matches_triple_loop_on_random_inputs(self):
-        rng = np.random.default_rng(42)
-        for _ in range(5):
-            a = rng.normal(size=(16, 16))
-            b = rng.normal(size=(16, 16))
-            got = matmul(a, b)
-            want = triple_loop_matmul(a, b)
-            rel = np.abs(got - want).max() / np.abs(want).max()
-            assert rel < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="inner dimensions"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_nan(self):
-        a = np.ones((2, 2))
-        a[0, 0] = np.nan
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            matmul(a, np.ones((2, 2)))
+from stochattn import FullyMaskedRowError, SeededRng, derive_seed, masked_row_softmax
 
 
 class TestMaskedRowSoftmax:
@@ -86,6 +35,12 @@ class TestMaskedRowSoftmax:
         with pytest.raises(FullyMaskedRowError) as err:
             masked_row_softmax(np.zeros((4, 4)), mask)
         assert err.value.row == 2
+
+    def test_rejects_nan_scores(self):
+        scores = np.zeros((2, 2))
+        scores[0, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            masked_row_softmax(scores, np.ones((2, 2), dtype=bool))
 
     def test_rows_sum_to_one_and_masked_are_zero(self):
         rng = np.random.default_rng(7)
