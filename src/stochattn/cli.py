@@ -23,6 +23,7 @@ from . import svgplot
 from .attention import GateParams
 from .checks import CHECKS, gradcheck, spectrum
 from .graphs import (
+    NoConnectedBaselineError,
     RoutingMode,
     circulant_spectrum,
     connection_probability_analytic,
@@ -215,15 +216,20 @@ def cmd_smallworld(args) -> int:
     def graph(mode: RoutingMode, r: SeededRng) -> np.ndarray:
         return symmetrize(layer_mask(args.n, args.w, mode, Convention.SYMMETRIC_CIRCULAR, r))
 
-    swa_metrics = smallworld_metrics(graph(RoutingMode.SWA, rng), rng.child(0, 0),
-                                     baselines=args.baselines)
+    def metrics(adjacency: np.ndarray, r: SeededRng):
+        try:
+            return smallworld_metrics(adjacency, r, baselines=args.baselines)
+        except NoConnectedBaselineError as exc:
+            raise UsageError(f"{exc}, so the graph is too sparse for a small-world "
+                             f"baseline; use a larger --w") from exc
+
+    swa_metrics = metrics(graph(RoutingMode.SWA, rng), rng.child(0, 0))
     union_c, union_l = [], []
     for s in range(args.seeds):
         union = graph(RoutingMode.FUSED, rng.child(1, s))
         union_c.append(graph_clustering(union))
         union_l.append(graph_path_length(union))
-    union_metrics = smallworld_metrics(graph(RoutingMode.FUSED, rng.child(2, 0)),
-                                       rng.child(3, 0), baselines=args.baselines)
+    union_metrics = metrics(graph(RoutingMode.FUSED, rng.child(2, 0)), rng.child(3, 0))
     result = {
         "command": "smallworld", "seed": args.seed, "n": args.n, "w": args.w,
         "seeds": args.seeds,

@@ -2,10 +2,12 @@
 pairwise connection probability, small-world statistics, spectral mixing of
 the induced random walks, and an analytic FLOP cost model.
 
-Reachability is exact multi-source BFS over packed bitsets (one bit per
-token, one row per source); the permuted-window structure lets each layer be
-propagated with O(log w) shifted ORs instead of a dense mask product. The
-dense-mask route is kept for the causal convention and as a test oracle.
+Reachability and path lengths are exact multi-source BFS over packed
+bitsets (one bit per token, one row per source). Under the circular
+convention the permuted-window structure lets each layer be propagated with
+O(log w) shifted ORs; the causal convention and arbitrary graphs OR each
+node's neighbours' rows through neighbour lists. No route builds an n x n
+float array; dense masks serve as test oracles and for mask images.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .masks import Convention, WindowSpec, build_stochastic_mask, build_window_mask, intersect_causal
 from .numerics import SeededRng
@@ -68,7 +68,9 @@ class CoverageCurve:
 
 
 def _pack_identity(n: int) -> np.ndarray:
-    nbytes = (n + 7) // 8
+    """Row i holds bit i (byte i >> 3, bit i & 7); rows are padded with zero
+    bytes to whole 64-bit words, so they can be ORed as ``np.uint64``."""
+    nbytes = 8 * ((n + 63) // 64)
     r = np.zeros((n, nbytes), dtype=np.uint8)
     rows = np.arange(n)
     r[rows, rows >> 3] |= (np.uint8(1) << (rows & 7).astype(np.uint8))
@@ -76,7 +78,30 @@ def _pack_identity(n: int) -> np.ndarray:
 
 
 def _popcount_rows(packed: np.ndarray) -> np.ndarray:
-    return _POPCOUNT[packed].sum(axis=1, dtype=np.int64)
+    return np.take(_POPCOUNT, packed).sum(axis=1, dtype=np.int64)
+
+
+# Bytes of neighbour rows gathered at once by _or_neighbours: bounds its
+# memory whatever the graph's size or degree.
+_GATHER_BYTES = 1 << 22
+
+
+def _or_neighbours(reached: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+                   out: np.ndarray) -> None:
+    """One BFS step over neighbour lists: ``out[i]`` is the OR of the rows
+    ``reached[indices[indptr[i]:indptr[i+1]]]``. Every list must be non-empty
+    (each holds the node itself)."""
+    n, nbytes = reached.shape
+    words, out_words = reached.view(np.uint64), out.view(np.uint64)
+    per_block = max(1, _GATHER_BYTES // nbytes)
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(indptr, indptr[lo] + per_block, side="right")) - 1
+        hi = min(max(hi, lo + 1), n)
+        start = indptr[lo]
+        gathered = words[indices[start:indptr[hi]]]
+        out_words[lo:hi] = np.bitwise_or.reduceat(gathered, indptr[lo:hi] - start, axis=0)
+        lo = hi
 
 
 def _window_or_circular(s: np.ndarray, back: int, fwd: int) -> np.ndarray:
@@ -139,15 +164,37 @@ def layer_mask(n: int, w: int, mode: RoutingMode, convention: Convention,
     return window | stoch
 
 
-def _simulate_seed_dense(n: int, w: int, layers: int, mode: RoutingMode,
-                         convention: Convention, rng: SeededRng) -> np.ndarray:
-    reached = np.eye(n, dtype=bool)
+def _causal_neighbours(n: int, w: int, mode: RoutingMode, rng: SeededRng) -> np.ndarray:
+    """Row i lists the tokens that token i attends to in one causal layer
+    (the nonzero columns of row i of ``layer_mask``), padded with i itself;
+    SA and FUSED draw their permutation from ``rng`` as ``layer_mask`` does."""
+    tokens = np.arange(n)[:, None]
+    back = np.arange(w)[None, :]
+    local = tokens - back
+    local = np.where(local >= 0, local, tokens)
+    if mode is RoutingMode.SWA:
+        return local
+    p = sample_permutation(n, rng)
+    slots = p.forward[:, None] - back
+    keys = p.inverse[np.maximum(slots, 0)]
+    stoch = np.where((slots >= 0) & (keys <= tokens), keys, tokens)
+    if mode is RoutingMode.SA:
+        return stoch
+    return np.hstack([local, stoch])
+
+
+def _simulate_seed_causal(n: int, w: int, layers: int, mode: RoutingMode,
+                          rng: SeededRng) -> np.ndarray:
+    reached = _pack_identity(n)
+    spare = np.empty_like(reached)
     counts = np.empty((layers + 1, n), dtype=np.int64)
     counts[0] = 1
     for ell in range(1, layers + 1):
-        mask = layer_mask(n, w, mode, convention, rng)
-        reached = (mask.astype(np.float64) @ reached.astype(np.float64)) > 0.0
-        counts[ell] = reached.sum(axis=1)
+        table = _causal_neighbours(n, w, mode, rng)
+        indptr = np.arange(0, table.size + 1, table.shape[1])
+        _or_neighbours(reached, indptr, table.ravel(), spare)
+        reached, spare = spare, reached
+        counts[ell] = _popcount_rows(reached)
     return counts
 
 
@@ -186,7 +233,7 @@ def simulate_reachability(
         if convention is Convention.SYMMETRIC_CIRCULAR:
             counts = _simulate_seed_circular(n, w, layers, mode, seed_rng)
         else:
-            counts = _simulate_seed_dense(n, w, layers, mode, convention, seed_rng)
+            counts = _simulate_seed_causal(n, w, layers, mode, seed_rng)
         per_seed.append(counts)
     all_counts = np.stack(per_seed)                       # (seeds, L+1, n)
     if mode is RoutingMode.SWA and len(seed_indices) > 1:
@@ -259,7 +306,8 @@ def connection_probability_mc(
 
     Non-causal: the indicator that a fixed pair shares a window, averaged
     over fresh permutations. Causal: the mean off-diagonal density of the
-    causally intersected stochastic mask. Returns (estimate, stderr).
+    causally intersected stochastic mask, counted in O(n*w) per trial with
+    no mask built. Returns (estimate, stderr).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -274,13 +322,16 @@ def connection_probability_mc(
         est = hits / trials
         stderr = math.sqrt(est * (1.0 - est) / trials)
         return est, stderr
-    spec = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR)
+    # row k holds a + d_k mod n for every slot a, over the nonzero offsets d_k
+    deltas = np.array([d for d in range(-back, fwd + 1) if d != 0], dtype=np.int64)
+    neighbour_slots = (np.arange(n)[None, :] + deltas[:, None]) % n
     densities = np.empty(trials)
     off_cells = n * (n - 1)
     for t in range(trials):
-        perm = sample_permutation(n, rng)
-        m = intersect_causal(build_stochastic_mask(n, spec, perm))
-        densities[t] = (int(m.sum()) - n) / off_cells
+        # the mask's off-diagonal ones are the (offset, slot a) pairs whose
+        # neighbour slot holds an earlier token than slot a
+        tok = sample_permutation(n, rng).inverse
+        densities[t] = int(np.count_nonzero(tok[neighbour_slots] < tok)) / off_cells
     est = float(densities.mean())
     stderr = float(densities.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return est, stderr
@@ -322,49 +373,101 @@ class DisconnectedGraphError(ValueError):
         super().__init__(f"graph is disconnected; node {node} is not reachable from node 0")
 
 
-def _clean_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    adj = np.asarray(adjacency, dtype=bool).copy()
+class NoConnectedBaselineError(RuntimeError):
+    """No edge-count-matched random graph drawn for ``smallworld_metrics`` was
+    connected: the graph has too few edges for a random one to connect."""
+
+    def __init__(self, n: int, n_edges: int, attempts: int):
+        self.n, self.n_edges, self.attempts = n, n_edges, attempts
+        super().__init__(f"none of {attempts} random graphs with n={n} and {n_edges} edges "
+                         f"was connected")
+
+
+def _edges(adjacency) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, rows, cols) of the off-diagonal edges of a square symmetric
+    adjacency, sorted by row."""
+    adj = np.asarray(adjacency, dtype=bool)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError("adjacency must be square")
     if not np.array_equal(adj, adj.T):
         raise ValueError("adjacency must be symmetric; symmetrize directed masks first")
-    np.fill_diagonal(adj, False)
-    return adj
+    rows, cols = np.nonzero(adj)
+    off = rows != cols
+    return adj.shape[0], rows[off], cols[off]
 
 
-def _check_connected(adj: np.ndarray) -> None:
-    n_comp, labels = connected_components(csr_matrix(adj), directed=False)
-    if n_comp > 1:
-        stranded = int(np.nonzero(labels != labels[0])[0][0])
-        raise DisconnectedGraphError(stranded)
+def _clustering(n: int, rows: np.ndarray, cols: np.ndarray) -> float:
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(packed, (rows, cols >> 3), np.left_shift(1, cols & 7).astype(np.uint8))
+    # each undirected edge counts twice in trace(A^3)
+    upper = rows < cols
+    lo_end, hi_end = rows[upper], cols[upper]
+    closed = 0
+    step = max(1, _GATHER_BYTES // packed.shape[1])
+    for lo in range(0, lo_end.size, step):
+        common = packed[lo_end[lo:lo + step]] & packed[hi_end[lo:lo + step]]
+        closed += 2 * int(_popcount_rows(common).sum())
+    deg = np.bincount(rows, minlength=n)
+    wedges2 = int((deg * (deg - 1)).sum())
+    return closed / wedges2 if wedges2 > 0 else 0.0
 
 
 def graph_clustering(adjacency: np.ndarray) -> float:
     """Global clustering coefficient: closed wedges over all wedges,
-    via trace(A^3) / sum_i deg_i (deg_i - 1)."""
-    adj = _clean_adjacency(adjacency)
-    a = adj.astype(np.float64)
-    closed = float(((a @ a) * a).sum())          # = trace(A^3)
-    deg = a.sum(axis=1)
-    wedges2 = float((deg * (deg - 1.0)).sum())
-    return closed / wedges2 if wedges2 > 0 else 0.0
+    trace(A^3) / sum_i deg_i (deg_i - 1). trace(A^3) is counted exactly as
+    the sum over edges (i, j) of |N(i) & N(j)|, on packed neighbour rows."""
+    return _clustering(*_edges(adjacency))
+
+
+def _path_length(n: int, rows: np.ndarray, cols: np.ndarray) -> float:
+    if n < 2:
+        raise ValueError(f"graph_path_length needs n >= 2, got n={n}")
+    # neighbour lists with the node itself first, so none is empty
+    deg = np.bincount(rows, minlength=n)
+    first = np.cumsum(deg) - deg
+    indices = np.insert(cols, first, np.arange(n))
+    indptr = np.append(first + np.arange(n), indices.size)
+    reached = _pack_identity(n)
+    spare = np.empty_like(reached)
+    count, full = n, n * n
+    dist_sum = 0
+    while count < full:
+        dist_sum += full - count
+        _or_neighbours(reached, indptr, indices, spare)
+        reached, spare = spare, reached
+        grown = int(_popcount_rows(reached).sum())
+        if grown == count:
+            missing = np.unpackbits(reached[0], bitorder="little")[:n] == 0
+            raise DisconnectedGraphError(int(np.argmax(missing)))
+        count = grown
+    return dist_sum / (n * (n - 1))
 
 
 def graph_path_length(adjacency: np.ndarray) -> float:
-    """Average shortest-path length over all ordered pairs (BFS, unweighted)."""
-    adj = _clean_adjacency(adjacency)
-    _check_connected(adj)
-    dist = shortest_path(csr_matrix(adj), method="D", unweighted=True, directed=False)
-    n = adj.shape[0]
-    return float(dist.sum()) / (n * (n - 1))
+    """Average shortest-path length over all ordered pairs.
+
+    All-sources BFS on packed bitsets: after step k row i holds the nodes
+    within k hops of i, so the distance sum is the exact integer
+    sum_k (n^2 - reached_k). Raises DisconnectedGraphError, naming the first
+    node unreachable from node 0, when the reached count stalls short of n^2,
+    and ValueError for fewer than two nodes.
+    """
+    return _path_length(*_edges(adjacency))
 
 
-def _random_graph_same_edges(n: int, n_edges: int, rng: SeededRng) -> np.ndarray:
-    iu, ju = np.triu_indices(n, 1)
-    sel = rng.choice(iu.size, size=n_edges, replace=False)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[iu[sel], ju[sel]] = True
-    return adj | adj.T
+def _random_graph_same_edges(n: int, n_edges: int,
+                             rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (rows, cols, sorted by row) of a uniform random graph with
+    ``n_edges`` edges: ``n_edges`` distinct indices into the row-major list
+    of the n(n-1)/2 pairs i < j."""
+    sel = rng.choice(n * (n - 1) // 2, size=n_edges, replace=False)
+    i = np.arange(n)
+    starts = i * (n - 1) - i * (i - 1) // 2          # first pair index of row i
+    iu = np.searchsorted(starts, sel, side="right") - 1
+    ju = iu + 1 + (sel - starts[iu])
+    rows, cols = np.concatenate([iu, ju]), np.concatenate([ju, iu])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order]
 
 
 def smallworld_metrics(adjacency: np.ndarray, rng: SeededRng | None = None,
@@ -374,28 +477,25 @@ def smallworld_metrics(adjacency: np.ndarray, rng: SeededRng | None = None,
 
     C_rand is the analytic density mean_degree/(n-1); L_rand is averaged
     over ``baselines`` sampled random graphs (disconnected samples are
-    redrawn, up to a bounded number of retries).
+    redrawn, up to a bounded number of retries; NoConnectedBaselineError
+    when they run out).
     """
     if rng is None:
         rng = SeededRng(0)
-    adj = _clean_adjacency(adjacency)
-    _check_connected(adj)
-    n = adj.shape[0]
-    n_edges = int(adj.sum()) // 2
+    n, rows, cols = _edges(adjacency)
+    path_length = _path_length(n, rows, cols)
+    clustering = _clustering(n, rows, cols)
+    n_edges = rows.size // 2
     mean_degree = 2.0 * n_edges / n
-
-    clustering = graph_clustering(adj)
-    path_length = graph_path_length(adj)
 
     lengths = []
     attempts = 0
     while len(lengths) < baselines:
         if attempts > 20 * baselines:
-            raise RuntimeError("could not sample enough connected random baselines")
+            raise NoConnectedBaselineError(n, n_edges, attempts)
         attempts += 1
-        cand = _random_graph_same_edges(n, n_edges, rng)
         try:
-            lengths.append(graph_path_length(cand))
+            lengths.append(_path_length(n, *_random_graph_same_edges(n, n_edges, rng)))
         except DisconnectedGraphError:
             continue
     path_length_rand = float(np.mean(lengths))

@@ -55,13 +55,16 @@ def _validate_window(n: int, spec: WindowSpec) -> None:
 def build_window_mask(n: int, spec: WindowSpec) -> np.ndarray:
     """Local window mask in sequence order (no permutation applied)."""
     _validate_window(n, spec)
-    idx = np.arange(n)
+    # bit (i, j) depends on j - i only: band[k] is the bit for j - i = k-(n-1),
+    # and row i is band[n-1-i : 2n-1-i]
+    diff = np.arange(-(n - 1), n)
     if spec.convention is Convention.CAUSAL_ONE_SIDED:
-        diff = idx[:, None] - idx[None, :]
-        return (diff >= 0) & (diff <= spec.w - 1)
-    back, fwd = spec.offsets()
-    off = (idx[None, :] - idx[:, None]) % n
-    return (off <= fwd) | (off >= n - back) if back > 0 else (off <= fwd)
+        band = (diff <= 0) & (diff > -spec.w)
+    else:
+        back, fwd = spec.offsets()
+        off = diff % n
+        band = (off <= fwd) | (off >= n - back)
+    return np.lib.stride_tricks.sliding_window_view(band, n)[::-1].copy()
 
 
 def build_stochastic_mask(n: int, spec: WindowSpec, p: Permutation) -> np.ndarray:

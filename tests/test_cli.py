@@ -32,11 +32,14 @@ class TestExitCodes:
         ["gradcheck", "--n", 1],
         ["stats", "bvdecomp", "--trials", 50],
         ["smallworld", "--n", 64, "--w", 1],
+        ["smallworld", "--n", 64, "--w", 2],
+        ["smallworld", "--n", 64, "--w", 3],
         ["--precision", -1, "cost"],
         ["coverage", "--n", 64, "--seeds", "0,0"],
         ["verify", "--only", ","],
     ], ids=["connprob-n1", "exhaustive-n9", "gradcheck-n1", "bvdecomp-trials50",
-            "smallworld-w1", "precision-negative", "duplicate-seeds", "verify-only-empty"])
+            "smallworld-w1", "smallworld-w2", "smallworld-w3", "precision-negative",
+            "duplicate-seeds", "verify-only-empty"])
     def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, args):
         assert run(["--out", tmp_path, *args]) == 1
         err = capsys.readouterr().err

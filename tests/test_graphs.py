@@ -1,16 +1,22 @@
 """Reachability growth, connection probability, small-world structure,
 spectra, cost model."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from stochattn import (
     Convention,
     RoutingMode,
     SeededRng,
     WindowSpec,
+    build_stochastic_mask,
     build_window_mask,
     circulant_spectrum,
     connection_probability_analytic,
@@ -22,6 +28,7 @@ from stochattn import (
     expansion_lower_bound,
     graph_clustering,
     graph_path_length,
+    intersect_causal,
     layers_to_coverage,
     multilayer_mixing,
     per_seed_layers_to_coverage,
@@ -33,21 +40,46 @@ from stochattn import (
     symmetrize,
     transition_matrix,
 )
-from stochattn.graphs import DisconnectedGraphError
+from stochattn.graphs import (
+    DisconnectedGraphError,
+    NoConnectedBaselineError,
+    _simulate_seed_causal,
+    _simulate_seed_circular,
+    layer_mask,
+)
+
+
+def _dense_reachability(n, w, layers, mode, convention, rng):
+    """Oracle: per-layer reached counts from each layer's dense mask,
+    propagated with a float matrix product."""
+    reached = np.eye(n, dtype=bool)
+    counts = np.empty((layers + 1, n), dtype=np.int64)
+    counts[0] = 1
+    for ell in range(1, layers + 1):
+        mask = layer_mask(n, w, mode, convention, rng)
+        reached = (mask.astype(np.float64) @ reached.astype(np.float64)) > 0.0
+        counts[ell] = reached.sum(axis=1)
+    return counts
 
 
 class TestReachability:
     def test_bitset_engine_matches_dense_mask_propagation(self):
         # the packed sliding-OR propagation against the literal route:
-        # build each layer's mask densely and propagate with a boolean
-        # matrix product
-        from stochattn.graphs import _simulate_seed_circular, _simulate_seed_dense
+        # build each layer's mask densely and propagate with a matrix product
         for mode in RoutingMode:
             for n, w, layers in [(16, 4, 5), (32, 8, 4), (33, 5, 6), (24, 24, 2)]:
                 fast = _simulate_seed_circular(n, w, layers, mode, SeededRng(40))
-                dense = _simulate_seed_dense(n, w, layers, mode,
-                                             Convention.SYMMETRIC_CIRCULAR, SeededRng(40))
+                dense = _dense_reachability(n, w, layers, mode,
+                                            Convention.SYMMETRIC_CIRCULAR, SeededRng(40))
                 assert np.array_equal(fast, dense), (mode, n, w)
+
+    @pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
+    def test_causal_neighbour_lists_match_dense_mask_propagation(self, mode):
+        for n, w, layers in [(16, 4, 5), (33, 5, 6), (40, 1, 3), (24, 24, 3), (70, 9, 4)]:
+            fast = _simulate_seed_causal(n, w, layers, mode, SeededRng(41))
+            dense = _dense_reachability(n, w, layers, mode,
+                                        Convention.CAUSAL_ONE_SIDED, SeededRng(41))
+            assert np.array_equal(fast, dense), (mode, n, w)
 
     def test_layer_zero_is_self_only(self):
         for mode in RoutingMode:
@@ -158,6 +190,131 @@ class TestConnectionProbability:
         target = (w - 1) / (2 * (n - 1))
         assert abs(est - target) <= 0.15 * target
 
+    @pytest.mark.parametrize("n,w", [(2, 1), (2, 2), (9, 4), (16, 5), (31, 31), (64, 8)])
+    def test_causal_trial_count_is_mask_count(self, n, w):
+        # one trial's density against the off-diagonal ones of the dense
+        # causally intersected stochastic mask for the same permutation
+        for seed in range(20):
+            p = sample_permutation(n, SeededRng(seed))
+            mask = intersect_causal(build_stochastic_mask(n, WindowSpec(w), p))
+            est, stderr = connection_probability_mc(n, w, 1, causal=True, rng=SeededRng(seed))
+            assert (est, stderr) == ((int(mask.sum()) - n) / (n * (n - 1)), 0.0)
+
+    def test_causal_mc_matches_dense_route(self):
+        n, w, trials = 48, 7, 300
+        rng = SeededRng(18)
+        densities = []
+        for _ in range(trials):
+            mask = intersect_causal(build_stochastic_mask(n, WindowSpec(w),
+                                                          sample_permutation(n, rng)))
+            densities.append((int(mask.sum()) - n) / (n * (n - 1)))
+        densities = np.array(densities)
+        est, stderr = connection_probability_mc(n, w, trials, causal=True, rng=SeededRng(18))
+        assert est == float(densities.mean())
+        assert stderr == float(densities.std(ddof=1) / np.sqrt(trials))
+
+
+def _without_loops(adj):
+    adj = adj.copy()
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def _oracle_path_length(adj):
+    dist = shortest_path(csr_matrix(_without_loops(adj)), method="D", unweighted=True,
+                         directed=False)
+    return float(dist.sum()) / (adj.shape[0] * (adj.shape[0] - 1))
+
+
+def _oracle_clustering(adj):
+    a = _without_loops(adj).astype(np.float64)
+    closed = float(((a @ a) * a).sum())          # = trace(A^3)
+    deg = a.sum(axis=1)
+    wedges2 = float((deg * (deg - 1.0)).sum())
+    return closed / wedges2 if wedges2 > 0 else 0.0
+
+
+@st.composite
+def _random_graph(draw, connected):
+    """Symmetric boolean adjacency on n in [2, 96] nodes with no self loops;
+    ``connected`` adds a random spanning tree under the random edges."""
+    n = draw(st.integers(2, 96))
+    density = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = rng.random((n, n)) < density
+    if connected:
+        order = rng.permutation(n)
+        for k in range(1, n):
+            adj[order[k], order[rng.integers(k)]] = True
+    adj = adj | adj.T
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+class TestGraphRoutesAgainstDense:
+    """Bitset BFS and packed-row clustering against scipy's all-pairs
+    shortest paths and the dense trace(A^3) formula: equal, not close."""
+
+    @given(_random_graph(connected=True))
+    def test_connected_graphs_match(self, adj):
+        assert graph_path_length(adj) == _oracle_path_length(adj)
+        assert graph_clustering(adj) == _oracle_clustering(adj)
+
+    @given(_random_graph(connected=False))
+    @example(np.array([[False, False], [False, False]]))
+    def test_disconnected_graphs_name_the_same_node(self, adj):
+        n_comp, labels = connected_components(csr_matrix(adj), directed=False)
+        if n_comp == 1:
+            assert graph_path_length(adj) == _oracle_path_length(adj)
+            return
+        with pytest.raises(DisconnectedGraphError) as err:
+            graph_path_length(adj)
+        assert err.value.node == int(np.nonzero(labels != labels[0])[0][0])
+
+    def test_union_graphs_match(self):
+        for n, w in [(64, 4), (200, 16), (129, 7)]:
+            union = symmetrize(layer_mask(n, w, RoutingMode.FUSED,
+                                          Convention.SYMMETRIC_CIRCULAR, SeededRng(n)))
+            assert graph_path_length(union) == _oracle_path_length(union)
+            assert graph_clustering(union) == _oracle_clustering(union)
+
+    @pytest.mark.parametrize("gather_bytes", [1, 200, 4096])
+    def test_row_blocks_match(self, monkeypatch, gather_bytes):
+        # the n = 96 graphs fit one gather block at the default size; force
+        # many, down to one row per block
+        from stochattn import graphs
+        monkeypatch.setattr(graphs, "_GATHER_BYTES", gather_bytes)
+        rng = np.random.default_rng(25)
+        for n, density in [(96, 0.05), (70, 0.3), (33, 0.0)]:
+            adj = rng.random((n, n)) < density
+            adj[np.arange(1, n), rng.integers(np.arange(1, n))] = True    # a spanning tree
+            adj = adj | adj.T
+            assert graph_path_length(adj) == _oracle_path_length(adj)
+            assert graph_clustering(adj) == _oracle_clustering(adj)
+        for mode in RoutingMode:
+            fast = _simulate_seed_causal(50, 6, 4, mode, SeededRng(26))
+            dense = _dense_reachability(50, 6, 4, mode, Convention.CAUSAL_ONE_SIDED,
+                                        SeededRng(26))
+            assert np.array_equal(fast, dense), mode
+
+    def test_single_node_rejected(self):
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            graph_path_length(np.zeros((1, 1), dtype=bool))
+
+    def test_path_length_memory_is_bounded(self):
+        # scipy's float64 distance matrix alone is 128 MB at n = 4096
+        n, w = 4096, 16
+        union = symmetrize(layer_mask(n, w, RoutingMode.FUSED, Convention.SYMMETRIC_CIRCULAR,
+                                      SeededRng(23)))
+        tracemalloc.start()
+        try:
+            length = graph_path_length(union)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1.0 < length < 10.0
+        assert peak < 64 * 2**20
+
 
 class TestSmallWorld:
     def test_complete_graph(self):
@@ -220,6 +377,27 @@ class TestSmallWorld:
         c_union, l_union = graph_clustering(union), graph_path_length(union)
         assert l_union < l_ring / 2
         assert c_union > c_ring / 2
+
+    def test_random_baseline_edges_match_dense_construction(self):
+        # the edge lists against the pair table the baselines were drawn from
+        from stochattn.graphs import _random_graph_same_edges
+        for n, n_edges in [(2, 1), (9, 20), (40, 100), (64, 2016)]:
+            rows, cols = _random_graph_same_edges(n, n_edges, SeededRng(n))
+            iu, ju = np.triu_indices(n, 1)
+            sel = SeededRng(n).choice(iu.size, size=n_edges, replace=False)
+            want = np.zeros((n, n), dtype=bool)
+            want[iu[sel], ju[sel]] = True
+            got = np.zeros((n, n), dtype=bool)
+            got[rows, cols] = True
+            assert np.array_equal(got, want | want.T)
+            assert rows.size == 2 * n_edges and np.all(np.diff(rows) >= 0)
+
+    def test_too_sparse_for_a_connected_baseline(self):
+        # a 64-cycle: a random graph with 64 edges on 64 nodes is almost never connected
+        adj = symmetrize(build_window_mask(64, WindowSpec(2, Convention.SYMMETRIC_CIRCULAR)))
+        np.fill_diagonal(adj, False)
+        with pytest.raises(NoConnectedBaselineError, match="64 edges"):
+            smallworld_metrics(adj, SeededRng(24), baselines=2)
 
     def test_smallworldness_fields(self):
         n, w = 128, 10

@@ -48,6 +48,22 @@ class TestWindowMask:
             assert np.all(m.sum(axis=0) == w)
             assert np.all(np.diag(m))
 
+    def test_matches_cellwise_definition(self):
+        # the banded construction against each cell's definition, both conventions
+        for n in range(1, 26):
+            for w in range(1, n + 1):
+                back, fwd = WindowSpec(w).offsets()
+                want = {Convention.CAUSAL_ONE_SIDED: np.zeros((n, n), dtype=bool),
+                        Convention.SYMMETRIC_CIRCULAR: np.zeros((n, n), dtype=bool)}
+                for i, j in itertools.product(range(n), range(n)):
+                    want[Convention.CAUSAL_ONE_SIDED][i, j] = 0 <= i - j <= w - 1
+                    off = (j - i) % n
+                    want[Convention.SYMMETRIC_CIRCULAR][i, j] = off <= fwd or off >= n - back
+                for conv, oracle in want.items():
+                    m = build_window_mask(n, WindowSpec(w, conv))
+                    assert m.dtype == bool and m.flags.c_contiguous
+                    assert np.array_equal(m, oracle), (n, w, conv)
+
     def test_window_bounds_checked(self):
         with pytest.raises(ValueError):
             build_window_mask(4, WindowSpec(0, Convention.CAUSAL_ONE_SIDED))

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stochattn import FullyMaskedRowError, SeededRng, derive_seed, masked_row_softmax
 
@@ -53,14 +55,17 @@ class TestMaskedRowSoftmax:
             np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(out[~mask] == 0.0)
 
-    def test_shift_invariance_per_row(self):
-        rng = np.random.default_rng(11)
-        scores = rng.normal(size=(6, 6))
-        mask = rng.random((6, 6)) < 0.5
-        mask[:, 0] = True
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.1, 1.0, 10.0]), st.sampled_from([1.0, 100.0]))
+    @example(6, 6, 11, 1.0, 1.0)
+    def test_shift_invariance_per_row(self, rows, cols, seed, scale, shift):
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(scale=scale, size=(rows, cols))
+        mask = rng.random((rows, cols)) < 0.5
+        mask[np.arange(rows), rng.integers(cols, size=rows)] = True
         base = masked_row_softmax(scores, mask)
-        shifted = masked_row_softmax(scores + rng.normal(size=(6, 1)), mask)
-        np.testing.assert_allclose(base, shifted, atol=1e-12)
+        shifted = masked_row_softmax(scores + rng.normal(scale=shift, size=(rows, 1)), mask)
+        assert np.abs(base - shifted).max() <= 1e-12
 
     def test_masked_scores_are_not_exponentiated(self):
         # exp(1000 - 0) would overflow; the masked cell must never reach exp

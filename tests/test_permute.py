@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stochattn import (
     Permutation,
@@ -77,13 +79,19 @@ class TestPermuteRows:
         x = np.arange(12, dtype=float).reshape(4, 3)
         assert np.array_equal(permute_rows(x, identity_permutation(4)), x)
 
-    def test_roundtrip_exact(self):
-        rng = SeededRng(8)
-        for _ in range(10):
-            x = np.asarray(rng.normal(size=(21, 5)))
-            p = sample_permutation(21, rng)
-            back = permute_rows(permute_rows(x, p), invert(p))
-            assert np.array_equal(back, x)
+    @given(st.integers(1, 64), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @example(1, 1, 0)
+    def test_roundtrip_exact(self, n, d, seed):
+        # bit-exact both ways, including -0.0, infinities and NaN payloads
+        gen = np.random.default_rng(seed)
+        x = gen.normal(size=(n, d)) * 10.0 ** gen.integers(-300, 300, size=(n, d))
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324])
+        spots = gen.random((n, d)) < 0.2
+        x[spots] = gen.choice(specials, size=int(spots.sum()))
+        p = sample_permutation(n, SeededRng(seed))
+        for there, back in ((p, invert(p)), (invert(p), p)):
+            out = permute_rows(permute_rows(x, there), back)
+            assert np.array_equal(out.view(np.uint64), x.view(np.uint64))
 
     def test_cyclic_shift_convention(self):
         # sigma maps 0->1, 1->2, 2->0; slot i receives token inverse[i],
