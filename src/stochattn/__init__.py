@@ -55,6 +55,7 @@ from .masks import (
     mask_to_csv,
     mask_to_pgm,
     symmetrize,
+    window_neighbours,
 )
 from .numerics import FullyMaskedRowError, SeededRng, derive_seed, masked_row_softmax
 from .permute import Permutation, identity_permutation, invert, permute_rows, sample_permutation

@@ -28,16 +28,11 @@ from .permute import Permutation, invert, permute_rows, sample_permutation
 
 @dataclass(frozen=True)
 class AttentionInputs:
-    """Per-head query/key/value matrices plus original token positions.
-
-    ``positions`` defaults to 0..n-1; they are the pre-permutation sequence
-    positions and are what rotary embeddings must be computed from.
-    """
+    """Per-head query/key/value matrices, rows in original token order."""
 
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    positions: np.ndarray | None = None
 
     def __post_init__(self):
         q = as_matrix(self.q, "q")
@@ -48,11 +43,6 @@ class AttentionInputs:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "v", v)
-        if self.positions is not None:
-            pos = np.asarray(self.positions, dtype=np.int64)
-            if pos.shape != (q.shape[0],):
-                raise ValueError("positions must have one entry per row of q")
-            object.__setattr__(self, "positions", pos)
 
     @property
     def n(self) -> int:
@@ -61,11 +51,6 @@ class AttentionInputs:
     @property
     def d_h(self) -> int:
         return self.q.shape[1]
-
-    def resolved_positions(self) -> np.ndarray:
-        if self.positions is None:
-            return np.arange(self.n, dtype=np.int64)
-        return self.positions
 
 
 @dataclass(frozen=True)
@@ -107,10 +92,6 @@ class LayerConfig:
     @property
     def d_h(self) -> int:
         return self.d // self.h
-
-    @property
-    def scale(self) -> float:
-        return 1.0 / np.sqrt(self.d_h)
 
 
 def attention_forward(
@@ -169,7 +150,6 @@ def _windowed_attention(
     w: int,
     convention: Convention,
     token_of_slot: np.ndarray | None,
-    temperature: float,
 ) -> np.ndarray:
     """Windowed attention over slots 0..n-1, one row block of w slots at a time.
 
@@ -184,9 +164,9 @@ def _windowed_attention(
     n = q.shape[0]
     if not 1 <= w <= n:
         raise ValueError(f"window size must satisfy 1 <= w <= n, got w={w}, n={n}")
-    scale = 1.0 / (np.sqrt(q.shape[1]) * temperature)
+    scale = 1.0 / np.sqrt(q.shape[1])
     circular = convention is Convention.SYMMETRIC_CIRCULAR
-    back, fwd = WindowSpec(w, convention).offsets() if circular else (w - 1, 0)
+    back, fwd = WindowSpec(w, convention).offsets()
     # Both windows cover w consecutive offsets, so with the span starting
     # `back` slots before the block, row i sees span columns i .. i+w-1.
     idx = np.arange(w)
@@ -213,11 +193,10 @@ def _windowed_attention(
     return out
 
 
-def swa_forward(inp: AttentionInputs, w: int, temperature: float = 1.0) -> np.ndarray:
+def swa_forward(inp: AttentionInputs, w: int) -> np.ndarray:
     """Causal sliding-window attention: each token sees the previous w tokens
     (itself included)."""
-    return _windowed_attention(inp.q, inp.k, inp.v, w, Convention.CAUSAL_ONE_SIDED, None,
-                               temperature)
+    return _windowed_attention(inp.q, inp.k, inp.v, w, Convention.CAUSAL_ONE_SIDED, None)
 
 
 def sa_forward(
@@ -225,7 +204,6 @@ def sa_forward(
     w: int,
     p: Permutation,
     convention: Convention = Convention.SYMMETRIC_CIRCULAR,
-    temperature: float = 1.0,
 ) -> np.ndarray:
     """Stochastic attention: permute rows, run windowed attention in the
     permuted order, un-permute the result.
@@ -246,7 +224,7 @@ def sa_forward(
     qp = permute_rows(inp.q, p)
     kp = permute_rows(inp.k, p)
     vp = permute_rows(inp.v, p)
-    yp = _windowed_attention(qp, kp, vp, w, convention, p.inverse, temperature)
+    yp = _windowed_attention(qp, kp, vp, w, convention, p.inverse)
     return permute_rows(yp, invert(p))
 
 
@@ -300,7 +278,6 @@ def dual_path_layer(
     g: GateParams,
     rng: SeededRng,
     projections: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    apply_rope: bool = True,
 ) -> np.ndarray:
     """One dual-path attention sublayer: SWA and SA side by side, fused.
 
@@ -332,11 +309,9 @@ def dual_path_layer(
     y_swa_heads, y_sa_heads = [], []
     for head in range(cfg.h):
         sl = slice(head * cfg.d_h, (head + 1) * cfg.d_h)
-        q, k, v = q_full[:, sl], k_full[:, sl], v_full[:, sl]
-        if apply_rope:
-            q = rope_apply(q, positions, cfg.rope_base)
-            k = rope_apply(k, positions, cfg.rope_base)
-        inp = AttentionInputs(q, k, v, positions)
+        q = rope_apply(q_full[:, sl], positions, cfg.rope_base)
+        k = rope_apply(k_full[:, sl], positions, cfg.rope_base)
+        inp = AttentionInputs(q, k, v_full[:, sl])
         y_swa_heads.append(swa_forward(inp, cfg.w))
         y_sa_heads.append(sa_forward(inp, cfg.w, perm, Convention.CAUSAL_ONE_SIDED))
     y_swa = np.hstack(y_swa_heads)

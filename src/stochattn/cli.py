@@ -50,6 +50,8 @@ OUT_DIR_ENV = "STOCHATTN_OUT"
 _CONVENTIONS = {"causal": Convention.CAUSAL_ONE_SIDED, "circular": Convention.SYMMETRIC_CIRCULAR}
 _MODES = {"swa": RoutingMode.SWA, "sa": RoutingMode.SA, "fused": RoutingMode.FUSED}
 _MASK_KINDS = {"swa": RoutingMode.SWA, "sa": RoutingMode.SA, "union": RoutingMode.FUSED}
+# the formats each command writes, its default first; the others write JSON only
+_FORMATS = {"maskviz": ("pgm", "csv", "svg"), "coverage": ("csv", "svg"), "cost": ("csv", "svg")}
 
 
 class UsageError(Exception):
@@ -71,9 +73,11 @@ def _check_positive(**kwargs) -> None:
             continue
         if value <= 0:
             raise UsageError(f"--{name} must be positive, got {value}")
-    n = kwargs.get("n")
+    n, w = kwargs.get("n"), kwargs.get("w")
     if n is not None and n > MAX_N:
         raise UsageError(f"--n is capped at {MAX_N} for desk-scale runs, got {n}")
+    if n is not None and w is not None and w > n:
+        raise UsageError("--w must not exceed --n")
 
 
 def _out_path(args, filename: str) -> Path:
@@ -130,6 +134,8 @@ def cmd_coverage(args) -> int:
     if args.layers < 0:
         raise UsageError("--layers must be >= 0")
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise UsageError("--modes names no mode (choose from swa,sa,fused)")
     for m in modes:
         if m not in _MODES:
             raise UsageError(f"unknown mode '{m}' (choose from swa,sa,fused)")
@@ -169,8 +175,6 @@ def cmd_connprob(args) -> int:
     _check_positive(n=args.n, w=args.w, trials=args.trials)
     if args.n < 2:
         raise UsageError("--n must be at least 2: the probability is about a pair of tokens")
-    if args.w > args.n:
-        raise UsageError("--w must not exceed --n")
     rng = SeededRng(args.seed)
     analytic = connection_probability_analytic(args.n, args.w, causal=args.causal)
     result: dict = {
@@ -207,8 +211,6 @@ def cmd_connprob(args) -> int:
 
 def cmd_smallworld(args) -> int:
     _check_positive(n=args.n, w=args.w, seeds=args.seeds, baselines=args.baselines)
-    if args.w > args.n:
-        raise UsageError("--w must not exceed --n")
     if args.w < 2:
         raise UsageError("--w must be at least 2: a one-token window has no edges")
     rng = SeededRng(args.seed)
@@ -255,8 +257,8 @@ def cmd_smallworld(args) -> int:
 
 def cmd_spectrum(args) -> int:
     _check_positive(n=args.n, w=args.w, perms=args.perms, depth=args.depth, seeds=args.seeds)
-    if args.w > args.n:
-        raise UsageError("--w must not exceed --n")
+    if args.n < 2:
+        raise UsageError("--n must be at least 2: the spectrum needs a second eigenvalue")
     measured = spectrum(SeededRng(args.seed), n=args.n, w=args.w, perms=args.perms,
                         mixing_n=args.n, depth=args.depth, mixing_seeds=args.seeds)["measured"]
     result = {
@@ -283,8 +285,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_maskviz(args) -> int:
     _check_positive(n=args.n, w=args.w)
-    if args.w > args.n:
-        raise UsageError("--w must not exceed --n")
     if args.format == "pgm" and args.n > 512:
         raise UsageError("image output is capped at n <= 512")
     if args.format == "svg" and args.n > 128:
@@ -371,10 +371,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_stats(args) -> int:
     _check_positive(n=args.n, w=args.w, d=args.d, trials=args.trials)
-    if args.w > args.n:
-        raise UsageError("--w must not exceed --n")
     if args.stat == "bvdecomp" and args.trials < 100:
         raise UsageError("--trials must be at least 100 for bvdecomp's pilot and audit batches")
+    if args.trials < 2:
+        raise UsageError("--trials must be at least 2 to estimate a standard error")
     rng = SeededRng(args.seed)
     v = rng.child(7, 0).uniform(-1.0, 1.0, size=(args.n, args.d))
     if args.stat == "bias":
@@ -454,7 +454,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--out", type=str, default=None,
                         help=f"output directory (default ${OUT_DIR_ENV} or cwd)")
     parser.add_argument("--format", choices=["csv", "json", "svg", "pgm"], default=None,
-                        help="output format where a command supports several")
+                        help="maskviz: pgm|csv|svg; coverage, cost: csv|svg; others: json")
     parser.add_argument("--precision", type=int, default=12,
                         help="significant digits for CSV floats")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -534,10 +534,13 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # normalize default formats per command
-    if args.format is None:
-        args.format = "pgm" if args.command == "maskviz" else "csv"
+    formats = _FORMATS.get(args.command, ("json",))
     try:
+        if args.format is None:
+            args.format = formats[0]
+        elif args.format not in formats:
+            raise UsageError(f"--format must be one of {', '.join(formats)} for "
+                             f"{args.command}, got {args.format}")
         if args.precision < 0:
             raise UsageError(f"--precision must be >= 0, got {args.precision}")
         return args.func(args)

@@ -5,9 +5,10 @@ the induced random walks, and an analytic FLOP cost model.
 Reachability and path lengths are exact multi-source BFS over packed
 bitsets (one bit per token, one row per source). Under the circular
 convention the permuted-window structure lets each layer be propagated with
-O(log w) shifted ORs; the causal convention and arbitrary graphs OR each
-node's neighbours' rows through neighbour lists. No route builds an n x n
-float array; dense masks serve as test oracles and for mask images.
+O(log w) shifted ORs; the causal convention ORs the rows of each token's
+``masks.window_neighbours`` entries, and arbitrary graphs those of each
+node's neighbour list. No route builds an n x n float array; dense masks
+serve as test oracles and for mask images.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .masks import Convention, WindowSpec, build_stochastic_mask, build_window_mask, intersect_causal
+from .masks import (Convention, WindowSpec, build_stochastic_mask, build_window_mask,
+                    intersect_causal, window_neighbours)
 from .numerics import SeededRng
 from .permute import Permutation, sample_permutation
 
@@ -168,16 +170,13 @@ def _causal_neighbours(n: int, w: int, mode: RoutingMode, rng: SeededRng) -> np.
     """Row i lists the tokens that token i attends to in one causal layer
     (the nonzero columns of row i of ``layer_mask``), padded with i itself;
     SA and FUSED draw their permutation from ``rng`` as ``layer_mask`` does."""
-    tokens = np.arange(n)[:, None]
-    back = np.arange(w)[None, :]
-    local = tokens - back
-    local = np.where(local >= 0, local, tokens)
+    spec = WindowSpec(w, Convention.CAUSAL_ONE_SIDED)
+    local = window_neighbours(n, spec)
     if mode is RoutingMode.SWA:
         return local
-    p = sample_permutation(n, rng)
-    slots = p.forward[:, None] - back
-    keys = p.inverse[np.maximum(slots, 0)]
-    stoch = np.where((slots >= 0) & (keys <= tokens), keys, tokens)
+    keys = window_neighbours(n, spec, sample_permutation(n, rng))
+    tokens = np.arange(n)[:, None]
+    stoch = np.where(keys <= tokens, keys, tokens)
     if mode is RoutingMode.SA:
         return stoch
     return np.hstack([local, stoch])
@@ -313,8 +312,9 @@ def connection_probability_mc(
         raise ValueError("trials must be >= 1")
     if rng is None:
         rng = SeededRng(0)
-    back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
+    spec = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR)
     if not causal:
+        back, fwd = spec.offsets()
         hits = 0
         for _ in range(trials):
             p = rng.permutation(n)
@@ -322,16 +322,14 @@ def connection_probability_mc(
         est = hits / trials
         stderr = math.sqrt(est * (1.0 - est) / trials)
         return est, stderr
-    # row k holds a + d_k mod n for every slot a, over the nonzero offsets d_k
-    deltas = np.array([d for d in range(-back, fwd + 1) if d != 0], dtype=np.int64)
-    neighbour_slots = (np.arange(n)[None, :] + deltas[:, None]) % n
+    slots = window_neighbours(n, spec)
     densities = np.empty(trials)
     off_cells = n * (n - 1)
     for t in range(trials):
-        # the mask's off-diagonal ones are the (offset, slot a) pairs whose
-        # neighbour slot holds an earlier token than slot a
+        # the mask's ones are the (slot a, window slot) pairs whose slot holds
+        # a token no later than slot a's; the n diagonal ones are a itself
         tok = sample_permutation(n, rng).inverse
-        densities[t] = int(np.count_nonzero(tok[neighbour_slots] < tok)) / off_cells
+        densities[t] = (int(np.count_nonzero(tok[slots] <= tok[:, None])) - n) / off_cells
     est = float(densities.mean())
     stderr = float(densities.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return est, stderr

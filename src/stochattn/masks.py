@@ -1,10 +1,9 @@
-"""Binary attention masks: local windows, permuted (stochastic) windows,
-and causal intersections.
+"""Who attends to whom: the window-neighbour table and dense binary masks.
 
-Masks are dense boolean arrays of shape (n, n); True means "query row i may
-attend to key column j". The attention kernels do not build them (they
-evaluate their windows block by block); dense masks are the kernels' test
-oracle and the input of graph analysis and mask images.
+``window_neighbours`` lists each token's window as an (n, w) table in
+O(n*w). Dense (n, n) boolean masks, True where query row i may attend to key
+column j, are the test oracle of the table and of the attention kernels, the
+input of the small-world metrics and spectra, and what mask images draw.
 
 Window conventions:
 
@@ -41,15 +40,34 @@ class WindowSpec:
     convention: Convention = Convention.SYMMETRIC_CIRCULAR
 
     def offsets(self) -> tuple[int, int]:
-        """(back, fwd): circular window covers offsets -back..+fwd inclusive."""
-        back = (self.w - 1) // 2
-        fwd = self.w // 2
-        return back, fwd
+        """(back, fwd): the window covers offsets -back..+fwd inclusive."""
+        if self.convention is Convention.CAUSAL_ONE_SIDED:
+            return self.w - 1, 0
+        return (self.w - 1) // 2, self.w // 2
 
 
 def _validate_window(n: int, spec: WindowSpec) -> None:
     if not 1 <= spec.w <= n:
         raise ValueError(f"window size must satisfy 1 <= w <= n, got w={spec.w}, n={n}")
+
+
+def window_neighbours(n: int, spec: WindowSpec, p: Permutation | None = None) -> np.ndarray:
+    """(n, w) table: row i lists the tokens in the window of slot ``p.forward[i]``
+    (slot i when ``p`` is None), one per offset -back..fwd. Circular offsets
+    wrap mod n; one-sided offsets before slot 0 repeat token i. Scattered, the
+    rows are those of ``build_window_mask`` or ``build_stochastic_mask``.
+    Causality on original tokens is the caller's: keep the entries <= i."""
+    _validate_window(n, spec)
+    if p is not None and p.n != n:
+        raise ValueError(f"permutation size {p.n} does not match n={n}")
+    back, fwd = spec.offsets()
+    slot = np.arange(n) if p is None else p.forward
+    slots = slot[:, None] + np.arange(-back, fwd + 1)
+    if spec.convention is Convention.CAUSAL_ONE_SIDED:
+        slots = np.where(slots >= 0, slots, slot[:, None])
+    else:
+        slots %= n
+    return slots if p is None else p.inverse[slots]
 
 
 def build_window_mask(n: int, spec: WindowSpec) -> np.ndarray:

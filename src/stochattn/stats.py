@@ -4,8 +4,9 @@ without-replacement variance law, and the bias-variance decomposition of the
 gated dual path.
 
 Everything here runs in the uniform-attention regime (weights equal to one
-over the row degree), where the closed forms are exact. The two sampling
-models are deliberately different and both faithful:
+over the row degree), where the closed forms are exact. Windows are read
+through cumulative sums or ``masks.window_neighbours``, never an n x n mask.
+The two sampling models are deliberately different and both faithful:
 
 * bias uses the true per-token stochastic neighborhoods, which always
   contain the token itself; that self-inclusion is exactly what produces the
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .attention import GateParams
-from .masks import Convention, WindowSpec, build_stochastic_mask, intersect_causal
+from .masks import Convention, WindowSpec, window_neighbours
 from .numerics import SeededRng, as_matrix
 from .permute import sample_permutation
 
@@ -171,8 +172,7 @@ def sa_variance_mc(v, w: int, trials: int, rng: SeededRng | None = None) -> Vari
         rng = SeededRng(0)
     v = as_matrix(v, "v")
     n, _ = v.shape
-    back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
-    slot_window = np.arange(-back, fwd + 1) % n
+    slot_window = window_neighbours(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR))[0]
     ys = np.empty((trials, v.shape[1]))
     for t in range(trials):
         token_of_slot = rng.permutation(n)
@@ -210,12 +210,13 @@ def _causal_uniform_window(v: np.ndarray, w: int) -> np.ndarray:
 
 
 def _causal_uniform_sa_sample(v: np.ndarray, w: int, rng: SeededRng) -> np.ndarray:
+    """Uniform causal stochastic attention under a fresh permutation: row i
+    is the mean of v over the tokens of i's permuted window that are <= i."""
     n = v.shape[0]
-    perm = sample_permutation(n, rng)
-    mask = intersect_causal(
-        build_stochastic_mask(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR), perm))
-    m = mask.astype(np.float64)
-    return (m @ v) / m.sum(axis=1, keepdims=True)
+    keys = window_neighbours(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR),
+                             sample_permutation(n, rng))
+    kept = keys <= np.arange(n)[:, None]
+    return (v[keys] * kept[:, :, None]).sum(axis=1) / kept.sum(axis=1, keepdims=True)
 
 
 def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,

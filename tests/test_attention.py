@@ -403,7 +403,7 @@ class TestDualPathLayer:
         for head in range(h):
             sl = slice(head * cfg.d_h, (head + 1) * cfg.d_h)
             q = rope_apply(x[:, sl], positions, cfg.rope_base)
-            inp = AttentionInputs(q, q, x[:, sl], positions)
+            inp = AttentionInputs(q, q, x[:, sl])
             swa_heads.append(swa_forward(inp, w))
             sa_heads.append(sa_forward(inp, w, perm, Convention.CAUSAL_ONE_SIDED))
         oracle = gated_fusion(np.hstack(swa_heads), np.hstack(sa_heads), gates)

@@ -37,9 +37,22 @@ class TestExitCodes:
         ["--precision", -1, "cost"],
         ["coverage", "--n", 64, "--seeds", "0,0"],
         ["verify", "--only", ","],
+        ["--format", "json", "maskviz", "--n", 16, "--w", 4],
+        ["--format", "json", "coverage", "--n", 16, "--w", 4],
+        ["--format", "pgm", "coverage", "--n", 16, "--w", 4],
+        ["--format", "json", "cost"],
+        ["--format", "pgm", "cost"],
+        ["--format", "csv", "verify", "--only", "cost"],
+        ["coverage", "--n", 10, "--w", 100],
+        ["coverage", "--n", 16, "--w", 4, "--modes", ","],
+        ["spectrum", "--n", 1, "--w", 1],
+        ["stats", "bias", "--n", 16, "--w", 4, "--trials", 1],
+        ["stats", "variance", "--n", 16, "--w", 4, "--trials", 1],
     ], ids=["connprob-n1", "exhaustive-n9", "gradcheck-n1", "bvdecomp-trials50",
             "smallworld-w1", "smallworld-w2", "smallworld-w3", "precision-negative",
-            "duplicate-seeds", "verify-only-empty"])
+            "duplicate-seeds", "verify-only-empty", "maskviz-json", "coverage-json",
+            "coverage-pgm", "cost-json", "cost-pgm", "verify-csv", "coverage-w-over-n",
+            "coverage-modes-empty", "spectrum-n1", "bias-trials1", "variance-trials1"])
     def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, args):
         assert run(["--out", tmp_path, *args]) == 1
         err = capsys.readouterr().err

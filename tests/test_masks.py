@@ -18,6 +18,7 @@ from stochattn import (
     mask_to_pgm,
     sample_permutation,
     symmetrize,
+    window_neighbours,
 )
 from stochattn.permute import Permutation
 
@@ -114,6 +115,51 @@ class TestStochasticMask:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             build_stochastic_mask(5, WindowSpec(2), identity_permutation(4))
+
+
+class TestWindowNeighbours:
+    def test_scattered_rows_match_dense_masks(self):
+        # every n <= 25 and w <= n, both conventions, the identity against the
+        # window mask and a random permutation against the stochastic mask
+        rng = SeededRng(30)
+        for n in range(1, 26):
+            rows = np.arange(n)[:, None]
+            for w in range(1, n + 1):
+                p = sample_permutation(n, rng)
+                for conv in Convention:
+                    spec = WindowSpec(w, conv)
+                    for perm, dense in ((None, build_window_mask(n, spec)),
+                                        (p, build_stochastic_mask(n, spec, p))):
+                        table = window_neighbours(n, spec, perm)
+                        assert table.shape == (n, w)
+                        # offset 0 is the token itself
+                        assert np.array_equal(table[:, spec.offsets()[0]], np.arange(n))
+                        scattered = np.zeros((n, n), dtype=bool)
+                        scattered[rows, table] = True
+                        assert np.array_equal(scattered, dense), (n, w, conv, perm is None)
+
+    def test_one_token_per_offset(self):
+        causal = WindowSpec(3, Convention.CAUSAL_ONE_SIDED)
+        circular = WindowSpec(3, Convention.SYMMETRIC_CIRCULAR)
+        assert causal.offsets() == (2, 0) and circular.offsets() == (1, 1)
+        # offsets before slot 0 repeat the token itself
+        assert window_neighbours(5, causal).tolist() == [
+            [0, 0, 0], [1, 0, 1], [0, 1, 2], [1, 2, 3], [2, 3, 4]]
+        assert window_neighbours(5, circular).tolist() == [
+            [4, 0, 1], [0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0]]
+        # token i sits at slot forward[i]; entries are the tokens of nearby slots
+        fwd = np.array([2, 0, 4, 1, 3])
+        inv = np.empty(5, dtype=np.int64)
+        inv[fwd] = np.arange(5)
+        p = Permutation(fwd, inv)
+        assert window_neighbours(5, causal, p).tolist() == [
+            [1, 3, 0], [1, 1, 1], [0, 4, 2], [3, 1, 3], [3, 0, 4]]
+
+    def test_bounds_checked(self):
+        with pytest.raises(ValueError):
+            window_neighbours(4, WindowSpec(5))
+        with pytest.raises(ValueError):
+            window_neighbours(4, WindowSpec(2), identity_permutation(5))
 
 
 class TestIntersectCausal:

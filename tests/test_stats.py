@@ -5,17 +5,55 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stochattn import (
+    Convention,
     GateParams,
     SeededRng,
+    WindowSpec,
+    build_stochastic_mask,
     fusion_bv_decompose,
+    intersect_causal,
     sa_bias_mc,
     sa_variance_exact,
     sa_variance_mc,
     sample_permutation,
     uniform_sa_output,
 )
+from stochattn.stats import _causal_uniform_sa_sample
+
+
+def _dense_causal_uniform_sa_sample(v, w, rng):
+    """Oracle: the causally intersected stochastic mask, rows normalized to
+    uniform weights, times v."""
+    n = v.shape[0]
+    perm = sample_permutation(n, rng)
+    mask = intersect_causal(
+        build_stochastic_mask(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR), perm))
+    m = mask.astype(np.float64)
+    return (m @ v) / m.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def _sampler_case(draw):
+    """(n, w, d, seed) with 1 <= w <= n <= 80 and 1 <= d <= 8."""
+    n = draw(st.integers(1, 80))
+    return n, draw(st.integers(1, n)), draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestCausalSampler:
+    @given(_sampler_case())
+    @example((32, 8, 4, 1))   # the bvdecomp check's shape
+    @example((40, 40, 3, 2))  # w = n: full causal attention
+    @example((1, 1, 1, 3))
+    def test_table_route_matches_dense_mask(self, case):
+        n, w, d, seed = case
+        v = np.asarray(SeededRng(seed).normal(size=(n, d)))
+        table = _causal_uniform_sa_sample(v, w, SeededRng(seed).child(1, 0))
+        dense = _dense_causal_uniform_sa_sample(v, w, SeededRng(seed).child(1, 0))
+        assert np.abs(table - dense).max() <= 1e-12
 
 
 class TestVarianceExact:
