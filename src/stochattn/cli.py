@@ -45,6 +45,9 @@ EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
 
 MAX_N = 8192
+# Estimated bytes one coverage curve may hold: its per-seed count arrays
+# and, under the causal convention, a layer's neighbour table.
+MAX_COVERAGE_BYTES = 1 << 28
 OUT_DIR_ENV = "STOCHATTN_OUT"
 
 _CONVENTIONS = {"causal": Convention.CAUSAL_ONE_SIDED, "circular": Convention.SYMMETRIC_CIRCULAR}
@@ -140,6 +143,14 @@ def cmd_coverage(args) -> int:
         if m not in _MODES:
             raise UsageError(f"unknown mode '{m}' (choose from swa,sa,fused)")
     convention = _CONVENTIONS[args.convention]
+    n_seeds = seeds if isinstance(seeds, int) else len(seeds)
+    est = n_seeds * (args.layers + 1) * args.n * 8
+    if convention is Convention.CAUSAL_ONE_SIDED:
+        est += args.n * args.w * 8 * (2 if "fused" in modes else 1)
+    if est > MAX_COVERAGE_BYTES:
+        raise UsageError(f"coverage would hold about {est >> 20} MiB of counts and neighbour "
+                         f"tables, over the {MAX_COVERAGE_BYTES >> 20} MiB cap; "
+                         f"lower --layers, --seeds or --n")
     mode_stream = {"swa": 0, "sa": 1, "fused": 2}
     rng = SeededRng(args.seed)
     rows = []
@@ -320,6 +331,8 @@ def cmd_cost(args) -> int:
         raise UsageError(f"--lengths must be comma-separated integers: {exc}")
     if not lengths or any(n <= 0 for n in lengths):
         raise UsageError("--lengths needs at least one positive length")
+    if args.w > min(lengths):
+        raise UsageError(f"--w must not exceed the shortest of --lengths ({min(lengths)})")
     rows = []
     chart: dict = {}
     prev: dict = {}

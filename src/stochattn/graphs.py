@@ -23,8 +23,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .masks import (Convention, WindowSpec, build_stochastic_mask, build_window_mask,
                     intersect_causal, window_neighbours)
-from .numerics import SeededRng
-from .permute import Permutation, sample_permutation
+from .numerics import SeededRng, trial_chunks
+from .permute import Permutation, inverse_rows, sample_permutation
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
 
@@ -107,15 +107,19 @@ def _or_neighbours(reached: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
 
 
 def _window_or_circular(s: np.ndarray, back: int, fwd: int) -> np.ndarray:
-    """Row p of the result is the OR of rows (p-back .. p+fwd) mod n."""
+    """Row p of the result is the OR of rows (p-back .. p+fwd) mod n.
+
+    Row q of the wrap-padded buffer is row (q-back) mod n; after the
+    doublings it holds the OR of buffer rows q .. q+width-1."""
+    n = s.shape[0]
     width = back + fwd + 1
-    t = np.roll(s, back, axis=0) if back else s.copy()
+    buf = np.concatenate([s[n - back:], s, s[:fwd]])
     covered = 1
     while covered < width:
         step = min(covered, width - covered)
-        t |= np.roll(t, -step, axis=0)
+        buf[:-step] |= buf[step:]
         covered += step
-    return t
+    return buf[:n]
 
 
 def _propagate_circular(reached: np.ndarray, back: int, fwd: int,
@@ -293,9 +297,10 @@ def connection_probability_analytic(n: int, w: int, causal: bool = False) -> flo
     return p / 2.0 if causal else p
 
 
-def _circular_hit(a: int, b: int, n: int, back: int, fwd: int) -> bool:
+def _circular_hits(a, b, n: int, back: int, fwd: int):
+    """Whether slots b lie in the circular windows of slots a, elementwise."""
     off = (b - a) % n
-    return off <= fwd or off >= n - back
+    return (off <= fwd) | (off >= n - back)
 
 
 def connection_probability_mc(
@@ -310,26 +315,29 @@ def connection_probability_mc(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n < 2:
+        raise ValueError(f"a token pair needs n >= 2, got n={n}")
     if rng is None:
         rng = SeededRng(0)
     spec = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR)
     if not causal:
         back, fwd = spec.offsets()
         hits = 0
-        for _ in range(trials):
-            p = rng.permutation(n)
-            hits += _circular_hit(int(p[0]), int(p[1]), n, back, fwd)
+        for lo, hi in trial_chunks(trials, n * 8):
+            p = rng.permutations(hi - lo, n)
+            hits += int(np.count_nonzero(_circular_hits(p[:, 0], p[:, 1], n, back, fwd)))
         est = hits / trials
         stderr = math.sqrt(est * (1.0 - est) / trials)
         return est, stderr
     slots = window_neighbours(n, spec)
     densities = np.empty(trials)
     off_cells = n * (n - 1)
-    for t in range(trials):
+    for lo, hi in trial_chunks(trials, n * w * 8):
         # the mask's ones are the (slot a, window slot) pairs whose slot holds
         # a token no later than slot a's; the n diagonal ones are a itself
-        tok = sample_permutation(n, rng).inverse
-        densities[t] = (int(np.count_nonzero(tok[slots] <= tok[:, None])) - n) / off_cells
+        tok = inverse_rows(rng.permutations(hi - lo, n))
+        kept = np.take(tok, slots, axis=1) <= tok[:, :, None]
+        densities[lo:hi] = (np.count_nonzero(kept, axis=(1, 2)) - n) / off_cells
     est = float(densities.mean())
     stderr = float(densities.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return est, stderr
@@ -340,13 +348,11 @@ def connection_probability_exhaustive(n: int, w: int) -> float:
     (n <= 8)."""
     if n > 8:
         raise ValueError("exhaustive enumeration is capped at n <= 8")
+    if n < 2:
+        raise ValueError(f"a token pair needs n >= 2, got n={n}")
     back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
-    hits = 0
-    total = 0
-    for p in itertools.permutations(range(n)):
-        hits += _circular_hit(p[0], p[1], n, back, fwd)
-        total += 1
-    return hits / total
+    p = np.array(list(itertools.permutations(range(n))))
+    return int(np.count_nonzero(_circular_hits(p[:, 0], p[:, 1], n, back, fwd))) / len(p)
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +662,8 @@ class CostReport:
 def cost_model(n: int, w: int, d: int) -> CostReport:
     if n < 1 or w < 1 or d < 1:
         raise ValueError("n, w, d must all be positive")
+    if w > n:
+        raise ValueError(f"a window of {w} tokens is wider than the sequence (n={n})")
     def attn(cells: float) -> float:
         return 4.0 * cells * d + SOFTMAX_FLOPS_PER_CELL * cells
     full_att = attn(float(n) * n)

@@ -16,6 +16,11 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+# Byte budget of the largest array one chunk of Monte-Carlo trials gathers:
+# trials are drawn and evaluated this many bytes at a time, so their memory
+# is bounded whatever the trial count or the problem size.
+MC_CHUNK_BYTES = 1 << 20
+
 
 class FullyMaskedRowError(ValueError):
     """A softmax row had no unmasked entry; carries the offending row index."""
@@ -76,8 +81,22 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
+    def permutations(self, trials: int, n: int) -> np.ndarray:
+        """(trials, n) array whose rows are what ``trials`` successive
+        ``permutation(n)`` calls return; the stream ends in the same state."""
+        return self._gen.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)
+
     def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
+
+
+def trial_chunks(trials: int, bytes_per_trial: int):
+    """Consecutive ``(lo, hi)`` bounds covering ``range(trials)``, each chunk
+    as many trials as fit ``MC_CHUNK_BYTES`` at ``bytes_per_trial`` (at
+    least one)."""
+    step = max(1, MC_CHUNK_BYTES // bytes_per_trial)
+    for lo in range(0, trials, step):
+        yield lo, min(lo + step, trials)
 
 
 def _require_finite(x: np.ndarray, name: str) -> None:

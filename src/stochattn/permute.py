@@ -60,6 +60,15 @@ def sample_permutation(n: int, rng: SeededRng) -> Permutation:
     return Permutation(forward, inverse)
 
 
+def inverse_rows(forward: np.ndarray) -> np.ndarray:
+    """Row-wise inverses of a (trials, n) batch of ``forward`` arrays, such as
+    ``SeededRng.permutations`` draws: row t is the ``inverse`` of row t."""
+    trials, n = forward.shape
+    inverse = np.empty_like(forward)
+    inverse[np.arange(trials)[:, None], forward] = np.arange(n)
+    return inverse
+
+
 def invert(p: Permutation) -> Permutation:
     return Permutation(p.inverse, p.forward)
 

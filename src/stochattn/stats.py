@@ -6,6 +6,10 @@ gated dual path.
 Everything here runs in the uniform-attention regime (weights equal to one
 over the row degree), where the closed forms are exact. Windows are read
 through cumulative sums or ``masks.window_neighbours``, never an n x n mask.
+Trials are drawn and evaluated one chunk at a time, as many as fit
+``numerics.MC_CHUNK_BYTES``: a chunk's permutations are the next draws of
+the same stream a one-by-one loop would make, and running sums add the
+trials in the same order, so no result depends on the chunk size.
 The two sampling models are deliberately different and both faithful:
 
 * bias uses the true per-token stochastic neighborhoods, which always
@@ -26,8 +30,8 @@ from scipy.special import expit
 
 from .attention import GateParams
 from .masks import Convention, WindowSpec, window_neighbours
-from .numerics import SeededRng, as_matrix
-from .permute import sample_permutation
+from .numerics import SeededRng, as_matrix, trial_chunks
+from .permute import inverse_rows
 
 
 @dataclass(frozen=True)
@@ -78,24 +82,33 @@ class BVReport:
     dim_variance_ratio: float
 
 
-def _circular_window_mean(vp: np.ndarray, back: int, fwd: int) -> np.ndarray:
-    """Per-slot mean of rows over circular slots a-back .. a+fwd."""
-    n, d = vp.shape
-    w = back + fwd + 1
-    parts = [vp[n - back:], vp, vp[:fwd]] if back else [vp, vp[:fwd]]
-    ext = np.concatenate([p for p in parts if p.shape[0]], axis=0)
-    csum = np.vstack([np.zeros((1, d)), np.cumsum(ext, axis=0)])
-    return (csum[w:] - csum[:-w]) / w
+def _add_in_order(total: np.ndarray, batch: np.ndarray) -> None:
+    """Add batch[0], batch[1], ... to ``total`` in that order, as a one-by-one
+    loop does; a reduction over the batch may pair the terms differently."""
+    for row in batch:
+        total += row
+
+
+def _uniform_sa_outputs(v: np.ndarray, forward: np.ndarray, w: int) -> np.ndarray:
+    """Uniform-attention stochastic output under each row of ``forward``, a
+    (trials, n) batch of permutations: entry (t, i) is the mean of v over
+    token i's circular window in trial t's permuted order (self included),
+    read off one cumulative sum along the slots."""
+    trials, n = forward.shape
+    d = v.shape[1]
+    back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
+    vp = np.take(v, inverse_rows(forward), axis=0)
+    ext = np.concatenate([vp[:, n - back:], vp, vp[:, :fwd]], axis=1)
+    csum = np.zeros((trials, n + w, d))
+    np.cumsum(ext, axis=1, out=csum[:, 1:])
+    slot_means = (csum[:, w:] - csum[:, :-w]) / w
+    return np.take(slot_means.reshape(-1, d), forward + n * np.arange(trials)[:, None], axis=0)
 
 
 def uniform_sa_output(v: np.ndarray, perm, w: int) -> np.ndarray:
     """Uniform-attention stochastic output for every token: the mean of v
     over each token's circular window in permuted order (self included)."""
-    v = as_matrix(v, "v")
-    back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
-    vp = v[perm.inverse]
-    slot_means = _circular_window_mean(vp, back, fwd)
-    return slot_means[perm.forward]
+    return _uniform_sa_outputs(as_matrix(v, "v"), perm.forward[None], w)[0]
 
 
 def sa_bias_mc(v, ws, trials: int, rng: SeededRng | None = None) -> BiasReport:
@@ -122,11 +135,10 @@ def sa_bias_mc(v, ws, trials: int, rng: SeededRng | None = None) -> BiasReport:
         w_rng = rng.child(wi, 0)
         total = np.zeros((n, d))
         total_sq = np.zeros((n, d))
-        for _ in range(trials):
-            perm = sample_permutation(n, w_rng)
-            y = uniform_sa_output(v, perm, w)
-            total += y
-            total_sq += y * y
+        for lo, hi in trial_chunks(trials, (n + w) * d * 8):
+            y = _uniform_sa_outputs(v, w_rng.permutations(hi - lo, n), w)
+            _add_in_order(total, y)
+            _add_in_order(total_sq, y * y)
         mean_y = total / trials
         dev = np.linalg.norm(mean_y - v_bar[None, :], axis=1)
         deviations.append(float(dev.mean()))
@@ -171,14 +183,14 @@ def sa_variance_mc(v, w: int, trials: int, rng: SeededRng | None = None) -> Vari
     if rng is None:
         rng = SeededRng(0)
     v = as_matrix(v, "v")
-    n, _ = v.shape
+    n, d = v.shape
     slot_window = window_neighbours(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR))[0]
-    ys = np.empty((trials, v.shape[1]))
-    for t in range(trials):
-        token_of_slot = rng.permutation(n)
+    ys = np.empty((trials, d))
+    for lo, hi in trial_chunks(trials, max(n, w * d) * 8):
+        token_of_slot = rng.permutations(hi - lo, n)
         # the subset is what matters; sort so summation order is canonical
-        subset = np.sort(token_of_slot[slot_window])
-        ys[t] = v[subset].mean(axis=0)
+        subsets = np.sort(token_of_slot[:, slot_window], axis=1)
+        ys[lo:hi] = v[subsets].mean(axis=1)
     # shifted-data variance: centering by a fixed sample keeps the constant
     # case exactly zero and conditions the two-pass computation
     shifted = ys - ys[0]
@@ -209,14 +221,20 @@ def _causal_uniform_window(v: np.ndarray, w: int) -> np.ndarray:
     return sums / (idx + 1 - start)[:, None]
 
 
-def _causal_uniform_sa_sample(v: np.ndarray, w: int, rng: SeededRng) -> np.ndarray:
-    """Uniform causal stochastic attention under a fresh permutation: row i
-    is the mean of v over the tokens of i's permuted window that are <= i."""
+def _causal_uniform_sa_samples(v: np.ndarray, w: int, rng: SeededRng,
+                               trials: int) -> np.ndarray:
+    """Uniform causal stochastic attention under ``trials`` fresh
+    permutations: entry (t, i) is the mean of v over the tokens of i's
+    window in trial t's permuted order that are <= i."""
     n = v.shape[0]
-    keys = window_neighbours(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR),
-                             sample_permutation(n, rng))
+    forward = rng.permutations(trials, n)
+    # the identity table lists slot windows; a token's window is its slot's
+    table = window_neighbours(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR))
+    slots = np.take(table, forward, axis=0) + n * np.arange(trials)[:, None, None]
+    keys = np.take(inverse_rows(forward), slots)
     kept = keys <= np.arange(n)[:, None]
-    return (v[keys] * kept[:, :, None]).sum(axis=1) / kept.sum(axis=1, keepdims=True)
+    gathered = np.take(v, keys, axis=0) * kept[..., None]
+    return gathered.sum(axis=2) / kept.sum(axis=2, keepdims=True)
 
 
 def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
@@ -259,17 +277,18 @@ def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
 
     anchor_rng, rhs_rng, lhs_rng = rng.child(0, 0), rng.child(1, 0), rng.child(2, 0)
 
+    sample_bytes = n * w * d * 8
     anchor = np.zeros((n, d))
-    for _ in range(n_anchor):
-        anchor += _causal_uniform_sa_sample(v, w, anchor_rng)
+    for lo, hi in trial_chunks(n_anchor, sample_bytes):
+        _add_in_order(anchor, _causal_uniform_sa_samples(v, w, anchor_rng, hi - lo))
     anchor /= n_anchor
     g_sa = expit(anchor @ gates.w_gate_sa.T)
     g_swa = expit(y_swa @ gates.w_gate_swa.T)
     swa_part = g_swa * b_swa
 
     rhs_samples = np.empty((n_rhs, n, d))
-    for t in range(n_rhs):
-        rhs_samples[t] = _causal_uniform_sa_sample(v, w, rhs_rng)
+    for lo, hi in trial_chunks(n_rhs, sample_bytes):
+        rhs_samples[lo:hi] = _causal_uniform_sa_samples(v, w, rhs_rng, hi - lo)
 
     def rhs_from(samples: np.ndarray) -> tuple[float, float, float]:
         mean_sa = samples.mean(axis=0)
@@ -288,9 +307,10 @@ def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
     rhs_stderr = float(np.std(chunk_vals, ddof=1) / math.sqrt(len(chunk_vals)))
 
     lhs_samples = np.empty(n_lhs)
-    for t in range(n_lhs):
-        y_sa = _causal_uniform_sa_sample(v, w, lhs_rng)
-        lhs_samples[t] = ((g_sa * (y_sa - y_star) + swa_part) ** 2).sum()
+    for lo, hi in trial_chunks(n_lhs, sample_bytes):
+        y_sa = _causal_uniform_sa_samples(v, w, lhs_rng, hi - lo)
+        sq_err = (g_sa * (y_sa - y_star) + swa_part) ** 2
+        lhs_samples[lo:hi] = sq_err.reshape(hi - lo, -1).sum(axis=1)
     mse = float(lhs_samples.mean())
     mse_stderr = float(lhs_samples.std(ddof=1) / math.sqrt(n_lhs))
 

@@ -48,11 +48,16 @@ class TestExitCodes:
         ["spectrum", "--n", 1, "--w", 1],
         ["stats", "bias", "--n", 16, "--w", 4, "--trials", 1],
         ["stats", "variance", "--n", 16, "--w", 4, "--trials", 1],
+        ["cost", "--lengths", "16,32", "--w", 256],
+        ["coverage", "--n", 64, "--w", 8, "--layers", 1000000, "--seeds", 1],
+        ["coverage", "--n", 8192, "--w", 8192, "--layers", 1, "--seeds", 1,
+         "--convention", "causal", "--modes", "fused"],
     ], ids=["connprob-n1", "exhaustive-n9", "gradcheck-n1", "bvdecomp-trials50",
             "smallworld-w1", "smallworld-w2", "smallworld-w3", "precision-negative",
             "duplicate-seeds", "verify-only-empty", "maskviz-json", "coverage-json",
             "coverage-pgm", "cost-json", "cost-pgm", "verify-csv", "coverage-w-over-n",
-            "coverage-modes-empty", "spectrum-n1", "bias-trials1", "variance-trials1"])
+            "coverage-modes-empty", "spectrum-n1", "bias-trials1", "variance-trials1",
+            "cost-w-over-length", "coverage-layers-bytes", "coverage-causal-table-bytes"])
     def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, args):
         assert run(["--out", tmp_path, *args]) == 1
         err = capsys.readouterr().err

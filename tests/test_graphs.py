@@ -39,14 +39,49 @@ from stochattn import (
     smallworld_metrics,
     symmetrize,
     transition_matrix,
+    window_neighbours,
 )
+from stochattn import numerics
 from stochattn.graphs import (
     DisconnectedGraphError,
     NoConnectedBaselineError,
     _simulate_seed_causal,
     _simulate_seed_circular,
+    _window_or_circular,
     layer_mask,
 )
+
+
+def _roll_window_or_circular(s, back, fwd):
+    """Oracle: the window OR from whole-array rolls."""
+    width = back + fwd + 1
+    t = np.roll(s, back, axis=0) if back else s.copy()
+    covered = 1
+    while covered < width:
+        step = min(covered, width - covered)
+        t |= np.roll(t, -step, axis=0)
+        covered += step
+    return t
+
+
+def _loop_connection_probability_mc(n, w, trials, causal, rng):
+    """Oracle: ``connection_probability_mc`` drawing one permutation per trial."""
+    back, fwd = WindowSpec(w).offsets()
+    if not causal:
+        hits = 0
+        for _ in range(trials):
+            p = rng.permutation(n)
+            off = (int(p[1]) - int(p[0])) % n
+            hits += off <= fwd or off >= n - back
+        est = hits / trials
+        return est, float(np.sqrt(est * (1.0 - est) / trials))
+    slots = window_neighbours(n, WindowSpec(w))
+    densities = np.empty(trials)
+    for t in range(trials):
+        tok = sample_permutation(n, rng).inverse
+        densities[t] = (int(np.count_nonzero(tok[slots] <= tok[:, None])) - n) / (n * (n - 1))
+    stderr = float(densities.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return float(densities.mean()), stderr
 
 
 def _dense_reachability(n, w, layers, mode, convention, rng):
@@ -80,6 +115,17 @@ class TestReachability:
             dense = _dense_reachability(n, w, layers, mode,
                                         Convention.CAUSAL_ONE_SIDED, SeededRng(41))
             assert np.array_equal(fast, dense), (mode, n, w)
+
+    @given(st.integers(1, 96).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n), st.integers(1, 3), st.integers(0, 2**32 - 1))))
+    @example((1, 1, 1, 0))
+    @example((96, 96, 2, 1))
+    def test_window_or_matches_roll_version(self, case):
+        n, w, words, seed = case
+        rows = np.asarray(SeededRng(seed).integers(0, 256, size=(n, 8 * words)), dtype=np.uint8)
+        back, fwd = WindowSpec(w).offsets()
+        assert np.array_equal(_window_or_circular(rows, back, fwd),
+                              _roll_window_or_circular(rows, back, fwd))
 
     def test_layer_zero_is_self_only(self):
         for mode in RoutingMode:
@@ -199,6 +245,22 @@ class TestConnectionProbability:
             mask = intersect_causal(build_stochastic_mask(n, WindowSpec(w), p))
             est, stderr = connection_probability_mc(n, w, 1, causal=True, rng=SeededRng(seed))
             assert (est, stderr) == ((int(mask.sum()) - n) / (n * (n - 1)), 0.0)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 3000, numerics.MC_CHUNK_BYTES])
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("n,w,trials", [(2, 1, 9), (9, 4, 301), (128, 8, 777)])
+    def test_chunked_mc_equals_one_by_one_loop(self, monkeypatch, chunk_bytes, causal,
+                                               n, w, trials):
+        monkeypatch.setattr(numerics, "MC_CHUNK_BYTES", chunk_bytes)
+        got = connection_probability_mc(n, w, trials, causal=causal, rng=SeededRng(n + w))
+        assert got == _loop_connection_probability_mc(n, w, trials, causal, SeededRng(n + w))
+
+    def test_mc_needs_a_pair(self):
+        for causal in (False, True):
+            with pytest.raises(ValueError):
+                connection_probability_mc(1, 1, 10, causal=causal)
+        with pytest.raises(ValueError):
+            connection_probability_exhaustive(1, 1)
 
     def test_causal_mc_matches_dense_route(self):
         n, w, trials = 48, 7, 300
@@ -502,6 +564,11 @@ class TestCostModel:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             cost_model(0, 4, 4)
+
+    def test_window_wider_than_sequence_rejected(self):
+        assert cost_model(16, 16, 8).flops["sa"] == cost_model(16, 16, 8).flops["full"]
+        with pytest.raises(ValueError):
+            cost_model(16, 17, 8)
 
 
 class TestConnectomeDepth:

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stochattn import FullyMaskedRowError, SeededRng, derive_seed, masked_row_softmax
+from stochattn.numerics import MC_CHUNK_BYTES, trial_chunks
 
 
 class TestMaskedRowSoftmax:
@@ -109,3 +110,25 @@ class TestSeededRng:
         x = SeededRng(5).child(3, 4).random(4)
         y = SeededRng(5).child(3, 4).random(4)
         assert np.array_equal(x, y)
+
+    @given(st.integers(0, 40), st.integers(1, 300), st.integers(0, 2**64 - 1))
+    @example(0, 1, 0)
+    @example(3, 1, 1)
+    def test_permutations_are_successive_draws(self, trials, n, seed):
+        one_by_one, batched = SeededRng(seed), SeededRng(seed)
+        rows = batched.permutations(trials, n)
+        assert rows.shape == (trials, n)
+        for row in rows:
+            assert np.array_equal(row, one_by_one.permutation(n))
+        assert batched.random() == one_by_one.random()
+
+
+class TestTrialChunks:
+    @given(st.integers(0, 5000), st.integers(1, 3 * 2**20))
+    def test_chunks_cover_trials_in_order_within_budget(self, trials, bytes_per_trial):
+        chunks = list(trial_chunks(trials, bytes_per_trial))
+        bounds = [lo for lo, _ in chunks] + [trials]
+        assert bounds[0] == 0 and [hi for _, hi in chunks] == bounds[1:]
+        for lo, hi in chunks:
+            assert hi > lo
+            assert hi - lo == 1 or (hi - lo) * bytes_per_trial <= MC_CHUNK_BYTES

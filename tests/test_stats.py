@@ -2,6 +2,7 @@
 dual-path bias-variance decomposition."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stochattn import (
+    BiasReport,
     Convention,
     GateParams,
     SeededRng,
@@ -21,19 +23,69 @@ from stochattn import (
     sa_variance_mc,
     sample_permutation,
     uniform_sa_output,
+    window_neighbours,
 )
-from stochattn.stats import _causal_uniform_sa_sample
+from stochattn import numerics
+from stochattn.stats import _causal_uniform_sa_samples
 
 
-def _dense_causal_uniform_sa_sample(v, w, rng):
+def _dense_causal_uniform_sa_sample(v, w, perm):
     """Oracle: the causally intersected stochastic mask, rows normalized to
     uniform weights, times v."""
     n = v.shape[0]
-    perm = sample_permutation(n, rng)
     mask = intersect_causal(
         build_stochastic_mask(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR), perm))
     m = mask.astype(np.float64)
     return (m @ v) / m.sum(axis=1, keepdims=True)
+
+
+def _loop_causal_uniform_sa_sample(v, w, rng):
+    """Oracle: one trial of the causal sampler as a one-by-one loop draws it."""
+    n = v.shape[0]
+    keys = window_neighbours(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR),
+                             sample_permutation(n, rng))
+    kept = keys <= np.arange(n)[:, None]
+    return (v[keys] * kept[:, :, None]).sum(axis=1) / kept.sum(axis=1, keepdims=True)
+
+
+def _loop_uniform_sa_output(v, perm, w):
+    """Oracle: one permutation's circular window means, from its own cumsum."""
+    n, d = v.shape
+    back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
+    vp = v[perm.inverse]
+    parts = [vp[n - back:], vp, vp[:fwd]] if back else [vp, vp[:fwd]]
+    ext = np.concatenate([p for p in parts if p.shape[0]], axis=0)
+    csum = np.vstack([np.zeros((1, d)), np.cumsum(ext, axis=0)])
+    return ((csum[w:] - csum[:-w]) / w)[perm.forward]
+
+
+def _loop_sa_bias_mc(v, ws, trials, rng):
+    """Oracle: ``sa_bias_mc`` drawing and adding its trials one by one."""
+    n, d = v.shape
+    v_bar = v.mean(axis=0)
+    deviations, stderrs = [], []
+    for wi, w in enumerate(ws):
+        w_rng = rng.child(wi, 0)
+        total, total_sq = np.zeros((n, d)), np.zeros((n, d))
+        for _ in range(trials):
+            y = _loop_uniform_sa_output(v, sample_permutation(n, w_rng), w)
+            total += y
+            total_sq += y * y
+        mean_y = total / trials
+        deviations.append(float(np.linalg.norm(mean_y - v_bar[None, :], axis=1).mean()))
+        comp_var = np.maximum((total_sq / trials - mean_y**2) * trials / (trials - 1), 0.0)
+        stderrs.append(float(np.sqrt(comp_var.sum(axis=1) / trials).mean()))
+    return BiasReport(n=n, d=d, trials=trials, ws=list(ws), deviations=deviations,
+                      stderrs=stderrs)
+
+
+def _loop_variance_samples(v, w, trials, rng):
+    """Oracle: the fixed slot's window means of ``sa_variance_mc``, one trial
+    at a time."""
+    n = v.shape[0]
+    slot_window = window_neighbours(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR))[0]
+    return np.stack([v[np.sort(rng.permutation(n)[slot_window])].mean(axis=0)
+                     for _ in range(trials)])
 
 
 @st.composite
@@ -43,17 +95,37 @@ def _sampler_case(draw):
     return n, draw(st.integers(1, n)), draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
 
 
+# chunk budgets: one trial per chunk, chunks that do not divide the trial
+# count, and the default
+_CHUNK_BYTES = [1, 3000, numerics.MC_CHUNK_BYTES]
+
+
 class TestCausalSampler:
-    @given(_sampler_case())
-    @example((32, 8, 4, 1))   # the bvdecomp check's shape
-    @example((40, 40, 3, 2))  # w = n: full causal attention
-    @example((1, 1, 1, 3))
-    def test_table_route_matches_dense_mask(self, case):
+    @given(_sampler_case(), st.integers(1, 7))
+    @example((32, 8, 4, 1), 5)   # the bvdecomp check's shape
+    @example((40, 40, 3, 2), 3)  # w = n: full causal attention
+    @example((1, 1, 1, 3), 2)
+    def test_table_route_matches_dense_mask(self, case, trials):
+        # batched row t against the dense sampler on the t-th permutation the
+        # same stream draws one by one
         n, w, d, seed = case
         v = np.asarray(SeededRng(seed).normal(size=(n, d)))
-        table = _causal_uniform_sa_sample(v, w, SeededRng(seed).child(1, 0))
-        dense = _dense_causal_uniform_sa_sample(v, w, SeededRng(seed).child(1, 0))
-        assert np.abs(table - dense).max() <= 1e-12
+        batch = _causal_uniform_sa_samples(v, w, SeededRng(seed).child(1, 0), trials)
+        rng = SeededRng(seed).child(1, 0)
+        for row in batch:
+            dense = _dense_causal_uniform_sa_sample(v, w, sample_permutation(n, rng))
+            assert np.abs(row - dense).max() <= 1e-12
+
+    @given(_sampler_case(), st.integers(1, 7))
+    @example((32, 8, 1, 4), 6)
+    @example((64, 33, 1, 5), 3)
+    def test_batched_rows_equal_single_trial_loop(self, case, trials):
+        n, w, d, seed = case
+        v = np.asarray(SeededRng(seed).normal(size=(n, d)))
+        batch = _causal_uniform_sa_samples(v, w, SeededRng(seed), trials)
+        rng = SeededRng(seed)
+        for row in batch:
+            assert np.array_equal(row, _loop_causal_uniform_sa_sample(v, w, rng))
 
 
 class TestVarianceExact:
@@ -84,6 +156,20 @@ class TestVarianceExact:
 
 
 class TestVarianceMc:
+    @pytest.mark.parametrize("chunk_bytes", _CHUNK_BYTES)
+    @pytest.mark.parametrize("n,w,d,trials", [(64, 8, 4, 401), (9, 4, 1, 37), (1, 1, 1, 5),
+                                              (200, 150, 2, 23)])
+    def test_chunked_draws_equal_one_by_one_loop(self, monkeypatch, chunk_bytes, n, w, d,
+                                                 trials):
+        monkeypatch.setattr(numerics, "MC_CHUNK_BYTES", chunk_bytes)
+        v = np.asarray(SeededRng(n + w).normal(size=(n, d)))
+        ys = _loop_variance_samples(v, w, trials, SeededRng(3))
+        report = sa_variance_mc(v, w, trials, SeededRng(3))
+        centered = (ys - ys[0]) - (ys - ys[0]).mean(axis=0, keepdims=True)
+        sq = (centered**2).sum(axis=1)
+        assert report.mc_variance == float(sq.sum() / max(trials - 1, 1))
+        assert report.mc_stderr == float(sq.std(ddof=1) / np.sqrt(trials))
+
     def test_full_window_mc_zero(self):
         v = np.asarray(SeededRng(3).normal(size=(12, 2)))
         report = sa_variance_mc(v, 12, 300, SeededRng(4))
@@ -113,6 +199,36 @@ class TestVarianceMc:
 
 
 class TestBias:
+    @pytest.mark.parametrize("chunk_bytes", _CHUNK_BYTES)
+    @pytest.mark.parametrize("n,d,ws,trials", [(48, 3, [6, 12], 301), (1, 1, [1], 40),
+                                               (7, 1, [2, 7], 33), (128, 4, [8], 97)])
+    def test_chunked_trials_equal_one_by_one_loop(self, monkeypatch, chunk_bytes, n, d, ws,
+                                                  trials):
+        monkeypatch.setattr(numerics, "MC_CHUNK_BYTES", chunk_bytes)
+        v = np.asarray(SeededRng(n * d).normal(size=(n, d)))
+        assert sa_bias_mc(v, ws, trials, SeededRng(5)) == _loop_sa_bias_mc(v, ws, trials,
+                                                                             SeededRng(5))
+
+    @given(_sampler_case())
+    @example((1, 1, 1, 0))
+    @example((2, 2, 1, 1))
+    def test_uniform_sa_output_matches_single_permutation_oracle(self, case):
+        n, w, d, seed = case
+        v = np.asarray(SeededRng(seed).normal(size=(n, d)))
+        perm = sample_permutation(n, SeededRng(seed).child(0, 1))
+        assert np.array_equal(uniform_sa_output(v, perm, w), _loop_uniform_sa_output(v, perm, w))
+
+    def test_chunk_memory_is_bounded(self):
+        # one unchunked (256, 8192, 4) float64 gather alone is 64 MB
+        v = np.asarray(SeededRng(40).normal(size=(8192, 4)))
+        tracemalloc.start()
+        try:
+            sa_bias_mc(v, [8], 256, SeededRng(41))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_constant_values_unbiased(self):
         v = np.full((24, 2), -1.25)
         report = sa_bias_mc(v, [4], 200, SeededRng(10))
@@ -195,6 +311,24 @@ class TestFusionDecomposition:
         v[:, 2] *= 10.0  # make one dimension much noisier
         report = fusion_bv_decompose(v, self._gates(3), 6, 1000, SeededRng(31))
         assert report.dim_variance_ratio > 5.0
+
+    @given(st.integers(1, 9), st.integers(1, 200), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @example(4, 32, 4, 0)   # the bvdecomp check's shape
+    def test_batched_error_sums_equal_per_trial_sums(self, trials, n, d, seed):
+        # the audit batch sums each trial's squared errors over one row of a
+        # (trials, n * d) array; a one-by-one loop summed each (n, d) array
+        err = np.asarray(SeededRng(seed).normal(size=(trials, n, d)))
+        per_trial = [float(e.sum()) for e in err]
+        assert err.reshape(trials, -1).sum(axis=1).tolist() == per_trial
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 3000])
+    def test_report_does_not_depend_on_chunk_size(self, monkeypatch, chunk_bytes):
+        v = np.asarray(SeededRng(33).uniform(-1, 1, size=(20, 3)))
+        gates = GateParams(np.asarray(SeededRng(34).normal(size=(3, 3))),
+                           np.asarray(SeededRng(35).normal(size=(3, 3))))
+        default = fusion_bv_decompose(v, gates, 5, 333, SeededRng(36))
+        monkeypatch.setattr(numerics, "MC_CHUNK_BYTES", chunk_bytes)
+        assert fusion_bv_decompose(v, gates, 5, 333, SeededRng(36)) == default
 
     def test_requires_enough_trials(self):
         v = np.zeros((8, 2))
