@@ -6,12 +6,19 @@ analytic backward pass for the masked core.
 ``swa_forward`` and ``sa_forward`` share one blocked windowed-attention core
 (``_windowed_attention``): rows are split into blocks of w slots and each
 block attends to its key span of at most 2w-1 slots with one matmul, so a
-call evaluates at most n*(2w-1) score cells and never builds an n x n array.
-``sa_forward`` genuinely routes through permuted space (gather, windowed
-attention, scatter back). The dense masked core ``attention_forward`` is kept
-as the independent oracle: full attention under
-``intersect_causal(build_stochastic_mask(...))`` must agree with
+call evaluates at most n*(2w-1) score cells per head and never builds an
+n x n array. ``sa_forward`` genuinely routes through permuted space (gather,
+windowed attention, scatter back). The dense masked core
+``attention_forward`` is kept as the independent oracle: full attention
+under ``intersect_causal(build_stochastic_mask(...))`` must agree with
 ``sa_forward`` to 1e-12.
+
+The windowed kernels, ``rope_apply`` and ``permute_rows`` take one head
+``(n, d_h)`` or a head stack ``(h, n, d_h)``. A stack runs in one pass, with
+each block's validity mask built once for all heads and one batched matmul
+for its scores and one for its values; every head's result is bit-identical
+to running it alone. ``dual_path_layer`` runs each stage once per layer on
+the stack.
 """
 
 from __future__ import annotations
@@ -22,22 +29,23 @@ import numpy as np
 from scipy.special import expit
 
 from .masks import Convention, WindowSpec
-from .numerics import SeededRng, as_matrix, masked_row_softmax
+from .numerics import SeededRng, as_matrices, as_matrix, masked_row_softmax
 from .permute import Permutation, invert, permute_rows, sample_permutation
 
 
 @dataclass(frozen=True)
 class AttentionInputs:
-    """Per-head query/key/value matrices, rows in original token order."""
+    """Query/key/value matrices of one head ``(n, d_h)`` or a head stack
+    ``(h, n, d_h)``, rows in original token order."""
 
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        q = as_matrix(self.q, "q")
-        k = as_matrix(self.k, "k")
-        v = as_matrix(self.v, "v")
+        q = as_matrices(self.q, "q")
+        k = as_matrices(self.k, "k")
+        v = as_matrices(self.v, "v")
         if not (q.shape == k.shape == v.shape):
             raise ValueError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
         object.__setattr__(self, "q", q)
@@ -46,11 +54,11 @@ class AttentionInputs:
 
     @property
     def n(self) -> int:
-        return self.q.shape[0]
+        return self.q.shape[-2]
 
     @property
     def d_h(self) -> int:
-        return self.q.shape[1]
+        return self.q.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,11 @@ class LayerConfig:
         return self.d // self.h
 
 
+def _require_one_head(inp: AttentionInputs) -> None:
+    if inp.q.ndim != 2:
+        raise ValueError(f"dense attention takes one head (n, d_h), got {inp.q.shape}")
+
+
 def attention_forward(
     inp: AttentionInputs,
     mask: np.ndarray,
@@ -106,6 +119,7 @@ def attention_forward(
     unmasked entries only, so masked weights are exactly zero and every
     output row is a convex combination of unmasked value rows.
     """
+    _require_one_head(inp)
     scale = 1.0 / (np.sqrt(inp.d_h) * temperature)
     scores = (inp.q @ inp.k.T) * scale
     weights = masked_row_softmax(scores, mask)
@@ -127,6 +141,7 @@ def attention_backward(
     dS = A * (dA - rowsum(dA * A)), which vanishes at masked positions
     because A does.
     """
+    _require_one_head(inp)
     upstream = as_matrix(upstream, "upstream")
     if upstream.shape != inp.q.shape:
         raise ValueError("upstream gradient must match the output shape")
@@ -153,7 +168,10 @@ def _windowed_attention(
 ) -> np.ndarray:
     """Windowed attention over slots 0..n-1, one row block of w slots at a time.
 
-    Row block [s, e) attends to its key span with one matmul:
+    q, k, v are ``(n, d_h)`` or head-stacked ``(h, n, d_h)``; every head
+    shares the slots, so each block's validity mask is built once and
+    broadcast over the heads. Row block [s, e) attends to its key span with
+    one (batched) matmul:
     ``CAUSAL_ONE_SIDED`` spans slots [s-w+1, e), clipped at 0;
     ``SYMMETRIC_CIRCULAR`` spans s-back .. e-1+fwd mod n, or every slot once
     when that span reaches n, so no key is counted twice. A cell of the
@@ -161,10 +179,10 @@ def _windowed_attention(
     ``token_of_slot`` (original token per slot, None for the identity) puts
     the key token at or before the query token, and on the diagonal.
     """
-    n = q.shape[0]
+    n = q.shape[-2]
     if not 1 <= w <= n:
         raise ValueError(f"window size must satisfy 1 <= w <= n, got w={w}, n={n}")
-    scale = 1.0 / np.sqrt(q.shape[1])
+    scale = 1.0 / np.sqrt(q.shape[-1])
     circular = convention is Convention.SYMMETRIC_CIRCULAR
     back, fwd = WindowSpec(w, convention).offsets()
     # Both windows cover w consecutive offsets, so with the span starting
@@ -172,7 +190,7 @@ def _windowed_attention(
     idx = np.arange(w)
     band_off = np.arange(2 * w - 1)[None, :] - idx[:, None]
     band = (band_off >= 0) & (band_off < w)
-    out = np.empty_like(v)
+    out = np.empty(v.shape)
     for s in range(0, n, w):
         e = min(s + w, n)
         rows = idx[: e - s]
@@ -187,15 +205,16 @@ def _windowed_attention(
         if token_of_slot is not None:
             valid &= token_of_slot[keys][None, :] <= token_of_slot[s:e, None]
         valid[rows, rows + s - lo] = True
-        scores = q[s:e] @ k[keys].T
+        scores = q[..., s:e, :] @ np.swapaxes(k[..., keys, :], -1, -2)
         scores *= scale
-        np.matmul(masked_row_softmax(scores, valid), v[keys], out=out[s:e])
+        weights = masked_row_softmax(scores, np.broadcast_to(valid, scores.shape))
+        np.matmul(weights, v[..., keys, :], out=out[..., s:e, :])
     return out
 
 
 def swa_forward(inp: AttentionInputs, w: int) -> np.ndarray:
     """Causal sliding-window attention: each token sees the previous w tokens
-    (itself included)."""
+    (itself included). Returns the shape of ``inp.v``, one head or a stack."""
     return _windowed_attention(inp.q, inp.k, inp.v, w, Convention.CAUSAL_ONE_SIDED, None)
 
 
@@ -218,13 +237,14 @@ def sa_forward(
     w >= n degenerates to full causal attention for any permutation). The
     one-sided convention additionally orders permuted slots; it collapses to
     ``swa_forward`` exactly at the identity permutation.
+
+    A head stack is gathered once per input and scattered back once: every
+    head shares ``p``.
     """
     if p.n != inp.n:
         raise ValueError(f"permutation size {p.n} does not match sequence length {inp.n}")
-    qp = permute_rows(inp.q, p)
-    kp = permute_rows(inp.k, p)
-    vp = permute_rows(inp.v, p)
-    yp = _windowed_attention(qp, kp, vp, w, convention, p.inverse)
+    yp = _windowed_attention(permute_rows(inp.q, p), permute_rows(inp.k, p),
+                             permute_rows(inp.v, p), w, convention, p.inverse)
     return permute_rows(yp, invert(p))
 
 
@@ -234,10 +254,13 @@ def rope_apply(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
     Pair k of a row at position p is rotated by angle p * base^(-2k/d_h).
     Must be applied before any permutation, with original positions, so that
     the relative-offset property q_m . k_n == q_{m+s} . k_{n+s} refers to
-    true sequence distances.
+    true sequence distances. ``x`` is ``(n, d_h)`` or a stack ``(..., n,
+    d_h)``, which may be a strided view (a head-major view of an ``(n, d)``
+    projection, say); one cos/sin table serves the whole stack, and the
+    result is a new C-ordered array.
     """
-    x = as_matrix(x, "x")
-    n, d_h = x.shape
+    x = as_matrices(x, "x")
+    n, d_h = x.shape[-2:]
     if d_h % 2 != 0:
         raise ValueError(f"rotary embedding needs an even head dimension, got {d_h}")
     pos = np.asarray(positions, dtype=np.float64)
@@ -246,10 +269,13 @@ def rope_apply(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
     inv_freq = float(base) ** (-np.arange(0, d_h, 2, dtype=np.float64) / d_h)
     ang = pos[:, None] * inv_freq[None, :]
     cos, sin = np.cos(ang), np.sin(ang)
-    even, odd = x[:, 0::2], x[:, 1::2]
-    out = np.empty_like(x)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin + odd * cos
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty(x.shape)
+    out_even, out_odd = out[..., 0::2], out[..., 1::2]
+    np.multiply(even, cos, out=out_even)
+    out_even -= odd * sin
+    np.multiply(even, sin, out=out_odd)
+    out_odd += odd * cos
     return out
 
 
@@ -267,9 +293,14 @@ def gated_fusion(y_swa: np.ndarray, y_sa: np.ndarray, g: GateParams) -> np.ndarr
         raise ValueError(f"path outputs disagree: {y_swa.shape} vs {y_sa.shape}")
     if y_swa.shape[1] != g.d:
         raise ValueError(f"gate width {g.d} does not match output width {y_swa.shape[1]}")
-    gate_sa = expit(y_sa @ g.w_gate_sa.T)
-    gate_swa = expit(y_swa @ g.w_gate_swa.T)
-    return gate_sa * y_sa + gate_swa * y_swa
+    out = y_sa @ g.w_gate_sa.T
+    expit(out, out=out)
+    out *= y_sa
+    gated_swa = y_swa @ g.w_gate_swa.T
+    expit(gated_swa, out=gated_swa)
+    gated_swa *= y_swa
+    out += gated_swa
+    return out
 
 
 def dual_path_layer(
@@ -281,12 +312,14 @@ def dual_path_layer(
 ) -> np.ndarray:
     """One dual-path attention sublayer: SWA and SA side by side, fused.
 
-    Per head: rotary embeddings on original positions, then both the causal
+    Rotary embeddings on original positions, then both the causal
     sliding-window path and the stochastic path (one fresh permutation per
     call, shared across heads), head outputs concatenated per path and the
-    two paths combined by ``gated_fusion``. Q/K/V projections default to the
-    identity; there is no output projection, MLP or normalization here:
-    this is an attention-sublayer reference, not a trainable block.
+    two paths combined by ``gated_fusion``. Every stage runs once on the
+    head stack ``(h, n, d_h)``, and each intermediate is dropped once it is
+    consumed. Q/K/V projections default to the identity; there is no output
+    projection, MLP or normalization here: this is an attention-sublayer
+    reference, not a trainable block.
     """
     x = as_matrix(x, "x")
     n, d = x.shape
@@ -296,24 +329,25 @@ def dual_path_layer(
         raise ValueError("gate width does not match config width")
     if not 1 <= cfg.w <= n:
         raise ValueError(f"window size {cfg.w} invalid for sequence length {n}")
-
     if projections is None:
-        q_full, k_full, v_full = x, x, x
+        wq = wk = wv = None
     else:
         wq, wk, wv = (as_matrix(m, "projection") for m in projections)
-        q_full, k_full, v_full = x @ wq, x @ wk, x @ wv
+
+    def heads(w_in):
+        """Head-major (h, n, d_h) view of x @ w_in (of x itself for None)."""
+        full = x if w_in is None else x @ w_in
+        return full.reshape(n, cfg.h, cfg.d_h).transpose(1, 0, 2)
+
+    def merged(y):
+        """(n, d) copy of a head stack, heads side by side."""
+        return y.transpose(1, 0, 2).reshape(n, d)
 
     positions = np.arange(n, dtype=np.int64)
     perm = sample_permutation(n, rng)
-
-    y_swa_heads, y_sa_heads = [], []
-    for head in range(cfg.h):
-        sl = slice(head * cfg.d_h, (head + 1) * cfg.d_h)
-        q = rope_apply(q_full[:, sl], positions, cfg.rope_base)
-        k = rope_apply(k_full[:, sl], positions, cfg.rope_base)
-        inp = AttentionInputs(q, k, v_full[:, sl])
-        y_swa_heads.append(swa_forward(inp, cfg.w))
-        y_sa_heads.append(sa_forward(inp, cfg.w, perm, Convention.CAUSAL_ONE_SIDED))
-    y_swa = np.hstack(y_swa_heads)
-    y_sa = np.hstack(y_sa_heads)
+    inp = AttentionInputs(rope_apply(heads(wq), positions, cfg.rope_base),
+                          rope_apply(heads(wk), positions, cfg.rope_base), heads(wv))
+    y_swa = merged(swa_forward(inp, cfg.w))
+    y_sa = merged(sa_forward(inp, cfg.w, perm, Convention.CAUSAL_ONE_SIDED))
+    del inp
     return gated_fusion(y_swa, y_sa, g)

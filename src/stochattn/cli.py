@@ -48,6 +48,10 @@ MAX_N = 8192
 # Estimated bytes one coverage curve may hold: its per-seed count arrays
 # and, under the causal convention, a layer's neighbour table.
 MAX_COVERAGE_BYTES = 1 << 28
+# Estimated bytes and flops one spectrum run may take: its dense n x n
+# eigen-solves and layer products (see _spectrum_cost).
+MAX_SPECTRUM_BYTES = 1 << 28
+MAX_SPECTRUM_FLOPS = 10**12
 OUT_DIR_ENV = "STOCHATTN_OUT"
 
 _CONVENTIONS = {"causal": Convention.CAUSAL_ONE_SIDED, "circular": Convention.SYMMETRIC_CIRCULAR}
@@ -266,10 +270,23 @@ def cmd_smallworld(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _spectrum_cost(n: int, perms: int, depth: int, seeds: int) -> tuple[int, int]:
+    """Estimated (bytes, flops) of a spectrum run: perms + 1 + seeds dense
+    eigen-solves of about 10 n^3 flops, seeds products of depth n x n layers
+    at 2 n^3 each, and about four n x n float64 arrays held at once."""
+    return 4 * 8 * n * n, (10 * (perms + 1 + seeds) + 2 * depth * seeds) * n ** 3
+
+
 def cmd_spectrum(args) -> int:
     _check_positive(n=args.n, w=args.w, perms=args.perms, depth=args.depth, seeds=args.seeds)
     if args.n < 2:
         raise UsageError("--n must be at least 2: the spectrum needs a second eigenvalue")
+    est_bytes, est_flops = _spectrum_cost(args.n, args.perms, args.depth, args.seeds)
+    if est_bytes > MAX_SPECTRUM_BYTES or est_flops > MAX_SPECTRUM_FLOPS:
+        raise UsageError(f"spectrum would hold about {est_bytes >> 20} MiB and take about "
+                         f"{est_flops:.1e} flops of dense eigen-solves, over the "
+                         f"{MAX_SPECTRUM_BYTES >> 20} MiB / {MAX_SPECTRUM_FLOPS:.0e} flop cap; "
+                         f"lower --n, --perms, --seeds or --depth")
     measured = spectrum(SeededRng(args.seed), n=args.n, w=args.w, perms=args.perms,
                         mixing_n=args.n, depth=args.depth, mixing_seeds=args.seeds)["measured"]
     result = {

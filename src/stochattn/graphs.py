@@ -26,8 +26,6 @@ from .masks import (Convention, WindowSpec, build_stochastic_mask, build_window_
 from .numerics import SeededRng, trial_chunks
 from .permute import Permutation, inverse_rows, sample_permutation
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-
 
 class RoutingMode(enum.Enum):
     SWA = "swa"
@@ -69,18 +67,36 @@ class CoverageCurve:
         return self.seed_mean.std(axis=0, ddof=1) / math.sqrt(self.n_seeds)
 
 
+def _packed_rows(n: int) -> np.ndarray:
+    """n zeroed bit rows of n bits (bit j in byte j >> 3, bit j & 7), padded
+    with zero bytes to whole 64-bit words, so they can be ORed and counted
+    as ``np.uint64``."""
+    return np.zeros((n, 8 * ((n + 63) // 64)), dtype=np.uint8)
+
+
 def _pack_identity(n: int) -> np.ndarray:
-    """Row i holds bit i (byte i >> 3, bit i & 7); rows are padded with zero
-    bytes to whole 64-bit words, so they can be ORed as ``np.uint64``."""
-    nbytes = 8 * ((n + 63) // 64)
-    r = np.zeros((n, nbytes), dtype=np.uint8)
+    """Row i holds bit i."""
+    r = _packed_rows(n)
     rows = np.arange(n)
     r[rows, rows >> 3] |= (np.uint8(1) << (rows & 7).astype(np.uint8))
     return r
 
 
+_M1, _M2, _M4, _H01 = (np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333,
+                                              0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+
+
 def _popcount_rows(packed: np.ndarray) -> np.ndarray:
-    return np.take(_POPCOUNT, packed).sum(axis=1, dtype=np.int64)
+    """Set bits per row of word-padded packed rows, counted word-wise with a
+    SWAR popcount: 2-, 4- and 8-bit partial sums, then one multiply adds a
+    word's eight byte counts into its top byte."""
+    x = packed.view(np.uint64)
+    x = x - ((x >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    x *= _H01
+    x >>= np.uint64(56)
+    return x.sum(axis=1, dtype=np.int64)
 
 
 # Bytes of neighbour rows gathered at once by _or_neighbours: bounds its
@@ -401,7 +417,7 @@ def _edges(adjacency) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _clustering(n: int, rows: np.ndarray, cols: np.ndarray) -> float:
-    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    packed = _packed_rows(n)
     np.bitwise_or.at(packed, (rows, cols >> 3), np.left_shift(1, cols & 7).astype(np.uint8))
     # each undirected edge counts twice in trace(A^3)
     upper = rows < cols

@@ -113,30 +113,45 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_matrices(x, name: str = "matrices") -> np.ndarray:
+    """Coerce to a finite float64 matrix or stack of matrices ``(..., rows,
+    cols)``. A strided view stays a view."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim < 2:
+        raise ValueError(f"{name} must be 2-D or a stack of 2-D arrays, got shape {a.shape}")
+    _require_finite(a, name)
+    return a
+
+
 def masked_row_softmax(scores, mask) -> np.ndarray:
-    """Row softmax restricted to unmasked entries.
+    """Row softmax restricted to unmasked entries, over the last axis of a
+    matrix or of a stack of matrices ``(..., rows, cols)``.
 
     Masked positions are exactly 0 in the output and each row sums to 1.
     Stabilized by subtracting the per-row maximum over unmasked entries, so
     the result is invariant to adding a constant to a row's unmasked scores.
     Masked cells are shifted to exactly 0 before ``exp`` and zeroed after it,
-    so a masked score never reaches ``exp`` and cannot overflow.
+    so a masked score never reaches ``exp`` and cannot overflow. Each
+    matrix of a stack gives the same result as it would alone; matrices
+    sharing one mask pass it as ``np.broadcast_to(mask, scores.shape)``.
 
     Raises:
-        FullyMaskedRowError: if some row of ``mask`` has no True entry.
+        FullyMaskedRowError: if some row of ``mask`` has no True entry; it
+        names the row's index within its matrix.
     """
-    s = as_matrix(scores, "scores")
+    s = as_matrices(scores, "scores")
     m = np.asarray(mask, dtype=bool)
     if m.shape != s.shape:
         raise ValueError(f"mask shape {m.shape} does not match scores shape {s.shape}")
-    row_has_any = m.any(axis=1)
+    row_has_any = m.any(axis=-1)
     if not row_has_any.all():
-        raise FullyMaskedRowError(int(np.argmin(row_has_any)))
-    row_max = np.where(m, s, -np.inf).max(axis=1, keepdims=True)
+        first = np.unravel_index(np.argmin(row_has_any), row_has_any.shape)
+        raise FullyMaskedRowError(int(first[-1]))
+    row_max = np.where(m, s, -np.inf).max(axis=-1, keepdims=True)
     out = np.where(m, s, row_max)
     out -= row_max
     np.exp(out, out=out)
     out *= m
-    out /= out.sum(axis=1, keepdims=True)
+    out /= out.sum(axis=-1, keepdims=True)
     _require_finite(out, "softmax output")
     return out

@@ -74,8 +74,14 @@ def invert(p: Permutation) -> Permutation:
 
 
 def permute_rows(x: np.ndarray, p: Permutation) -> np.ndarray:
-    """Rearrange rows so output[i] = x[p.inverse[i]] (see module docstring)."""
+    """Rearrange rows so output[i] = x[p.inverse[i]] (see module docstring).
+
+    Rows are axis -2, so a stack of matrices ``(..., n, d)`` is gathered in
+    one call, every matrix by the same permutation.
+    """
     x = np.asarray(x)
-    if x.shape[0] != p.n:
-        raise ValueError(f"row count {x.shape[0]} does not match permutation size {p.n}")
-    return x[p.inverse]
+    if x.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {x.shape}")
+    if x.shape[-2] != p.n:
+        raise ValueError(f"row count {x.shape[-2]} does not match permutation size {p.n}")
+    return np.take(x, p.inverse, axis=-2)

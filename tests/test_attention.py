@@ -46,6 +46,34 @@ def _causal_full(n):
     return np.tril(np.ones((n, n), dtype=bool))
 
 
+def _per_head_layer(x, cfg, g, rng, projections=None):
+    """Oracle: ``dual_path_layer`` one head at a time, every stage on 2-D
+    inputs, the head outputs joined by ``hstack``."""
+    n = x.shape[0]
+    if projections is None:
+        q_full = k_full = v_full = x
+    else:
+        q_full, k_full, v_full = (x @ m for m in projections)
+    positions = np.arange(n)
+    perm = sample_permutation(n, rng)
+    y_swa_heads, y_sa_heads = [], []
+    for head in range(cfg.h):
+        sl = slice(head * cfg.d_h, (head + 1) * cfg.d_h)
+        q = rope_apply(q_full[:, sl], positions, cfg.rope_base)
+        k = rope_apply(k_full[:, sl], positions, cfg.rope_base)
+        inp = AttentionInputs(q, k, v_full[:, sl])
+        y_swa_heads.append(swa_forward(inp, cfg.w))
+        y_sa_heads.append(sa_forward(inp, cfg.w, perm, Convention.CAUSAL_ONE_SIDED))
+    return gated_fusion(np.hstack(y_swa_heads), np.hstack(y_sa_heads), g)
+
+
+def _layer_params(rng, n, d, projected):
+    x = rng.normal(size=(n, d))
+    projections = tuple(rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(3))
+    gates = GateParams(*(rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(2)))
+    return x, projections if projected else None, gates
+
+
 class TestForward:
     def test_single_token_returns_value(self):
         inp = AttentionInputs(np.array([[2.0]]), np.array([[3.0]]), np.array([[7.0]]))
@@ -236,6 +264,64 @@ class TestBlockedKernels:
             assert peak < 64 * 2**20
 
 
+class TestHeadStack:
+    """Head-stacked (h, n, d_h) inputs give, head for head, exactly what the
+    same stage gives on each head alone."""
+
+    @given(_kernel_case(), st.sampled_from([1, 2, 4]))
+    @example((70, 32, 3, 1), 4)
+    @example((70, 70, 5, 3), 2)    # the circular span wraps past n
+    def test_kernels_equal_per_head_calls(self, case, h):
+        n, w, d_h, seed = case
+        rng = np.random.default_rng(seed)
+        q, k = (rng.normal(size=(h, n, d_h)) for _ in range(2))
+        v = rng.normal(size=(n, h, d_h)).transpose(1, 0, 2)   # a head-major view
+        perm = sample_permutation(n, SeededRng(seed))
+        stacked = AttentionInputs(q, k, v)
+        heads = [AttentionInputs(q[i], k[i], v[i]) for i in range(h)]
+        assert np.array_equal(swa_forward(stacked, w),
+                              np.stack([swa_forward(one, w) for one in heads]))
+        for conv in Convention:
+            assert np.array_equal(sa_forward(stacked, w, perm, conv),
+                                  np.stack([sa_forward(one, w, perm, conv) for one in heads]))
+
+    @given(st.integers(1, 40), st.sampled_from([1, 2, 4]), st.sampled_from([2, 4, 8]),
+           st.integers(0, 2**32 - 1))
+    def test_rope_equals_each_head(self, n, h, d_h, seed):
+        x = np.random.default_rng(seed).normal(size=(n, h * d_h))
+        positions = np.arange(n) * 3
+        out = rope_apply(x.reshape(n, h, d_h).transpose(1, 0, 2), positions, 500.0)
+        assert out.shape == (h, n, d_h) and out.flags.c_contiguous
+        for head in range(h):
+            one = rope_apply(x[:, head * d_h:(head + 1) * d_h], positions, 500.0)
+            assert np.array_equal(out[head], one)
+
+    def test_permute_rows_gathers_every_head(self):
+        x = np.asarray(SeededRng(30).normal(size=(3, 10, 4)))
+        p = sample_permutation(10, SeededRng(31))
+        out = permute_rows(x, p)
+        for head in range(3):
+            assert np.array_equal(out[head], permute_rows(x[head], p))
+        assert np.array_equal(permute_rows(out, invert(p)), x)
+        with pytest.raises(ValueError):
+            permute_rows(np.arange(10.0), p)
+
+    def test_dense_core_rejects_a_stack(self):
+        inp = AttentionInputs(np.zeros((2, 4, 2)), np.zeros((2, 4, 2)), np.zeros((2, 4, 2)))
+        with pytest.raises(ValueError, match="one head"):
+            attention_forward(inp, _causal_full(4))
+        with pytest.raises(ValueError, match="one head"):
+            attention_backward(inp, _causal_full(4), np.zeros((2, 4, 2)))
+
+
+@st.composite
+def _layer_case(draw):
+    """(n, h, d_h, w, projected, seed) with 1 <= w <= n <= 96, h in {1, 2, 4}."""
+    n = draw(st.integers(1, 96))
+    return (n, draw(st.sampled_from([1, 2, 4])), draw(st.sampled_from([2, 4, 6])),
+            draw(st.integers(1, n)), draw(st.booleans()), draw(st.integers(0, 2**32 - 1)))
+
+
 class TestRope:
     def test_position_zero_unchanged(self):
         rng = SeededRng(13)
@@ -358,6 +444,39 @@ class _IdentityPermRng(SeededRng):
 
 
 class TestDualPathLayer:
+    @given(_layer_case())
+    @example((70, 4, 4, 32, True, 1))
+    @example((70, 2, 2, 70, False, 2))
+    @example((1, 4, 2, 1, True, 3))
+    def test_equals_per_head_loop(self, case):
+        n, h, d_h, w, projected, seed = case
+        cfg = LayerConfig(d=h * d_h, h=h, w=w)
+        x, projections, gates = _layer_params(np.random.default_rng(seed), n, cfg.d, projected)
+        out = dual_path_layer(x, cfg, gates, SeededRng(seed), projections)
+        oracle = _per_head_layer(x, cfg, gates, SeededRng(seed), projections)
+        assert np.array_equal(out, oracle)
+
+    def test_no_floating_point_warning(self):
+        cfg = LayerConfig(d=256, h=4, w=64)
+        x, projections, gates = _layer_params(np.random.default_rng(32), 300, cfg.d, True)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            dual_path_layer(x, cfg, gates, SeededRng(32), projections)
+            dual_path_layer(x, cfg, gates, SeededRng(33))
+
+    def test_peak_memory(self):
+        # the per-head loop peaked at 92 MB here; the head-stacked layer
+        # drops its projections and permuted copies as it consumes them
+        cfg = LayerConfig(d=256, h=4, w=64)
+        x, projections, gates = _layer_params(np.random.default_rng(34), 4096, cfg.d, True)
+        tracemalloc.start()
+        try:
+            dual_path_layer(x, cfg, gates, SeededRng(34), projections)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
+
     def test_identity_permutation_collapses_to_swa(self):
         rng = SeededRng(21)
         x = np.asarray(rng.normal(size=(12, 4)))
@@ -395,18 +514,8 @@ class TestDualPathLayer:
         gates = GateParams(*wg)
         cfg = LayerConfig(d=d, h=h, w=w)
         out = dual_path_layer(x, cfg, gates, SeededRng(seed))
-
-        # rebuild from the individual operations with the same stream
-        perm = sample_permutation(n, SeededRng(seed))
-        positions = np.arange(n)
-        swa_heads, sa_heads = [], []
-        for head in range(h):
-            sl = slice(head * cfg.d_h, (head + 1) * cfg.d_h)
-            q = rope_apply(x[:, sl], positions, cfg.rope_base)
-            inp = AttentionInputs(q, q, x[:, sl])
-            swa_heads.append(swa_forward(inp, w))
-            sa_heads.append(sa_forward(inp, w, perm, Convention.CAUSAL_ONE_SIDED))
-        oracle = gated_fusion(np.hstack(swa_heads), np.hstack(sa_heads), gates)
+        # rebuilt from the individual operations with the same stream
+        oracle = _per_head_layer(x, cfg, gates, SeededRng(seed))
         assert np.abs(out - oracle).max() <= 1e-12
 
     def test_config_mismatch_rejected(self):

@@ -52,17 +52,39 @@ class TestExitCodes:
         ["coverage", "--n", 64, "--w", 8, "--layers", 1000000, "--seeds", 1],
         ["coverage", "--n", 8192, "--w", 8192, "--layers", 1, "--seeds", 1,
          "--convention", "causal", "--modes", "fused"],
+        ["spectrum", "--n", 8192],
+        ["spectrum", "--n", 256, "--perms", 100000],
     ], ids=["connprob-n1", "exhaustive-n9", "gradcheck-n1", "bvdecomp-trials50",
             "smallworld-w1", "smallworld-w2", "smallworld-w3", "precision-negative",
             "duplicate-seeds", "verify-only-empty", "maskviz-json", "coverage-json",
             "coverage-pgm", "cost-json", "cost-pgm", "verify-csv", "coverage-w-over-n",
             "coverage-modes-empty", "spectrum-n1", "bias-trials1", "variance-trials1",
-            "cost-w-over-length", "coverage-layers-bytes", "coverage-causal-table-bytes"])
+            "cost-w-over-length", "coverage-layers-bytes", "coverage-causal-table-bytes",
+            "spectrum-n-bytes", "spectrum-perms-flops"])
     def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, args):
         assert run(["--out", tmp_path, *args]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_spectrum_guard_refuses_before_any_solve(self, tmp_path, monkeypatch):
+        from stochattn import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the guard must refuse before the check runs")
+
+        monkeypatch.setattr(cli, "spectrum", never)
+        assert run(["--out", tmp_path, "spectrum", "--n", 4096]) == 1
+        assert run(["--out", tmp_path, "spectrum", "--n", 64, "--depth", 10**6]) == 1
+
+    def test_spectrum_cost_estimates(self):
+        from stochattn.cli import MAX_SPECTRUM_BYTES, MAX_SPECTRUM_FLOPS, _spectrum_cost
+        assert _spectrum_cost(256, 20, 3, 20) == (2 * 2**20, 530 * 256**3)
+        # the command's defaults and verify's sizes stay far inside the caps
+        for sizes in [(256, 20, 3, 20), (64, 20, 3, 10), (128, 20, 3, 10)]:
+            est_bytes, est_flops = _spectrum_cost(*sizes)
+            assert est_bytes < MAX_SPECTRUM_BYTES and est_flops < MAX_SPECTRUM_FLOPS / 100
+        assert _spectrum_cost(8192, 1, 1, 1)[0] > MAX_SPECTRUM_BYTES
 
     def test_perturbed_backward_fails_gradcheck(self, tmp_path):
         assert run(["--out", tmp_path, "gradcheck", "--instances", 2,

@@ -45,11 +45,15 @@ from stochattn import numerics
 from stochattn.graphs import (
     DisconnectedGraphError,
     NoConnectedBaselineError,
+    _popcount_rows,
     _simulate_seed_causal,
     _simulate_seed_circular,
     _window_or_circular,
     layer_mask,
 )
+
+# Oracle: set bits of every byte value.
+_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
 
 
 def _roll_window_or_circular(s, back, fwd):
@@ -358,6 +362,16 @@ class TestGraphRoutesAgainstDense:
             dense = _dense_reachability(50, 6, 4, mode, Convention.CAUSAL_ONE_SIDED,
                                         SeededRng(26))
             assert np.array_equal(fast, dense), mode
+
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @example(1, 1, 0)
+    def test_word_popcount_matches_byte_table(self, rows, words, seed):
+        packed = np.random.default_rng(seed).integers(0, 256, size=(rows, 8 * words),
+                                                      dtype=np.uint8)
+        packed[0] = 255    # every bit of a word set: the multiply's top byte is 64
+        oracle = np.take(_BYTE_POPCOUNT, packed).sum(axis=1, dtype=np.int64)
+        with np.errstate(all="raise"):
+            assert np.array_equal(_popcount_rows(packed), oracle)
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError, match="needs n >= 2"):

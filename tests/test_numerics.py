@@ -79,6 +79,32 @@ class TestMaskedRowSoftmax:
                                    atol=1e-15)
 
 
+    @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_stack_equals_each_matrix_alone(self, heads, rows, cols, seed, shared_mask):
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(scale=5.0, size=(heads, rows, cols))
+        mask = rng.random((rows, cols) if shared_mask else (heads, rows, cols)) < 0.5
+        mask[..., np.arange(rows), rng.integers(cols, size=rows)] = True
+        mask = np.broadcast_to(mask, scores.shape)
+        out = masked_row_softmax(scores, mask)
+        for head in range(heads):
+            assert np.array_equal(out[head], masked_row_softmax(scores[head], mask[head]))
+
+    def test_stack_fully_masked_row_reports_index_within_its_matrix(self):
+        mask = np.ones((3, 4, 5), dtype=bool)
+        mask[1, 2] = False
+        with pytest.raises(FullyMaskedRowError) as err:
+            masked_row_softmax(np.zeros((3, 4, 5)), mask)
+        assert err.value.row == 2
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError, match="does not match"):
+            masked_row_softmax(np.zeros((2, 3, 3)), np.ones((3, 3), dtype=bool))
+        with pytest.raises(ValueError, match="2-D"):
+            masked_row_softmax(np.zeros(3), np.ones(3, dtype=bool))
+
+
 class TestSeedDerivation:
     def test_deterministic(self):
         assert derive_seed(123, 0, 0) == derive_seed(123, 0, 0)
