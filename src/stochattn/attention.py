@@ -18,7 +18,8 @@ The windowed kernels, ``rope_apply`` and ``permute_rows`` take one head
 each block's validity mask built once for all heads and one batched matmul
 for its scores and one for its values; every head's result is bit-identical
 to running it alone. ``dual_path_layer`` runs each stage once per layer on
-the stack.
+the stack: one GEMM projects q and k together, and one ``rope_apply`` call
+rotates both as a ``(2h, n, d_h)`` stack.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .masks import Convention, WindowSpec
-from .numerics import SeededRng, as_matrices, as_matrix, masked_row_softmax
+from .numerics import SeededRng, as_matrices, as_matrix, masked_row_softmax, sigmoid_in_place
 from .permute import Permutation, invert, permute_rows, sample_permutation
 
 
@@ -82,6 +82,13 @@ class GateParams:
         return self.w_gate_swa.shape[0]
 
 
+def _check_rope_base(base) -> float:
+    base = float(base)
+    if not 0.0 < base < np.inf:
+        raise ValueError(f"rotary base must be finite and > 0, got {base}")
+    return base
+
+
 @dataclass(frozen=True)
 class LayerConfig:
     """Shape parameters of one dual-path attention sublayer."""
@@ -96,6 +103,7 @@ class LayerConfig:
             raise ValueError(f"model width d={self.d} must be a positive multiple of h={self.h}")
         if self.w < 1:
             raise ValueError(f"window size must be >= 1, got {self.w}")
+        _check_rope_base(self.rope_base)
 
     @property
     def d_h(self) -> int:
@@ -251,13 +259,15 @@ def sa_forward(
 def rope_apply(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
     """Rotary position embedding on consecutive coordinate pairs.
 
-    Pair k of a row at position p is rotated by angle p * base^(-2k/d_h).
-    Must be applied before any permutation, with original positions, so that
-    the relative-offset property q_m . k_n == q_{m+s} . k_{n+s} refers to
-    true sequence distances. ``x`` is ``(n, d_h)`` or a stack ``(..., n,
-    d_h)``, which may be a strided view (a head-major view of an ``(n, d)``
-    projection, say); one cos/sin table serves the whole stack, and the
-    result is a new C-ordered array.
+    Pair k of a row at position p is rotated by angle p * base^(-2k/d_h),
+    that is, ``x[2k] + i*x[2k+1]`` is multiplied by ``exp(i*p*base^(-2k/d_h))``
+    (RoFormer). Must be applied before any permutation, with original
+    positions, so that the relative-offset property q_m . k_n == q_{m+s} .
+    k_{n+s} refers to true sequence distances. ``x`` is ``(n, d_h)`` or a
+    stack ``(..., n, d_h)``, which may be a strided view (a head-major view
+    of an ``(n, d)`` projection, say); it is read as complex pairs in place,
+    after a copy only if its last axis is not unit-stride. One complex table
+    serves the whole stack, and the result is a new C-ordered array.
     """
     x = as_matrices(x, "x")
     n, d_h = x.shape[-2:]
@@ -266,17 +276,18 @@ def rope_apply(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (n,):
         raise ValueError("positions must have one entry per row")
-    inv_freq = float(base) ** (-np.arange(0, d_h, 2, dtype=np.float64) / d_h)
+    if not np.isfinite(pos).all():
+        raise ValueError("positions must be finite")
+    inv_freq = _check_rope_base(base) ** (-np.arange(0, d_h, 2, dtype=np.float64) / d_h)
     ang = pos[:, None] * inv_freq[None, :]
-    cos, sin = np.cos(ang), np.sin(ang)
-    even, odd = x[..., 0::2], x[..., 1::2]
-    out = np.empty(x.shape)
-    out_even, out_odd = out[..., 0::2], out[..., 1::2]
-    np.multiply(even, cos, out=out_even)
-    out_even -= odd * sin
-    np.multiply(even, sin, out=out_odd)
-    out_odd += odd * cos
-    return out
+    table = np.empty(ang.shape, dtype=np.complex128)
+    np.cos(ang, out=table.real)
+    np.sin(ang, out=table.imag)
+    if x.strides[-1] != x.itemsize:
+        x = x.copy()
+    out = np.empty(x.shape[:-1] + (d_h // 2,), dtype=np.complex128)
+    np.multiply(x.view(np.complex128), table, out=out)
+    return out.view(np.float64)
 
 
 def gated_fusion(y_swa: np.ndarray, y_sa: np.ndarray, g: GateParams) -> np.ndarray:
@@ -293,11 +304,9 @@ def gated_fusion(y_swa: np.ndarray, y_sa: np.ndarray, g: GateParams) -> np.ndarr
         raise ValueError(f"path outputs disagree: {y_swa.shape} vs {y_sa.shape}")
     if y_swa.shape[1] != g.d:
         raise ValueError(f"gate width {g.d} does not match output width {y_swa.shape[1]}")
-    out = y_sa @ g.w_gate_sa.T
-    expit(out, out=out)
+    out = sigmoid_in_place(y_sa @ g.w_gate_sa.T)
     out *= y_sa
-    gated_swa = y_swa @ g.w_gate_swa.T
-    expit(gated_swa, out=gated_swa)
+    gated_swa = sigmoid_in_place(y_swa @ g.w_gate_swa.T)
     gated_swa *= y_swa
     out += gated_swa
     return out
@@ -316,10 +325,11 @@ def dual_path_layer(
     sliding-window path and the stochastic path (one fresh permutation per
     call, shared across heads), head outputs concatenated per path and the
     two paths combined by ``gated_fusion``. Every stage runs once on the
-    head stack ``(h, n, d_h)``, and each intermediate is dropped once it is
-    consumed. Q/K/V projections default to the identity; there is no output
-    projection, MLP or normalization here: this is an attention-sublayer
-    reference, not a trainable block.
+    head stack ``(h, n, d_h)``: q and k come from one ``x @ [W_q | W_k]``
+    GEMM and one ``rope_apply`` call on their ``(2h, n, d_h)`` stack. Each
+    intermediate is dropped once it is consumed. Q/K/V projections default
+    to the identity; there is no output projection, MLP or normalization
+    here: this is an attention-sublayer reference, not a trainable block.
     """
     x = as_matrix(x, "x")
     n, d = x.shape
@@ -330,23 +340,28 @@ def dual_path_layer(
     if not 1 <= cfg.w <= n:
         raise ValueError(f"window size {cfg.w} invalid for sequence length {n}")
     if projections is None:
-        wq = wk = wv = None
+        w_qk = wv = None
     else:
         wq, wk, wv = (as_matrix(m, "projection") for m in projections)
+        w_qk = np.hstack([wq, wk])
 
-    def heads(w_in):
-        """Head-major (h, n, d_h) view of x @ w_in (of x itself for None)."""
-        full = x if w_in is None else x @ w_in
-        return full.reshape(n, cfg.h, cfg.d_h).transpose(1, 0, 2)
+    def heads(full):
+        """Head-major (full.shape[1] // d_h, n, d_h) view of an (n, *) array."""
+        return full.reshape(n, -1, cfg.d_h).transpose(1, 0, 2)
 
     def merged(y):
         """(n, d) copy of a head stack, heads side by side."""
         return y.transpose(1, 0, 2).reshape(n, d)
 
-    positions = np.arange(n, dtype=np.int64)
     perm = sample_permutation(n, rng)
-    inp = AttentionInputs(rope_apply(heads(wq), positions, cfg.rope_base),
-                          rope_apply(heads(wk), positions, cfg.rope_base), heads(wv))
+    qk_full = np.hstack([x, x]) if w_qk is None else x @ w_qk
+    qk = rope_apply(heads(qk_full), np.arange(n, dtype=np.int64), cfg.rope_base)
+    del qk_full
+    # q and k are the two disjoint halves of one stack. They must never
+    # share a buffer: numpy's matmul computes q @ q.T through BLAS syrk,
+    # which is not bit-identical to the general product of the per-head route.
+    inp = AttentionInputs(qk[:cfg.h], qk[cfg.h:], heads(x if wv is None else x @ wv))
+    del qk
     y_swa = merged(swa_forward(inp, cfg.w))
     y_sa = merged(sa_forward(inp, cfg.w, perm, Convention.CAUSAL_ONE_SIDED))
     del inp

@@ -123,6 +123,20 @@ def as_matrices(x, name: str = "matrices") -> np.ndarray:
     return a
 
 
+def sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid of a float64 array, in place, as 0.5*tanh(z/2) + 0.5.
+
+    The tanh form takes no ``exp``, so it raises no floating-point warning at
+    any input, saturates to exactly 0 or 1, and gives exactly 0.5 at 0.
+    Returns ``z``.
+    """
+    z *= 0.5
+    np.tanh(z, out=z)
+    z *= 0.5
+    z += 0.5
+    return z
+
+
 def masked_row_softmax(scores, mask) -> np.ndarray:
     """Row softmax restricted to unmasked entries, over the last axis of a
     matrix or of a stack of matrices ``(..., rows, cols)``.

@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .attention import GateParams
 from .masks import Convention, WindowSpec, window_neighbours
-from .numerics import SeededRng, as_matrix, trial_chunks
+from .numerics import SeededRng, as_matrix, sigmoid_in_place, trial_chunks
 from .permute import inverse_rows
 
 
@@ -282,8 +281,8 @@ def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
     for lo, hi in trial_chunks(n_anchor, sample_bytes):
         _add_in_order(anchor, _causal_uniform_sa_samples(v, w, anchor_rng, hi - lo))
     anchor /= n_anchor
-    g_sa = expit(anchor @ gates.w_gate_sa.T)
-    g_swa = expit(y_swa @ gates.w_gate_swa.T)
+    g_sa = sigmoid_in_place(anchor @ gates.w_gate_sa.T)
+    g_swa = sigmoid_in_place(y_swa @ gates.w_gate_swa.T)
     swa_part = g_swa * b_swa
 
     rhs_samples = np.empty((n_rhs, n, d))

@@ -31,6 +31,7 @@ from stochattn import (
     sample_permutation,
     swa_forward,
 )
+from stochattn import attention
 
 
 def _sigmoid(x):
@@ -40,6 +41,20 @@ def _sigmoid(x):
 def _random_inputs(rng, n, d_h):
     q, k, v = (np.asarray(rng.normal(size=(n, d_h))) for _ in range(3))
     return AttentionInputs(q, k, v)
+
+
+def _rope_pairs(x, positions, base=10000.0):
+    """Oracle: RoPE as real rotations of the even and odd coordinate slices,
+    (x_2k, x_2k+1) -> (x_2k cos - x_2k+1 sin, x_2k sin + x_2k+1 cos)."""
+    d_h = x.shape[-1]
+    inv_freq = base ** (-np.arange(0, d_h, 2, dtype=np.float64) / d_h)
+    ang = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
+    cos, sin = np.cos(ang), np.sin(ang)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty(x.shape)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
 
 
 def _causal_full(n):
@@ -352,6 +367,44 @@ class TestRope:
         with pytest.raises(ValueError):
             rope_apply(np.zeros((2, 3)), [0, 1])
 
+    @given(st.integers(1, 40), st.sampled_from([1, 2, 4]), st.sampled_from([2, 4, 8, 64]),
+           st.sampled_from(["head", "head_major", "stack", "strided"]),
+           st.sampled_from([500.0, 10000.0]), st.integers(0, 2**32 - 1))
+    @example(4096, 4, 64, "stack", 10000.0, 0)
+    def test_matches_real_rotation_oracle(self, n, h, d_h, layout, base, seed):
+        rng = np.random.default_rng(seed)
+        if layout == "head":
+            x = rng.normal(size=(n, d_h))
+        elif layout == "head_major":
+            x = rng.normal(size=(n, h, d_h)).transpose(1, 0, 2)
+        elif layout == "stack":
+            x = rng.normal(size=(2 * h, n, d_h))
+        else:
+            x = rng.normal(size=(n, 2 * d_h))[:, ::2]
+        positions = rng.integers(0, 8192, size=n)
+        out = rope_apply(x, positions, base)
+        assert out.shape == x.shape and out.flags.c_contiguous
+        assert np.abs(out - _rope_pairs(x, positions, base)).max() <= 1e-14
+
+    @pytest.mark.parametrize("base, position", [
+        (0.0, 1.0), (-5.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+        (10000.0, np.nan), (10000.0, np.inf), (10000.0, -np.inf),
+    ])
+    def test_bad_base_or_position_is_one_line_value_error(self, base, position):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                rope_apply(np.ones((2, 4)), [0.0, position], base)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("base", [0.0, -5.0, np.nan, np.inf])
+    def test_layer_config_rejects_bad_base(self, base):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rotary base") as err:
+                LayerConfig(d=4, h=1, w=2, rope_base=base)
+        assert "\n" not in str(err.value)
+
 
 class TestGatedFusion:
     def test_zero_gates_average_paths(self):
@@ -517,6 +570,22 @@ class TestDualPathLayer:
         # rebuilt from the individual operations with the same stream
         oracle = _per_head_layer(x, cfg, gates, SeededRng(seed))
         assert np.abs(out - oracle).max() <= 1e-12
+
+    def test_one_rope_pass_and_one_permutation(self, monkeypatch):
+        # q and k are rotated as one (2h, n, d_h) stack, and both paths share
+        # one permutation draw
+        calls = {"rope_apply": 0, "sample_permutation": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(attention, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(attention, name, counted)
+        cfg = LayerConfig(d=8, h=2, w=3)
+        x, projections, gates = _layer_params(np.random.default_rng(35), 20, cfg.d, True)
+        for proj in (projections, None):
+            calls.update(rope_apply=0, sample_permutation=0)
+            dual_path_layer(x, cfg, gates, SeededRng(35), proj)
+            assert calls == {"rope_apply": 1, "sample_permutation": 1}
 
     def test_config_mismatch_rejected(self):
         gates = GateParams(np.zeros((4, 4)), np.zeros((4, 4)))

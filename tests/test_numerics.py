@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from stochattn import FullyMaskedRowError, SeededRng, derive_seed, masked_row_softmax
-from stochattn.numerics import MC_CHUNK_BYTES, trial_chunks
+from stochattn.numerics import MC_CHUNK_BYTES, sigmoid_in_place, trial_chunks
 
 
 class TestMaskedRowSoftmax:
@@ -103,6 +104,18 @@ class TestMaskedRowSoftmax:
             masked_row_softmax(np.zeros((2, 3, 3)), np.ones((3, 3), dtype=bool))
         with pytest.raises(ValueError, match="2-D"):
             masked_row_softmax(np.zeros(3), np.ones(3, dtype=bool))
+
+
+class TestSigmoid:
+    def test_matches_expit_without_warning(self):
+        z = np.array([0.0, 1.0, -1.0, 36.0, -36.0, 709.8, -709.8, 1000.0, -1000.0,
+                      np.inf, -np.inf])
+        out = z.copy()
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert sigmoid_in_place(out) is out
+        assert out[0] == 0.5
+        assert np.abs(out - expit(z)).max() <= 5e-16
 
 
 class TestSeedDerivation:
