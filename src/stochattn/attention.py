@@ -11,7 +11,9 @@ n x n array. ``sa_forward`` genuinely routes through permuted space (gather,
 windowed attention, scatter back). The dense masked core
 ``attention_forward`` is kept as the independent oracle: full attention
 under ``intersect_causal(build_stochastic_mask(...))`` must agree with
-``sa_forward`` to 1e-12.
+``sa_forward`` to 1e-12. It takes one head or a stack ``(..., n, d_h)``
+under one shared ``(n, n)`` mask, so the gradient audit evaluates many
+finite-difference bumps in one call; ``attention_backward`` takes one head.
 
 The windowed kernels, ``rope_apply`` and ``permute_rows`` take one head
 ``(n, d_h)`` or a head stack ``(h, n, d_h)``. A stack runs in one pass, with
@@ -110,27 +112,27 @@ class LayerConfig:
         return self.d // self.h
 
 
-def _require_one_head(inp: AttentionInputs) -> None:
-    if inp.q.ndim != 2:
-        raise ValueError(f"dense attention takes one head (n, d_h), got {inp.q.shape}")
-
-
 def attention_forward(
     inp: AttentionInputs,
     mask: np.ndarray,
     return_weights: bool = False,
     temperature: float = 1.0,
 ):
-    """Masked scaled-dot-product attention.
+    """Masked scaled-dot-product attention of one head ``(n, d_h)`` or a
+    stack ``(..., n, d_h)`` under one shared ``(n, n)`` mask.
 
     Scores are q_i . k_j / (sqrt(d_h) * temperature); rows are softmaxed over
     unmasked entries only, so masked weights are exactly zero and every
-    output row is a convex combination of unmasked value rows.
+    output row is a convex combination of unmasked value rows. Each matrix
+    of a stack gives a result bit-identical to its own call.
     """
-    _require_one_head(inp)
+    n = inp.n
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (n, n):
+        raise ValueError(f"mask shape {mask.shape} does not match ({n}, {n})")
     scale = 1.0 / (np.sqrt(inp.d_h) * temperature)
-    scores = (inp.q @ inp.k.T) * scale
-    weights = masked_row_softmax(scores, mask)
+    scores = (inp.q @ np.swapaxes(inp.k, -1, -2)) * scale
+    weights = masked_row_softmax(scores, np.broadcast_to(mask, scores.shape))
     y = weights @ inp.v
     if return_weights:
         return y, weights
@@ -149,7 +151,8 @@ def attention_backward(
     dS = A * (dA - rowsum(dA * A)), which vanishes at masked positions
     because A does.
     """
-    _require_one_head(inp)
+    if inp.q.ndim != 2:
+        raise ValueError(f"the dense backward takes one head (n, d_h), got {inp.q.shape}")
     upstream = as_matrix(upstream, "upstream")
     if upstream.shape != inp.q.shape:
         raise ValueError("upstream gradient must match the output shape")

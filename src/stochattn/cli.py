@@ -52,6 +52,10 @@ MAX_COVERAGE_BYTES = 1 << 28
 # eigen-solves and layer products (see _spectrum_cost).
 MAX_SPECTRUM_BYTES = 1 << 28
 MAX_SPECTRUM_FLOPS = 10**12
+# Estimated bytes and flops one gradcheck run may take: its dense n x n
+# forwards and backwards (see _gradcheck_cost).
+MAX_GRADCHECK_BYTES = 1 << 28
+MAX_GRADCHECK_FLOPS = 10**12
 OUT_DIR_ENV = "STOCHATTN_OUT"
 
 _CONVENTIONS = {"causal": Convention.CAUSAL_ONE_SIDED, "circular": Convention.SYMMETRIC_CIRCULAR}
@@ -380,10 +384,26 @@ def cmd_cost(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _gradcheck_cost(n: int, d_h: int, instances: int) -> tuple[int, int, int]:
+    """Estimated (bytes, score cells, flops) of a gradcheck run: each instance
+    runs a plus and a minus dense forward of n^2 score cells for each of its
+    3 n d_h input coordinates, at 4 d_h flops a cell (scores and values),
+    and holds about six n x (n + d_h) float64 arrays at once (the dense
+    backward's, or one bumped pair's scores and softmax work arrays)."""
+    cells = instances * 6 * n ** 3 * d_h
+    return 6 * 8 * n * (n + d_h), cells, 4 * d_h * cells
+
+
 def cmd_gradcheck(args) -> int:
     _check_positive(n=args.n, dh=args.dh, instances=args.instances)
     if args.n < 2:
         raise UsageError("--n must be at least 2: the audited window spans two tokens")
+    est_bytes, est_cells, est_flops = _gradcheck_cost(args.n, args.dh, args.instances)
+    if est_bytes > MAX_GRADCHECK_BYTES or est_flops > MAX_GRADCHECK_FLOPS:
+        raise UsageError(f"gradcheck would hold about {est_bytes >> 20} MiB and evaluate about "
+                         f"{est_cells:.1e} score cells ({est_flops:.1e} flops), over the "
+                         f"{MAX_GRADCHECK_BYTES >> 20} MiB / {MAX_GRADCHECK_FLOPS:.0e} flop cap; "
+                         f"lower --n, --dh or --instances")
     report = gradcheck(SeededRng(args.seed), n=args.n, d_h=args.dh, instances=args.instances,
                        perturb=args.perturb_backward)
     result = dict(report["measured"], passed=report["passed"], command="gradcheck",

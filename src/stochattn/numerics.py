@@ -145,7 +145,8 @@ def masked_row_softmax(scores, mask) -> np.ndarray:
     Stabilized by subtracting the per-row maximum over unmasked entries, so
     the result is invariant to adding a constant to a row's unmasked scores.
     Masked cells are shifted to exactly 0 before ``exp`` and zeroed after it,
-    so a masked score never reaches ``exp`` and cannot overflow. Each
+    so a masked score never reaches ``exp`` and cannot overflow. Any finite
+    scores are valid input, and raise no floating-point warning. Each
     matrix of a stack gives the same result as it would alone; matrices
     sharing one mask pass it as ``np.broadcast_to(mask, scores.shape)``.
 
@@ -163,9 +164,12 @@ def masked_row_softmax(scores, mask) -> np.ndarray:
         raise FullyMaskedRowError(int(first[-1]))
     row_max = np.where(m, s, -np.inf).max(axis=-1, keepdims=True)
     out = np.where(m, s, row_max)
-    out -= row_max
+    # a shift of two finite scores can overflow to -inf, which exp takes to
+    # the correct 0; the row-max cell is exp(0) = 1, so every row sum is >= 1
+    # and every cell lies in [0, 1]: the output needs no finite check
+    with np.errstate(over="ignore"):
+        out -= row_max
     np.exp(out, out=out)
     out *= m
     out /= out.sum(axis=-1, keepdims=True)
-    _require_finite(out, "softmax output")
     return out

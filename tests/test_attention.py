@@ -31,7 +31,7 @@ from stochattn import (
     sample_permutation,
     swa_forward,
 )
-from stochattn import attention
+from stochattn import attention, checks, numerics
 
 
 def _sigmoid(x):
@@ -321,10 +321,38 @@ class TestHeadStack:
         with pytest.raises(ValueError):
             permute_rows(np.arange(10.0), p)
 
-    def test_dense_core_rejects_a_stack(self):
+    @given(st.integers(1, 12), st.integers(1, 6), st.sampled_from([(1,), (3,), (2, 3)]),
+           st.sampled_from(["q", "k", "v", None]), st.integers(0, 2**32 - 1))
+    @example(8, 4, (3,), "q", 0)
+    @example(1, 1, (2, 3), None, 1)
+    def test_dense_forward_stack_equals_each_matrix(self, n, d_h, batch, shared, seed):
+        rng = np.random.default_rng(seed)
+        fields = {f: rng.normal(size=(*batch, n, d_h)) for f in ("q", "k", "v")}
+        if shared is not None:
+            # one matrix broadcast over the stack, as a finite-difference
+            # chunk passes the inputs it does not bump
+            fields[shared] = np.broadcast_to(fields[shared][(0,) * len(batch)], fields["q"].shape)
+        mask = rng.random((n, n)) < 0.5
+        mask[np.arange(n), rng.integers(n, size=n)] = True
+        stacked = AttentionInputs(**fields)
+        y = attention_forward(stacked, mask)
+        y_w, weights = attention_forward(stacked, mask, return_weights=True)
+        assert y.shape == (*batch, n, d_h) and weights.shape == (*batch, n, n)
+        assert np.array_equal(y_w, y)
+        for idx in np.ndindex(batch):
+            one = AttentionInputs(*(fields[f][idx] for f in ("q", "k", "v")))
+            y_one, weights_one = attention_forward(one, mask, return_weights=True)
+            assert np.array_equal(y[idx], attention_forward(one, mask))
+            assert np.array_equal(y[idx], y_one) and np.array_equal(weights[idx], weights_one)
+
+    def test_dense_forward_takes_one_shared_mask(self):
         inp = AttentionInputs(np.zeros((2, 4, 2)), np.zeros((2, 4, 2)), np.zeros((2, 4, 2)))
-        with pytest.raises(ValueError, match="one head"):
-            attention_forward(inp, _causal_full(4))
+        for mask in (_causal_full(3), np.stack([_causal_full(4)] * 2)):
+            with pytest.raises(ValueError, match="does not match"):
+                attention_forward(inp, mask)
+
+    def test_dense_backward_rejects_a_stack(self):
+        inp = AttentionInputs(np.zeros((2, 4, 2)), np.zeros((2, 4, 2)), np.zeros((2, 4, 2)))
         with pytest.raises(ValueError, match="one head"):
             attention_backward(inp, _causal_full(4), np.zeros((2, 4, 2)))
 
@@ -441,22 +469,87 @@ class TestGatedFusion:
             gated_fusion(np.zeros((3, 2)), np.zeros((4, 2)), g)
 
 
-class TestBackward:
-    def _finite_diff(self, inp, mask, upstream, h=1e-5):
-        grads = []
-        for name in ("q", "k", "v"):
-            base = getattr(inp, name)
-            g = np.zeros_like(base)
-            for idx in np.ndindex(base.shape):
-                fields = {f: getattr(inp, f).copy() for f in ("q", "k", "v")}
-                fields[name][idx] += h
-                up = attention_forward(AttentionInputs(**fields), mask)
-                fields[name][idx] -= 2 * h
-                down = attention_forward(AttentionInputs(**fields), mask)
-                g[idx] = ((up - down) * upstream).sum() / (2 * h)
-            grads.append(g)
-        return grads
+def _finite_diff_loop(inp, mask, upstream, h=1e-5):
+    """Oracle: central differences of ``attention_forward`` for q, k and v,
+    one coordinate and two single-matrix calls at a time."""
+    grads = []
+    for name in ("q", "k", "v"):
+        base = getattr(inp, name)
+        g = np.zeros_like(base)
+        for idx in np.ndindex(base.shape):
+            fields = {f: getattr(inp, f).copy() for f in ("q", "k", "v")}
+            fields[name][idx] += h
+            up = attention_forward(AttentionInputs(**fields), mask)
+            fields[name][idx] -= 2 * h
+            down = attention_forward(AttentionInputs(**fields), mask)
+            g[idx] = ((up - down) * upstream).sum() / (2 * h)
+        grads.append(g)
+    return grads
 
+
+def _gradcheck_loop(rng, n=8, d_h=4, instances=10, perturb=False):
+    """Oracle: ``checks.gradcheck`` with its finite differences taken by
+    ``_finite_diff_loop``."""
+    h = 1e-5
+    worst = {"dq": 0.0, "dk": 0.0, "dv": 0.0}
+    for inst in range(instances):
+        r = rng.child(0, inst)
+        q, k, v, upstream = (np.asarray(r.normal(size=(n, d_h))) for _ in range(4))
+        perm = sample_permutation(n, r)
+        mask = intersect_causal(build_stochastic_mask(
+            n, WindowSpec(max(2, n // 2), Convention.SYMMETRIC_CIRCULAR), perm))
+        inp = AttentionInputs(q, k, v)
+        dq, dk, dv = attention_backward(inp, mask, upstream)
+        if perturb:
+            dq = dq + 1e-3
+        numeric = _finite_diff_loop(inp, mask, upstream, h)
+        for label, analytic, num in zip(("dq", "dk", "dv"), (dq, dk, dv), numeric):
+            denom = max(float(np.linalg.norm(num)), 1e-12)
+            worst[label] = max(worst[label], float(np.linalg.norm(analytic - num)) / denom)
+    return {"name": "gradcheck", "passed": all(err <= 1e-6 for err in worst.values()),
+            "measured": worst}
+
+
+class TestGradcheck:
+    """``checks.gradcheck`` evaluates its bumps as stacked forwards; its
+    report equals the one-coordinate-at-a-time loop's, bit for bit."""
+
+    @pytest.mark.parametrize("seed, sizes", [
+        *((seed, {}) for seed in range(8)),     # verify's sizes
+        (110, {"instances": 20}),               # the acceptance suite's C10
+        (3, {"n": 5, "d_h": 3}),
+        (4, {"perturb": True}),
+    ])
+    def test_equals_per_coordinate_loop(self, seed, sizes):
+        report = checks.gradcheck(SeededRng(seed), **sizes)
+        assert report == _gradcheck_loop(SeededRng(seed), **sizes)
+        assert report["passed"] is not sizes.get("perturb", False)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 3000])
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(numerics, "MC_CHUNK_BYTES", chunk_bytes)
+        for sizes in ({"instances": 3}, {"n": 5, "d_h": 3, "instances": 3}):
+            assert (checks.gradcheck(SeededRng(6), **sizes)
+                    == _gradcheck_loop(SeededRng(6), **sizes))
+
+    def test_one_forward_per_chunk(self, monkeypatch):
+        calls = []
+
+        def counting(inp, mask, **kwargs):
+            calls.append(inp.q.shape)
+            return attention_forward(inp, mask, **kwargs)
+
+        monkeypatch.setattr(checks, "attention_forward", counting)
+        checks.gradcheck(SeededRng(0), instances=2)
+        # at n = 8, d_h = 4 all 32 bumped pairs of a field fit one chunk
+        assert calls == [(64, 8, 4)] * 6
+        calls.clear()
+        monkeypatch.setattr(numerics, "MC_CHUNK_BYTES", 2 * 8 * 8 * 8 * 10)
+        checks.gradcheck(SeededRng(0), instances=1)
+        assert calls == [(20, 8, 4), (20, 8, 4), (20, 8, 4), (4, 8, 4)] * 3
+
+
+class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = SeededRng(18)
         inp = _random_inputs(rng, 6, 3)
@@ -483,7 +576,7 @@ class TestBackward:
                 build_stochastic_mask(8, WindowSpec(4, Convention.SYMMETRIC_CIRCULAR), perm))
             upstream = np.asarray(rng.normal(size=(8, 4)))
             analytic = attention_backward(inp, mask, upstream)
-            numeric = self._finite_diff(inp, mask, upstream)
+            numeric = _finite_diff_loop(inp, mask, upstream)
             for a, nmr in zip(analytic, numeric):
                 rel = np.linalg.norm(a - nmr) / max(np.linalg.norm(nmr), 1e-12)
                 assert rel <= 1e-6

@@ -54,13 +54,16 @@ class TestExitCodes:
          "--convention", "causal", "--modes", "fused"],
         ["spectrum", "--n", 8192],
         ["spectrum", "--n", 256, "--perms", 100000],
+        ["gradcheck", "--n", 4096, "--dh", 64],
+        ["gradcheck", "--n", 128, "--dh", 64, "--instances", 100000],
     ], ids=["connprob-n1", "exhaustive-n9", "gradcheck-n1", "bvdecomp-trials50",
             "smallworld-w1", "smallworld-w2", "smallworld-w3", "precision-negative",
             "duplicate-seeds", "verify-only-empty", "maskviz-json", "coverage-json",
             "coverage-pgm", "cost-json", "cost-pgm", "verify-csv", "coverage-w-over-n",
             "coverage-modes-empty", "spectrum-n1", "bias-trials1", "variance-trials1",
             "cost-w-over-length", "coverage-layers-bytes", "coverage-causal-table-bytes",
-            "spectrum-n-bytes", "spectrum-perms-flops"])
+            "spectrum-n-bytes", "spectrum-perms-flops", "gradcheck-n-bytes",
+            "gradcheck-instances-flops"])
     def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, args):
         assert run(["--out", tmp_path, *args]) == 1
         err = capsys.readouterr().err
@@ -85,6 +88,27 @@ class TestExitCodes:
             est_bytes, est_flops = _spectrum_cost(*sizes)
             assert est_bytes < MAX_SPECTRUM_BYTES and est_flops < MAX_SPECTRUM_FLOPS / 100
         assert _spectrum_cost(8192, 1, 1, 1)[0] > MAX_SPECTRUM_BYTES
+
+    def test_gradcheck_guard_refuses_before_any_forward(self, tmp_path, monkeypatch):
+        from stochattn import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the guard must refuse before the check runs")
+
+        monkeypatch.setattr(cli, "gradcheck", never)
+        assert run(["--out", tmp_path, "gradcheck", "--n", 4096, "--dh", 64]) == 1
+        assert run(["--out", tmp_path, "gradcheck", "--n", 8, "--instances", 10**9]) == 1
+
+    def test_gradcheck_cost_estimates(self):
+        from stochattn.cli import MAX_GRADCHECK_BYTES, MAX_GRADCHECK_FLOPS, _gradcheck_cost
+        # 20 instances x 6 n^3 d_h score cells at n = 8, d_h = 4; 4 d_h flops a cell
+        assert _gradcheck_cost(8, 4, 20) == (48 * 8 * 12, 245_760, 16 * 245_760)
+        # the command's defaults and the sizes the checks run stay far inside the caps
+        for sizes in [(8, 4, 20), (8, 4, 10), (5, 3, 10), (64, 16, 1)]:
+            est_bytes, _, est_flops = _gradcheck_cost(*sizes)
+            assert est_bytes < MAX_GRADCHECK_BYTES and est_flops < MAX_GRADCHECK_FLOPS / 100
+        assert _gradcheck_cost(4096, 1, 1)[0] > MAX_GRADCHECK_BYTES
+        assert _gradcheck_cost(128, 64, 1)[2] < MAX_GRADCHECK_FLOPS < _gradcheck_cost(256, 64, 1)[2]
 
     def test_perturbed_backward_fails_gradcheck(self, tmp_path):
         assert run(["--out", tmp_path, "gradcheck", "--instances", 2,

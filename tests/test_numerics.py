@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from stochattn import FullyMaskedRowError, SeededRng, derive_seed, masked_row_softmax
@@ -79,6 +80,33 @@ class TestMaskedRowSoftmax:
         np.testing.assert_allclose(out[1], [1.0 / (1.0 + math.e), math.e / (1.0 + math.e)],
                                    atol=1e-15)
 
+    def test_opposite_extreme_scores_raise_no_warning(self):
+        # the shift -1.7e308 - 1.7e308 overflows to -inf, whose exp is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = masked_row_softmax([[-1.7e308, 1.7e308], [1.7e308, -1.7e308]],
+                                     [[True, True], [True, False]])
+        assert np.all(np.isfinite(out))
+        assert out.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 8),
+                                            st.integers(1, 8)),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)),
+           st.integers(0, 2**32 - 1))
+    @example(np.array([[[-1.7e308, 1.7e308, 0.0]]]), 0)
+    def test_any_finite_scores_give_a_distribution(self, scores, seed):
+        # the row-max cell is exp(0) = 1, so each row sum is >= 1 before the
+        # division and every output cell lies in [0, 1]
+        rng = np.random.default_rng(seed)
+        *_, rows, cols = scores.shape
+        mask = rng.random(scores.shape) < 0.5
+        mask[..., np.arange(rows), rng.integers(cols, size=rows)] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = masked_row_softmax(scores, mask)
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert np.all(out[~mask] == 0.0)
+        assert np.abs(out.sum(axis=-1) - 1.0).max() <= cols * np.finfo(np.float64).eps
 
     @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
            st.booleans())
