@@ -116,12 +116,11 @@ def attention_forward(
     inp: AttentionInputs,
     mask: np.ndarray,
     return_weights: bool = False,
-    temperature: float = 1.0,
 ):
     """Masked scaled-dot-product attention of one head ``(n, d_h)`` or a
     stack ``(..., n, d_h)`` under one shared ``(n, n)`` mask.
 
-    Scores are q_i . k_j / (sqrt(d_h) * temperature); rows are softmaxed over
+    Scores are q_i . k_j / sqrt(d_h); rows are softmaxed over
     unmasked entries only, so masked weights are exactly zero and every
     output row is a convex combination of unmasked value rows. Each matrix
     of a stack gives a result bit-identical to its own call.
@@ -130,7 +129,7 @@ def attention_forward(
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (n, n):
         raise ValueError(f"mask shape {mask.shape} does not match ({n}, {n})")
-    scale = 1.0 / (np.sqrt(inp.d_h) * temperature)
+    scale = 1.0 / np.sqrt(inp.d_h)
     scores = (inp.q @ np.swapaxes(inp.k, -1, -2)) * scale
     weights = masked_row_softmax(scores, np.broadcast_to(mask, scores.shape))
     y = weights @ inp.v
@@ -143,7 +142,6 @@ def attention_backward(
     inp: AttentionInputs,
     mask: np.ndarray,
     upstream: np.ndarray,
-    temperature: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of ``attention_forward`` w.r.t. q, k, v.
 
@@ -156,7 +154,7 @@ def attention_backward(
     upstream = as_matrix(upstream, "upstream")
     if upstream.shape != inp.q.shape:
         raise ValueError("upstream gradient must match the output shape")
-    scale = 1.0 / (np.sqrt(inp.d_h) * temperature)
+    scale = 1.0 / np.sqrt(inp.d_h)
     scores = (inp.q @ inp.k.T) * scale
     weights = masked_row_softmax(scores, mask)
 

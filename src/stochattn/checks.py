@@ -23,6 +23,8 @@ from .attention import (
 )
 from .graphs import (
     RoutingMode,
+    _clustering,
+    _path_length,
     circulant_spectrum,
     connection_probability_analytic,
     connection_probability_exhaustive,
@@ -31,9 +33,7 @@ from .graphs import (
     cost_model,
     eigenvalue_multiset_distance,
     expansion_lower_bound,
-    graph_clustering,
-    graph_path_length,
-    layer_mask,
+    layer_edges,
     layers_to_coverage,
     multilayer_mixing,
     per_seed_layers_to_coverage,
@@ -47,7 +47,6 @@ from .masks import (
     build_stochastic_mask,
     build_window_mask,
     intersect_causal,
-    symmetrize,
 )
 from .numerics import SeededRng, trial_chunks
 from .permute import sample_permutation
@@ -266,15 +265,15 @@ def smallworld(rng: SeededRng, n: int = 512, w: int = 16, seeds: int = 10) -> di
     """The SWA ring has the ring-lattice clustering 3(k-1)/(2(2k-1)); adding
     the permuted window keeps more than half of it while halving the mean
     path length (medians over seeds)."""
-    ring = symmetrize(layer_mask(n, w, RoutingMode.SWA, _CIRCULAR, rng))
-    ring_c = graph_clustering(ring)
+    ring = layer_edges(n, w, RoutingMode.SWA, _CIRCULAR, rng)
+    ring_c = _clustering(*ring)
     formula = ring_lattice_clustering(w // 2)
-    swa_l = graph_path_length(ring)
+    swa_l = _path_length(*ring)
     cs, ls = [], []
     for s in range(seeds):
-        union = symmetrize(layer_mask(n, w, RoutingMode.FUSED, _CIRCULAR, rng.child(0, s)))
-        cs.append(graph_clustering(union))
-        ls.append(graph_path_length(union))
+        union = layer_edges(n, w, RoutingMode.FUSED, _CIRCULAR, rng.child(0, s))
+        cs.append(_clustering(*union))
+        ls.append(_path_length(*union))
     med_c, med_l = float(np.median(cs)), float(np.median(ls))
     passed = abs(ring_c - formula) < 1e-12 and med_l < swa_l / 2 and med_c > ring_c / 2
     return _result("smallworld", passed,

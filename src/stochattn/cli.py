@@ -25,18 +25,19 @@ from .checks import CHECKS, gradcheck, spectrum
 from .graphs import (
     NoConnectedBaselineError,
     RoutingMode,
+    _clustering,
+    _path_length,
+    _smallworld_metrics,
     circulant_spectrum,
     connection_probability_analytic,
     connection_probability_exhaustive,
     connection_probability_mc,
     cost_model,
-    graph_clustering,
-    graph_path_length,
+    layer_edges,
     layer_mask,
     simulate_reachability,
-    smallworld_metrics,
 )
-from .masks import Convention, intersect_causal, mask_to_csv, mask_to_pgm, symmetrize
+from .masks import Convention, intersect_causal, mask_to_csv, mask_to_pgm
 from .numerics import SeededRng
 from .stats import fusion_bv_decompose, sa_bias_mc, sa_variance_mc
 
@@ -234,12 +235,12 @@ def cmd_smallworld(args) -> int:
         raise UsageError("--w must be at least 2: a one-token window has no edges")
     rng = SeededRng(args.seed)
 
-    def graph(mode: RoutingMode, r: SeededRng) -> np.ndarray:
-        return symmetrize(layer_mask(args.n, args.w, mode, Convention.SYMMETRIC_CIRCULAR, r))
+    def graph(mode: RoutingMode, r: SeededRng):
+        return layer_edges(args.n, args.w, mode, Convention.SYMMETRIC_CIRCULAR, r)
 
-    def metrics(adjacency: np.ndarray, r: SeededRng):
+    def metrics(edges, r: SeededRng):
         try:
-            return smallworld_metrics(adjacency, r, baselines=args.baselines)
+            return _smallworld_metrics(*edges, r, args.baselines)
         except NoConnectedBaselineError as exc:
             raise UsageError(f"{exc}, so the graph is too sparse for a small-world "
                              f"baseline; use a larger --w") from exc
@@ -248,8 +249,8 @@ def cmd_smallworld(args) -> int:
     union_c, union_l = [], []
     for s in range(args.seeds):
         union = graph(RoutingMode.FUSED, rng.child(1, s))
-        union_c.append(graph_clustering(union))
-        union_l.append(graph_path_length(union))
+        union_c.append(_clustering(*union))
+        union_l.append(_path_length(*union))
     union_metrics = metrics(graph(RoutingMode.FUSED, rng.child(2, 0)), rng.child(3, 0))
     result = {
         "command": "smallworld", "seed": args.seed, "n": args.n, "w": args.w,

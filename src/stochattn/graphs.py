@@ -7,8 +7,9 @@ bitsets (one bit per token, one row per source). Under the circular
 convention the permuted-window structure lets each layer be propagated with
 O(log w) shifted ORs; the causal convention ORs the rows of each token's
 ``masks.window_neighbours`` entries, and arbitrary graphs those of each
-node's neighbour list. No route builds an n x n float array; dense masks
-serve as test oracles and for mask images.
+node's neighbour list. Small-world graphs are edge lists built from the
+same neighbour tables. No route builds an n x n array; dense masks serve as
+test oracles and for mask images.
 """
 
 from __future__ import annotations
@@ -82,21 +83,9 @@ def _pack_identity(n: int) -> np.ndarray:
     return r
 
 
-_M1, _M2, _M4, _H01 = (np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333,
-                                              0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
-
-
 def _popcount_rows(packed: np.ndarray) -> np.ndarray:
-    """Set bits per row of word-padded packed rows, counted word-wise with a
-    SWAR popcount: 2-, 4- and 8-bit partial sums, then one multiply adds a
-    word's eight byte counts into its top byte."""
-    x = packed.view(np.uint64)
-    x = x - ((x >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    x *= _H01
-    x >>= np.uint64(56)
-    return x.sum(axis=1, dtype=np.int64)
+    """Set bits per row of word-padded packed rows."""
+    return np.bitwise_count(packed.view(np.uint64)).sum(axis=1, dtype=np.int64)
 
 
 # Bytes of neighbour rows gathered at once by _or_neighbours: bounds its
@@ -172,7 +161,8 @@ def layer_mask(n: int, w: int, mode: RoutingMode, convention: Convention,
                rng: SeededRng) -> np.ndarray:
     """Dense mask of one layer: the window (SWA), the permuted window drawn
     from ``rng`` and, under the one-sided convention, made causal (SA), or
-    their union (FUSED)."""
+    their union (FUSED). The test oracle of ``_layer_neighbours`` and
+    ``layer_edges``, and what ``maskviz`` draws."""
     spec = WindowSpec(w, convention)
     window = build_window_mask(n, spec)
     if mode is RoutingMode.SWA:
@@ -186,20 +176,42 @@ def layer_mask(n: int, w: int, mode: RoutingMode, convention: Convention,
     return window | stoch
 
 
-def _causal_neighbours(n: int, w: int, mode: RoutingMode, rng: SeededRng) -> np.ndarray:
-    """Row i lists the tokens that token i attends to in one causal layer
-    (the nonzero columns of row i of ``layer_mask``), padded with i itself;
-    SA and FUSED draw their permutation from ``rng`` as ``layer_mask`` does."""
-    spec = WindowSpec(w, Convention.CAUSAL_ONE_SIDED)
+def _layer_neighbours(n: int, w: int, mode: RoutingMode, convention: Convention,
+                     rng: SeededRng) -> np.ndarray:
+    """Row i lists the tokens that token i attends to in one layer (the
+    nonzero columns of row i of ``layer_mask``), possibly repeated, and under
+    the one-sided convention padded with i itself; SA and FUSED draw their
+    permutation from ``rng`` as ``layer_mask`` does."""
+    spec = WindowSpec(w, convention)
     local = window_neighbours(n, spec)
     if mode is RoutingMode.SWA:
         return local
-    keys = window_neighbours(n, spec, sample_permutation(n, rng))
-    tokens = np.arange(n)[:, None]
-    stoch = np.where(keys <= tokens, keys, tokens)
+    stoch = window_neighbours(n, spec, sample_permutation(n, rng))
+    if convention is Convention.CAUSAL_ONE_SIDED:
+        tokens = np.arange(n)[:, None]
+        stoch = np.where(stoch <= tokens, stoch, tokens)
     if mode is RoutingMode.SA:
         return stoch
     return np.hstack([local, stoch])
+
+
+def layer_edges(n: int, w: int, mode: RoutingMode, convention: Convention,
+                rng: SeededRng) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, rows, cols) of the undirected graph of one layer, equal to
+    ``_edges(symmetrize(layer_mask(...)))`` and drawing from ``rng`` as it
+    does, built from ``_layer_neighbours`` in O(n*w log(n*w)): self-loops
+    dropped, both directions of every (token, neighbour) pair keyed
+    row * n + col, sorted once, repeats dropped."""
+    table = _layer_neighbours(n, w, mode, convention, rng)
+    tokens = np.repeat(np.arange(n), table.shape[1])
+    nbrs = table.ravel()
+    off = tokens != nbrs
+    tokens, nbrs = tokens[off], nbrs[off]
+    keys = np.concatenate([tokens * n + nbrs, nbrs * n + tokens])
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    rows, cols = np.divmod(keys, n)
+    return n, rows, cols
 
 
 def _simulate_seed_causal(n: int, w: int, layers: int, mode: RoutingMode,
@@ -209,7 +221,7 @@ def _simulate_seed_causal(n: int, w: int, layers: int, mode: RoutingMode,
     counts = np.empty((layers + 1, n), dtype=np.int64)
     counts[0] = 1
     for ell in range(1, layers + 1):
-        table = _causal_neighbours(n, w, mode, rng)
+        table = _layer_neighbours(n, w, mode, Convention.CAUSAL_ONE_SIDED, rng)
         indptr = np.arange(0, table.size + 1, table.shape[1])
         _or_neighbours(reached, indptr, table.ravel(), spare)
         reached, spare = spare, reached
@@ -502,7 +514,13 @@ def smallworld_metrics(adjacency: np.ndarray, rng: SeededRng | None = None,
     """
     if rng is None:
         rng = SeededRng(0)
-    n, rows, cols = _edges(adjacency)
+    return _smallworld_metrics(*_edges(adjacency), rng, baselines)
+
+
+def _smallworld_metrics(n: int, rows: np.ndarray, cols: np.ndarray, rng: SeededRng,
+                        baselines: int) -> GraphMetrics:
+    """``smallworld_metrics`` of the graph with edge list (n, rows, cols), as
+    ``_edges`` returns it."""
     path_length = _path_length(n, rows, cols)
     clustering = _clustering(n, rows, cols)
     n_edges = rows.size // 2

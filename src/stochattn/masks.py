@@ -3,7 +3,7 @@
 ``window_neighbours`` lists each token's window as an (n, w) table in
 O(n*w). Dense (n, n) boolean masks, True where query row i may attend to key
 column j, are the test oracle of the table and of the attention kernels, the
-input of the small-world metrics and spectra, and what mask images draw.
+input of spectra, and what mask images draw.
 
 Window conventions:
 

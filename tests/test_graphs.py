@@ -41,14 +41,16 @@ from stochattn import (
     transition_matrix,
     window_neighbours,
 )
-from stochattn import numerics
+from stochattn import checks, graphs, masks, numerics
 from stochattn.graphs import (
     DisconnectedGraphError,
     NoConnectedBaselineError,
+    _edges,
     _popcount_rows,
     _simulate_seed_causal,
     _simulate_seed_circular,
     _window_or_circular,
+    layer_edges,
     layer_mask,
 )
 
@@ -368,7 +370,7 @@ class TestGraphRoutesAgainstDense:
     def test_word_popcount_matches_byte_table(self, rows, words, seed):
         packed = np.random.default_rng(seed).integers(0, 256, size=(rows, 8 * words),
                                                       dtype=np.uint8)
-        packed[0] = 255    # every bit of a word set: the multiply's top byte is 64
+        packed[0] = 255    # every bit of every word set
         oracle = np.take(_BYTE_POPCOUNT, packed).sum(axis=1, dtype=np.int64)
         with np.errstate(all="raise"):
             assert np.array_equal(_popcount_rows(packed), oracle)
@@ -483,6 +485,66 @@ class TestSmallWorld:
         assert m.clustering_rand == pytest.approx(m.mean_degree / (n - 1))
         assert m.path_length_rand > 1.0
         assert m.small_worldness > 0.0
+
+
+def _dense_smallworld(rng, n=512, w=16, seeds=10):
+    """Oracle: ``checks.smallworld`` on dense masks, the route it replaced."""
+    ring = symmetrize(layer_mask(n, w, RoutingMode.SWA, Convention.SYMMETRIC_CIRCULAR, rng))
+    ring_c = graph_clustering(ring)
+    formula = ring_lattice_clustering(w // 2)
+    swa_l = graph_path_length(ring)
+    cs, ls = [], []
+    for s in range(seeds):
+        union = symmetrize(layer_mask(n, w, RoutingMode.FUSED, Convention.SYMMETRIC_CIRCULAR,
+                                      rng.child(0, s)))
+        cs.append(graph_clustering(union))
+        ls.append(graph_path_length(union))
+    med_c, med_l = float(np.median(cs)), float(np.median(ls))
+    passed = abs(ring_c - formula) < 1e-12 and med_l < swa_l / 2 and med_c > ring_c / 2
+    return {"name": "smallworld", "passed": passed,
+            "measured": {"ring_clustering": ring_c, "ring_formula": formula,
+                         "swa_path_length": swa_l, "union_median_clustering": med_c,
+                         "union_median_path_length": med_l}}
+
+
+_SMALLWORLD_POSITION = list(checks.CHECKS).index("smallworld")
+
+
+class TestLayerEdges:
+    """Edge lists built from neighbour tables against the dense masks they
+    replace: equal arrays, and the same draws from the stream."""
+
+    @given(st.sampled_from(list(RoutingMode)), st.sampled_from(list(Convention)),
+           st.integers(2, 96).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
+           st.integers(0, 2**32 - 1))
+    @example(RoutingMode.FUSED, Convention.SYMMETRIC_CIRCULAR, (2, 2), 0)
+    @example(RoutingMode.SA, Convention.SYMMETRIC_CIRCULAR, (96, 96), 1)
+    @example(RoutingMode.SWA, Convention.SYMMETRIC_CIRCULAR, (5, 1), 2)
+    def test_matches_symmetrized_layer_mask(self, mode, convention, size, seed):
+        n, w = size
+        fast_rng, dense_rng = SeededRng(seed), SeededRng(seed)
+        got_n, got_rows, got_cols = layer_edges(n, w, mode, convention, fast_rng)
+        want_n, want_rows, want_cols = _edges(symmetrize(layer_mask(n, w, mode, convention,
+                                                                    dense_rng)))
+        assert got_n == want_n
+        assert np.array_equal(got_rows, want_rows) and np.array_equal(got_cols, want_cols)
+        assert fast_rng.integers(0, 2**62) == dense_rng.integers(0, 2**62)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_smallworld_check_matches_dense_route(self, seed):
+        stream = SeededRng(seed).child(_SMALLWORLD_POSITION, 0)
+        oracle_stream = SeededRng(seed).child(_SMALLWORLD_POSITION, 0)
+        assert checks.smallworld(stream) == _dense_smallworld(oracle_stream)
+
+    def test_smallworld_check_builds_no_dense_mask(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("the small-world check must not build a dense mask")
+
+        for module, name in [(graphs, "layer_mask"), (graphs, "build_window_mask"),
+                             (graphs, "build_stochastic_mask"), (masks, "build_window_mask"),
+                             (masks, "build_stochastic_mask")]:
+            monkeypatch.setattr(module, name, dense)
+        assert checks.smallworld(SeededRng(0).child(_SMALLWORLD_POSITION, 0))["passed"]
 
 
 class TestSpectrum:
