@@ -3,12 +3,15 @@ stochastic attention (SA = permute -> windowed attention -> un-permute),
 rotary embeddings on original positions, gated SA+SWA fusion, and an
 analytic backward pass for the masked core.
 
-``swa_forward`` and ``sa_forward`` share one blocked windowed-attention core
-(``_windowed_attention``): rows are split into blocks of w slots and each
-block attends to its key span of at most 2w-1 slots with one matmul, so a
-call evaluates at most n*(2w-1) score cells per head and never builds an
-n x n array. ``sa_forward`` genuinely routes through permuted space (gather,
-windowed attention, scatter back). The dense masked core
+``swa_forward`` and ``sa_forward`` share one banded windowed-attention core
+(``_windowed_attention``): the keys are extended by the window's w-1
+offsets (wrapped slots for the circular window, masked pads before slot 0
+for the one-sided one), rows run in blocks of b = max(1, w // 4) slots, and
+each block scores its span of b+w-1 extended keys with one matmul and
+softmaxes only its w-wide band. A call evaluates n*(b+w-1) score cells per
+head and never builds an n x n array. ``sa_forward`` genuinely routes
+through permuted space: each chunk of permuted slots gathers its rows from
+token order, and its outputs are scattered back. The dense masked core
 ``attention_forward`` is kept as the independent oracle: full attention
 under ``intersect_causal(build_stochastic_mask(...))`` must agree with
 ``sa_forward`` to 1e-12. It takes one head or a stack ``(..., n, d_h)``
@@ -17,22 +20,33 @@ finite-difference bumps in one call; ``attention_backward`` takes one head.
 
 The windowed kernels, ``rope_apply`` and ``permute_rows`` take one head
 ``(n, d_h)`` or a head stack ``(h, n, d_h)``. A stack runs in one pass, with
-each block's validity mask built once for all heads and one batched matmul
+each chunk's validity mask built once for all heads and one batched matmul
 for its scores and one for its values; every head's result is bit-identical
-to running it alone. ``dual_path_layer`` runs each stage once per layer on
-the stack: one GEMM projects q and k together, and one ``rope_apply`` call
-rotates both as a ``(2h, n, d_h)`` stack.
+to running it alone. The kernels return a stack in token-major memory.
+``dual_path_layer`` runs each stage once per layer on the stack: one GEMM
+projects q and k together, one ``rope_apply`` call rotates both as a
+``(2h, n, d_h)`` stack, and each path's heads join without a copy.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .masks import Convention, WindowSpec
-from .numerics import SeededRng, as_matrices, as_matrix, masked_row_softmax, sigmoid_in_place
-from .permute import Permutation, invert, permute_rows, sample_permutation
+from .numerics import (
+    SeededRng,
+    as_matrices,
+    as_matrix,
+    masked_row_softmax,
+    sigmoid_in_place,
+    trial_chunks,
+)
+from .permute import Permutation, sample_permutation
 
 
 @dataclass(frozen=True)
@@ -167,64 +181,177 @@ def attention_backward(
     return dq, dk, dv
 
 
+def _spans(x: np.ndarray, g: int, rows: int, step: int) -> np.ndarray:
+    """Read-only ``(..., g, rows, cols)`` view of ``(..., m, cols)``: block j
+    holds rows ``j*step .. j*step + rows - 1``, which the caller keeps inside
+    x. Blocks overlap where ``rows > step``."""
+    *lead, row, col = x.strides
+    return as_strided(x, x.shape[:-2] + (g, rows, x.shape[-1]), (*lead, step * row, row, col),
+                      writeable=False)
+
+
+def _band(x: np.ndarray, w: int) -> np.ndarray:
+    """``(..., rows, w)`` view of ``(..., rows, rows+w-1)`` blocks: row i holds
+    columns i .. i+w-1."""
+    *lead, row, col = x.strides
+    return as_strided(x, x.shape[:-1] + (w,), (*lead, row + col, col))
+
+
+def _token_major(x: np.ndarray) -> np.ndarray:
+    """``(n, ..., d)`` view of a matrix or stack ``(..., n, d)``."""
+    return x.transpose(x.ndim - 2, *range(x.ndim - 2), x.ndim - 1)
+
+
+def _gather_rows(x: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[..., j, :] = x[..., idx[j], :]`` with one ``np.take`` of whole
+    rows, into a C-ordered ``out``. x is C-ordered, or a stack in token-major
+    memory (an ``(h, n, d_h)`` view of an ``(n, h*d_h)`` projection, say);
+    idx holds valid rows. Returns out."""
+    (n, d), stack = x.shape[-2:], math.prod(x.shape[:-2])
+    if x.flags.c_contiguous:
+        src, at = x.reshape(-1, d), np.arange(0, stack * n, n)[:, None] + idx
+    else:
+        src, at = _token_major(x).reshape(-1, d), idx * stack + np.arange(stack)[:, None]
+    # mode "clip" writes straight into out, where "raise" would buffer it
+    np.take(src, at.ravel(), axis=0, out=out.reshape(-1, d), mode="clip")
+    return out
+
+
 def _windowed_attention(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
     w: int,
-    convention: Convention,
-    token_of_slot: np.ndarray | None,
+    keys: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Windowed attention over slots 0..n-1, one row block of w slots at a time.
+    """Windowed attention of query slots 0..n-1 over extended key rows.
 
-    q, k, v are ``(n, d_h)`` or head-stacked ``(h, n, d_h)``; every head
-    shares the slots, so each block's validity mask is built once and
-    broadcast over the heads. Row block [s, e) attends to its key span with
-    one (batched) matmul:
-    ``CAUSAL_ONE_SIDED`` spans slots [s-w+1, e), clipped at 0;
-    ``SYMMETRIC_CIRCULAR`` spans s-back .. e-1+fwd mod n, or every slot once
-    when that span reaches n, so no key is counted twice. A cell of the
-    block is valid when the key slot is in the query slot's window, when
-    ``token_of_slot`` (original token per slot, None for the identity) puts
-    the key token at or before the query token, and on the diagonal.
+    Query slot i sees the w extended key rows i .. i+w-1, one per window
+    offset. ``keys`` (n+w-1,) is the token of each extended row, ``n`` (later
+    than every token) for a pad, and ``rows`` (n,) the token of each query
+    slot, None for slot i = token i. A band cell is valid when its key token
+    is at or before its query token; every query's window holds its own
+    token. q, k, v are token-ordered ``(..., n, d_h)``: one head or a head
+    stack, strided views allowed. With ``rows`` None the extended rows are
+    read in place wherever they hold no pad; otherwise each chunk of slots
+    gathers its query and key rows and scatters its outputs back.
+
+    Rows run in blocks of ``b = max(1, w // 4)``: block [s, s+b) scores its
+    key span [s, s+b+w-1) with one matmul, so a call evaluates n*(b+w-1)
+    score cells per head. Chunks of blocks, sized by ``trial_chunks``, run as
+    one batched matmul for the scores and one for the values over strided
+    span views. The softmax runs on each block's w-wide band only; the value
+    product reads the span-wide weights, zero off the band. Every head
+    shares the slots and masks, and gets the result it gets alone. Returns
+    ``(..., n, d_h)`` whose memory is token-major ``(n, ..., d_h)``.
     """
-    n = q.shape[-2]
+    lead, (n, d_h) = q.shape[:-2], q.shape[-2:]
+    stack, b = math.prod(lead), max(1, w // 4)
+    scale = 1.0 / np.sqrt(d_h)
+    valid = as_strided(keys, (n, w), keys.strides * 2) <= (
+        np.arange(n) if rows is None else rows)[:, None]
+    row_masked = ~valid.all(axis=1)
+    if rows is not None:
+        # pads read the last token; gathers read C-ordered or token-major
+        # inputs, and any other layout is copied once here
+        keys = np.minimum(keys, n - 1)
+        q, k, v = (x if x.flags.c_contiguous or _token_major(x).flags.c_contiguous
+                   else np.ascontiguousarray(x) for x in (q, k, v))
+    full, tail = divmod(n, b)
+    # the blocks whose keys reach before token 0 form chunks of their own, so
+    # that the later ones read their keys in place and need no mask
+    cuts = [0, full] if rows is not None else [0, min(full, -(-(w - 1) // b)), full]
+    # a chunk holds as many blocks' scores and bands as the byte budget allows
+    chunks = [(b * (a + lo), hi - lo, b) for a, z in zip(cuts, cuts[1:])
+              for lo, hi in trial_chunks(z - a, 8 * stack * b * (b + 2 * w - 1))]
+    if tail:
+        chunks.append((full * b, 1, tail))
+    # flat buffers for the scores, the bands, the transposed keys, the key or
+    # value rows and the query rows of the largest chunk; a chunk views
+    # their starts
+    nq_max = max(g * bb for _, g, bb in chunks)
+    nk_max = nq_max + w - 1
+    scores_buf, t_buf, kt_buf, kv_buf, qy_buf = (np.empty(stack * size) for size in (
+        nq_max * (b + w - 1), nq_max * w, d_h * nk_max, nk_max * d_h, nq_max * d_h))
+    out = np.empty((n,) + lead + (d_h,)).transpose(*range(1, len(lead) + 1), 0, len(lead) + 1)
+
+    def part(buf, *shape):
+        """C-ordered ``lead + shape`` view of the start of a flat buffer."""
+        return buf[:stack * math.prod(shape)].reshape(lead + shape)
+
+    def extended(x, r0, nk, buf):
+        """The chunk's nk extended rows of k or v from r0 on: gathered, or
+        padded before token 0, into buf, or read in place. Gathered rows are
+        head-major C-ordered whatever x's layout, because the product of a
+        one-row block depends on its operands' layout."""
+        if rows is not None:
+            return _gather_rows(x, keys[r0:r0 + nk], buf)
+        if r0 >= w - 1:
+            return x[..., r0 - w + 1:r0 - w + 1 + nk, :]
+        buf[..., :w - 1 - r0, :] = 0.0
+        buf[..., w - 1 - r0:, :] = x[..., :r0 + nk - w + 1, :]
+        return buf
+
+    for r0, g, bb in chunks:
+        nq, nk, span = g * bb, g * bb + w - 1, bb + w - 1
+        scores, t, kt, kv = (part(scores_buf, g, bb, span), part(t_buf, g, bb, w),
+                             part(kt_buf, d_h, nk), part(kv_buf, nk, d_h))
+        if rows is None:
+            qx, y = q[..., r0:r0 + nq, :], out[..., r0:r0 + nq, :]
+        else:
+            qx = y = _gather_rows(q, rows[r0:r0 + nq], part(qy_buf, nq, d_h))
+        # the keys are copied transposed and pre-scaled: a matmul that reads
+        # a transposed operand runs at half speed on these shapes
+        np.multiply(np.swapaxes(extended(k, r0, nk, kv), -1, -2), scale, out=kt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(qx.reshape(lead + (g, bb, d_h)),
+                      np.swapaxes(_spans(np.swapaxes(kt, -1, -2), g, span, bb), -1, -2),
+                      out=scores)
+        if not np.isfinite(scores).all():
+            raise ValueError("scores contains NaN or Inf entries")
+        band = _band(scores, w)
+        # Two finite scores can differ by more than the largest double, and
+        # exp takes the resulting -inf to the correct 0; weights may underflow.
+        # Masked cells never reach exp as -inf: exp is several times slower
+        # on -inf or underflowing input than on moderate input.
+        with np.errstate(over="ignore", under="ignore"):
+            if row_masked[r0:r0 + nq].any():
+                ok = valid[r0:r0 + nq].reshape(g, bb, w)
+                # masked cells are -inf for the row max only, then exp(0), then 0
+                np.add(band, np.where(ok, 0.0, -np.inf), out=t)
+                t -= t.max(axis=-1, keepdims=True)
+                np.maximum(t, np.where(ok, -np.inf, 0.0), out=t)
+                np.exp(t, out=t)
+                t *= ok
+            else:
+                np.subtract(band, band.max(axis=-1, keepdims=True), out=t)
+                np.exp(t, out=t)
+            # the scores buffer becomes the weights, zero off the band
+            scores[...] = 0.0
+            np.divide(t, t.sum(axis=-1, keepdims=True), out=band)
+            # a gathering chunk's outputs overwrite its consumed query rows
+            np.matmul(scores, _spans(extended(v, r0, nk, kv), g, span, bb),
+                      out=y.reshape(lead + (g, bb, d_h)))
+        if rows is not None:
+            out[..., rows[r0:r0 + nq], :] = y
+    return out
+
+
+def _check_window(n: int, w: int) -> None:
     if not 1 <= w <= n:
         raise ValueError(f"window size must satisfy 1 <= w <= n, got w={w}, n={n}")
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    circular = convention is Convention.SYMMETRIC_CIRCULAR
-    back, fwd = WindowSpec(w, convention).offsets()
-    # Both windows cover w consecutive offsets, so with the span starting
-    # `back` slots before the block, row i sees span columns i .. i+w-1.
-    idx = np.arange(w)
-    band_off = np.arange(2 * w - 1)[None, :] - idx[:, None]
-    band = (band_off >= 0) & (band_off < w)
-    out = np.empty(v.shape)
-    for s in range(0, n, w):
-        e = min(s + w, n)
-        rows = idx[: e - s]
-        if circular and e - s + w - 1 >= n:
-            lo, keys = 0, slice(0, n)
-            off = (np.arange(n)[None, :] - (s + rows)[:, None]) % n
-            valid = (off <= fwd) | (off >= n - back)
-        else:
-            lo, hi = (s - back, e + fwd) if circular else (max(s - back, 0), e)
-            keys = slice(lo, hi) if 0 <= lo and hi <= n else np.arange(lo, hi) % n
-            valid = band[: e - s, lo - s + back : hi - s + back].copy()
-        if token_of_slot is not None:
-            valid &= token_of_slot[keys][None, :] <= token_of_slot[s:e, None]
-        valid[rows, rows + s - lo] = True
-        scores = q[..., s:e, :] @ np.swapaxes(k[..., keys, :], -1, -2)
-        scores *= scale
-        weights = masked_row_softmax(scores, np.broadcast_to(valid, scores.shape))
-        np.matmul(weights, v[..., keys, :], out=out[..., s:e, :])
-    return out
 
 
 def swa_forward(inp: AttentionInputs, w: int) -> np.ndarray:
     """Causal sliding-window attention: each token sees the previous w tokens
-    (itself included). Returns the shape of ``inp.v``, one head or a stack."""
-    return _windowed_attention(inp.q, inp.k, inp.v, w, Convention.CAUSAL_ONE_SIDED, None)
+    (itself included). Returns the shape of ``inp.v``, one head or a stack;
+    a stack's memory is token-major ``(n, h, d_h)``."""
+    n = inp.n
+    _check_window(n, w)
+    keys = np.arange(1 - w, n)
+    keys[:w - 1] = n
+    return _windowed_attention(inp.q, inp.k, inp.v, w, keys)
 
 
 def sa_forward(
@@ -247,14 +374,42 @@ def sa_forward(
     one-sided convention additionally orders permuted slots; it collapses to
     ``swa_forward`` exactly at the identity permutation.
 
-    A head stack is gathered once per input and scattered back once: every
-    head shares ``p``.
+    Each chunk of permuted slots gathers its queries and its window's keys
+    and values straight from the token-ordered inputs (the extended key
+    rows: wrapped slots for the circular window, masked pads before slot 0
+    for the one-sided one) and scatters its outputs back to token order, so
+    nothing is permuted whole. Every head shares ``p``; a stack's result is
+    in token-major memory ``(n, h, d_h)``.
     """
-    if p.n != inp.n:
-        raise ValueError(f"permutation size {p.n} does not match sequence length {inp.n}")
-    yp = _windowed_attention(permute_rows(inp.q, p), permute_rows(inp.k, p),
-                             permute_rows(inp.v, p), w, convention, p.inverse)
-    return permute_rows(yp, invert(p))
+    n = inp.n
+    if p.n != n:
+        raise ValueError(f"permutation size {p.n} does not match sequence length {n}")
+    _check_window(n, w)
+    back, fwd = WindowSpec(w, convention).offsets()
+    slots = np.arange(-back, n + fwd)
+    if convention is Convention.SYMMETRIC_CIRCULAR:
+        slots %= n
+    keys = np.where(slots < 0, n, p.inverse[slots])
+    return _windowed_attention(inp.q, inp.k, inp.v, w, keys, p.inverse)
+
+
+def _rope_rotations(pos: np.ndarray, d_h: int, base: float) -> np.ndarray:
+    """(len(pos), d_h/2) complex table exp(i * pos * base^(-2k/d_h))."""
+    inv_freq = base ** (-np.arange(0, d_h, 2, dtype=np.float64) / d_h)
+    ang = pos[:, None] * inv_freq[None, :]
+    table = np.empty(ang.shape, dtype=np.complex128)
+    np.cos(ang, out=table.real)
+    np.sin(ang, out=table.imag)
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _rope_table(n: int, d_h: int, base: float) -> np.ndarray:
+    """Read-only rotation table of positions 0..n-1: cos and sin of large
+    angles cost more than the rotation itself, and a model repeats lengths."""
+    table = _rope_rotations(np.arange(n, dtype=np.float64), d_h, base)
+    table.flags.writeable = False
+    return table
 
 
 def rope_apply(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
@@ -268,7 +423,8 @@ def rope_apply(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
     stack ``(..., n, d_h)``, which may be a strided view (a head-major view
     of an ``(n, d)`` projection, say); it is read as complex pairs in place,
     after a copy only if its last axis is not unit-stride. One complex table
-    serves the whole stack, and the result is a new C-ordered array.
+    serves the whole stack; the table of positions 0..n-1 is cached per
+    ``(n, d_h, base)``. The result is a new C-ordered array.
     """
     x = as_matrices(x, "x")
     n, d_h = x.shape[-2:]
@@ -279,11 +435,11 @@ def rope_apply(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
         raise ValueError("positions must have one entry per row")
     if not np.isfinite(pos).all():
         raise ValueError("positions must be finite")
-    inv_freq = _check_rope_base(base) ** (-np.arange(0, d_h, 2, dtype=np.float64) / d_h)
-    ang = pos[:, None] * inv_freq[None, :]
-    table = np.empty(ang.shape, dtype=np.complex128)
-    np.cos(ang, out=table.real)
-    np.sin(ang, out=table.imag)
+    base = _check_rope_base(base)
+    if np.array_equal(pos, np.arange(n)):
+        table = _rope_table(n, d_h, base)
+    else:
+        table = _rope_rotations(pos, d_h, base)
     if x.strides[-1] != x.itemsize:
         x = x.copy()
     out = np.empty(x.shape[:-1] + (d_h // 2,), dtype=np.complex128)
@@ -351,7 +507,8 @@ def dual_path_layer(
         return full.reshape(n, -1, cfg.d_h).transpose(1, 0, 2)
 
     def merged(y):
-        """(n, d) copy of a head stack, heads side by side."""
+        """(n, d) view of a kernel's head stack, heads side by side: the
+        kernels return token-major memory."""
         return y.transpose(1, 0, 2).reshape(n, d)
 
     perm = sample_permutation(n, rng)

@@ -230,8 +230,12 @@ class TestBlockedKernels:
 
     @given(_kernel_case())
     @example((70, 32, 3, 1))   # n is not a multiple of w
-    @example((70, 1, 2, 2))    # w = 1
+    @example((67, 20, 3, 5))   # n is not a multiple of the block size b = 5
+    @example((65, 64, 2, 8))   # a one-row tail block
+    @example((12, 12, 2, 6))   # n < b+w-1: every block's key span wraps or pads
+    @example((70, 1, 2, 2))    # w = 1, so b = 1
     @example((70, 70, 5, 3))   # w = n: the circular span wraps past n
+    @example((40, 27, 3, 7))   # w > n/2: the circular band wraps
     @example((1, 1, 1, 4))
     def test_matches_dense_oracle(self, case):
         n, w, d_h, seed = case
@@ -255,6 +259,53 @@ class TestBlockedKernels:
             swa_forward(inp, w)
             for conv in Convention:
                 sa_forward(inp, w, perm, conv)
+
+    def test_score_overflow_is_a_one_line_value_error(self):
+        # q.k of 1e200 entries overflows; no warning or NaN output escapes
+        rng = np.random.default_rng(23)
+        n, w = 20, 8
+        q, k, v = (rng.normal(size=(n, 4)) for _ in range(3))
+        inp = AttentionInputs(q * 1e200, k * 1e200, v)
+        perm = sample_permutation(n, SeededRng(23))
+        kernels = [lambda: swa_forward(inp, w)]
+        kernels += [lambda conv=conv: sa_forward(inp, w, perm, conv) for conv in Convention]
+        for kernel in kernels:
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^scores contains NaN or Inf entries$"):
+                    kernel()
+
+    def test_extreme_finite_scores_raise_no_warning(self):
+        # scores of about +-1.7e308: row shifts overflow to -inf and weights
+        # underflow, and both must stay silent
+        rng = np.random.default_rng(24)
+        n, w = 40, 16
+        q, k = (rng.uniform(-1.3e154, 1.3e154, size=(n, 1)) for _ in range(2))
+        inp = AttentionInputs(q, k, rng.normal(size=(n, 1)))
+        perm = sample_permutation(n, SeededRng(24))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            outs = [sa_forward(inp, w, perm, conv) for conv in Convention]
+            outs.append(swa_forward(inp, w))
+        oracles = [attention_forward(inp, intersect_causal(
+            build_stochastic_mask(n, WindowSpec(w, conv), perm))) for conv in Convention]
+        oracles.append(attention_forward(
+            inp, build_window_mask(n, WindowSpec(w, Convention.CAUSAL_ONE_SIDED))))
+        for out, oracle in zip(outs, oracles):
+            assert np.all(np.isfinite(out))
+            assert np.abs(out - oracle).max() <= 1e-12
+
+    def test_values_near_the_largest_double_do_not_overflow(self):
+        # equal scores average w values of 1e308: the weights are normalized
+        # before the value product, so no partial sum exceeds the largest double
+        n, w = 30, 16
+        inp = AttentionInputs(np.zeros((n, 2)), np.zeros((n, 2)), np.full((n, 2), 1e308))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            out = swa_forward(inp, w)
+            out_sa = sa_forward(inp, w, sample_permutation(n, SeededRng(25)))
+        for y in (out, out_sa):
+            np.testing.assert_allclose(y, 1e308, rtol=1e-15)
 
     def test_window_outside_sequence_rejected(self):
         inp = _random_inputs(SeededRng(21), 6, 2)
@@ -287,6 +338,8 @@ class TestHeadStack:
     @given(_kernel_case(), st.sampled_from([1, 2, 4]))
     @example((70, 32, 3, 1), 4)
     @example((70, 70, 5, 3), 2)    # the circular span wraps past n
+    @example((15, 8, 1, 0), 2)     # one-row blocks, whose product depends on layout
+    @example((65, 64, 1, 8), 4)    # a one-row tail block
     def test_kernels_equal_per_head_calls(self, case, h):
         n, w, d_h, seed = case
         rng = np.random.default_rng(seed)
