@@ -21,8 +21,9 @@ import numpy as np
 
 from . import svgplot
 from .attention import GateParams
-from .checks import CHECKS, gradcheck, spectrum
+from .checks import CHECKS, connprob, connprob_causal, gradcheck, spectrum
 from .graphs import (
+    _GATHER_BYTES,
     NoConnectedBaselineError,
     RoutingMode,
     _clustering,
@@ -31,32 +32,24 @@ from .graphs import (
     circulant_spectrum,
     connection_probability_analytic,
     connection_probability_exhaustive,
-    connection_probability_mc,
     cost_model,
     layer_edges,
     layer_mask,
     simulate_reachability,
 )
 from .masks import Convention, intersect_causal, mask_to_csv, mask_to_pgm
-from .numerics import SeededRng
+from .numerics import MC_CHUNK_BYTES, SeededRng
 from .stats import fusion_bv_decompose, sa_bias_mc, sa_variance_mc
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
 
-MAX_N = 8192
-# Estimated bytes one coverage curve may hold: its per-seed count arrays
-# and, under the causal convention, a layer's neighbour table.
-MAX_COVERAGE_BYTES = 1 << 28
-# Estimated bytes and flops one spectrum run may take: its dense n x n
-# eigen-solves and layer products (see _spectrum_cost).
-MAX_SPECTRUM_BYTES = 1 << 28
-MAX_SPECTRUM_FLOPS = 10**12
-# Estimated bytes and flops one gradcheck run may take: its dense n x n
-# forwards and backwards (see _gradcheck_cost).
-MAX_GRADCHECK_BYTES = 1 << 28
-MAX_GRADCHECK_FLOPS = 10**12
+# Caps on the bytes one command holds at once and on its elementary
+# operations (flops, score cells x flops per cell, permutation and window
+# entries, 64-bit word ORs), as the command's _<command>_cost estimates them.
+MAX_BYTES = 1 << 28
+MAX_WORK = 10**12
 OUT_DIR_ENV = "STOCHATTN_OUT"
 
 _CONVENTIONS = {"causal": Convention.CAUSAL_ONE_SIDED, "circular": Convention.SYMMETRIC_CIRCULAR}
@@ -86,10 +79,19 @@ def _check_positive(**kwargs) -> None:
         if value <= 0:
             raise UsageError(f"--{name} must be positive, got {value}")
     n, w = kwargs.get("n"), kwargs.get("w")
-    if n is not None and n > MAX_N:
-        raise UsageError(f"--n is capped at {MAX_N} for desk-scale runs, got {n}")
     if n is not None and w is not None and w > n:
         raise UsageError("--w must not exceed --n")
+
+
+def _check_cost(command: str, cost: tuple[int, int], lower: str) -> None:
+    """Refuse, before anything is allocated, a run whose estimated (bytes,
+    work) passes MAX_BYTES or MAX_WORK; ``lower`` names the flags to lower."""
+    est_bytes, est_work = cost
+    if est_bytes > MAX_BYTES or est_work > MAX_WORK:
+        # ints convert to float for printing, which overflows past about 1e308
+        raise UsageError(f"{command} would hold about {min(est_bytes, 10**300) / 2**20:.4g} MiB "
+                         f"and take about {min(est_work, 10**300):.3g} operations, over the "
+                         f"{MAX_BYTES >> 20} MiB / {MAX_WORK:.0e} operation cap; lower {lower}")
 
 
 def _out_path(args, filename: str) -> Path:
@@ -140,6 +142,31 @@ def _parse_seeds(raw: str):
     return seeds
 
 
+def _coverage_cost(n: int, w: int, layers: int, seeds: int, modes: list[str],
+                   causal: bool) -> tuple[int, int]:
+    """Estimated (bytes, word ORs) of a coverage run. A curve holds its seeds'
+    (layers + 1) x n int64 counts five times at once: the per-seed list,
+    their stack, the fractions, the pooled copy and the median's copy. A
+    seed's simulation holds packed reachability rows of n bits in whole
+    64-bit words: about 5n + 3w of them under the circular convention (the
+    rows, their permuted copy, two wrap-padded OR buffers and the overlap
+    copy of an in-place OR), and two sets of n under the causal one, with
+    three n x 2w (n x w without fused) int64 neighbour tables and two
+    gathers of up to _GATHER_BYTES or one token's neighbour rows. Per seed
+    and layer each row ORs about 2 log2(w) + 4 rows (circular: shifted
+    doublings and gathers), or one row per neighbour (causal)."""
+    words = -(-n // 64)
+    width = 2 * w if "fused" in modes else w
+    if causal:
+        rows = 2 * n * 8 * words + 3 * n * width * 8 + 2 * max(_GATHER_BYTES, width * 8 * words)
+        per_row = width
+    else:
+        rows = (5 * n + 3 * w) * 8 * words
+        per_row = 2 * w.bit_length() + 4
+    return (5 * seeds * (layers + 1) * n * 8 + rows,
+            len(modes) * seeds * layers * n * words * per_row)
+
+
 def cmd_coverage(args) -> int:
     _check_positive(n=args.n, w=args.w)
     seeds = _parse_seeds(args.seeds)
@@ -153,13 +180,9 @@ def cmd_coverage(args) -> int:
             raise UsageError(f"unknown mode '{m}' (choose from swa,sa,fused)")
     convention = _CONVENTIONS[args.convention]
     n_seeds = seeds if isinstance(seeds, int) else len(seeds)
-    est = n_seeds * (args.layers + 1) * args.n * 8
-    if convention is Convention.CAUSAL_ONE_SIDED:
-        est += args.n * args.w * 8 * (2 if "fused" in modes else 1)
-    if est > MAX_COVERAGE_BYTES:
-        raise UsageError(f"coverage would hold about {est >> 20} MiB of counts and neighbour "
-                         f"tables, over the {MAX_COVERAGE_BYTES >> 20} MiB cap; "
-                         f"lower --layers, --seeds or --n")
+    _check_cost("coverage", _coverage_cost(args.n, args.w, args.layers, n_seeds, modes,
+                                           convention is Convention.CAUSAL_ONE_SIDED),
+                "--layers, --seeds or --n")
     mode_stream = {"swa": 0, "sa": 1, "fused": 2}
     rng = SeededRng(args.seed)
     rows = []
@@ -191,11 +214,30 @@ def cmd_coverage(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _connprob_cost(n: int, w: int, trials: int, causal: bool) -> tuple[int, int]:
+    """Estimated (bytes, entries) of a Monte-Carlo connprob run. Trials run in
+    chunks of t, as many as fit MC_CHUNK_BYTES at the bytes of a trial's
+    largest array (at least one). Non-causal, a chunk holds t x n int64
+    permutations three times (the last chunk's, the tiled identity and its
+    shuffle), after the check's enumeration of the 720 orders of 6 tokens
+    left about 100 KiB of tuples in the interpreter's free list. Causal, a
+    chunk holds the permutations and their inverses about eight times, the
+    t x n x w int64 window tokens and two t x n x w boolean comparisons (the
+    last chunk's and its own); the run also holds the n x w int64 window
+    table and two floats a trial (the densities and their deviations). The
+    work is the permutation entries and, causal, the window entries of every
+    trial."""
+    if not causal:
+        t = max(1, MC_CHUNK_BYTES // (n * 8))
+        return t * 8 * (3 * n + 5) + 100 * 1024, trials * n
+    t = max(1, MC_CHUNK_BYTES // (n * w * 8))
+    return n * w * 8 + 16 * trials + t * n * (10 * w + 64), trials * n * w
+
+
 def cmd_connprob(args) -> int:
     _check_positive(n=args.n, w=args.w, trials=args.trials)
     if args.n < 2:
         raise UsageError("--n must be at least 2: the probability is about a pair of tokens")
-    rng = SeededRng(args.seed)
     analytic = connection_probability_analytic(args.n, args.w, causal=args.causal)
     result: dict = {
         "command": "connprob", "seed": args.seed, "n": args.n, "w": args.w,
@@ -210,13 +252,14 @@ def cmd_connprob(args) -> int:
         result.update(trials=math.factorial(args.n), estimate=est, stderr=0.0)
         passed = abs(est - analytic) < 1e-15
     else:
-        est, stderr = connection_probability_mc(args.n, args.w, args.trials,
-                                                causal=args.causal, rng=rng)
-        result.update(trials=args.trials, estimate=est, stderr=stderr)
-        if args.causal:
-            passed = abs(est - analytic) <= 0.15 * analytic
-        else:
-            passed = abs(est - analytic) <= max(3.0 * stderr, 1e-15)
+        _check_cost("connprob", _connprob_cost(args.n, args.w, args.trials, args.causal),
+                    "--n, --w or --trials")
+        check, keys = ((connprob_causal, ("estimate", "stderr")) if args.causal
+                       else (connprob, ("mc_estimate", "mc_stderr")))
+        report = check(SeededRng(args.seed), n=args.n, w=args.w, trials=args.trials)
+        result.update(trials=args.trials, estimate=report["measured"][keys[0]],
+                      stderr=report["measured"][keys[1]])
+        passed = report["passed"]
     result["passed"] = bool(passed)
     path = _out_path(args, "connprob.json")
     _write_json(path, result)
@@ -229,10 +272,38 @@ def cmd_connprob(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _smallworld_cost(n: int, w: int, seeds: int, baselines: int) -> tuple[int, int]:
+    """Estimated (bytes, word ORs) of a smallworld run. Building a union
+    graph holds about ten copies of its n x 2w int64 neighbour table (the
+    table, token and neighbour columns, both directions' edge keys and their
+    deduplication). A graph has at most n w undirected edges, e, kept as
+    int64 rows and columns of both directions; about 21 int64 words per edge
+    are held at once while a baseline is measured (the last union graph,
+    the measured graph, the baseline's draw, its pair arithmetic, sort and
+    neighbour lists). The estimate adds the two phases. The draw is numpy's
+    ``choice`` without replacement, which holds all n(n - 1)/2 pairs as
+    int64 once e is over a 50th of them, else about four words per edge.
+    Path lengths hold two sets of n packed rows of n bits and two arrays of
+    up to _GATHER_BYTES (gathered rows and their ORs), clustering one set
+    and three (two gathers and their AND). The work is the path-length
+    BFS's word ORs: n(2w + 1) rows a step, about n / w steps on the ring and
+    2 log2(n) on each union and baseline graph."""
+    words = -(-n // 64)
+    pairs = n * (n - 1) // 2
+    edges = min(pairs, n * w)
+    draw = 8 * (pairs + edges) if edges > pairs // 50 else 32 * edges
+    gather = max(_GATHER_BYTES, (2 * w + 1) * 8 * words)
+    est_bytes = 8 * (20 * n * w + 21 * edges) + draw + 2 * n * 8 * words + 3 * gather
+    steps = -(-n // w) + 2 * (seeds + 1 + baselines) * n.bit_length()
+    return est_bytes, steps * n * (2 * w + 1) * words
+
+
 def cmd_smallworld(args) -> int:
     _check_positive(n=args.n, w=args.w, seeds=args.seeds, baselines=args.baselines)
     if args.w < 2:
         raise UsageError("--w must be at least 2: a one-token window has no edges")
+    _check_cost("smallworld", _smallworld_cost(args.n, args.w, args.seeds, args.baselines),
+                "--n, --w, --seeds or --baselines")
     rng = SeededRng(args.seed)
 
     def graph(mode: RoutingMode, r: SeededRng):
@@ -286,12 +357,8 @@ def cmd_spectrum(args) -> int:
     _check_positive(n=args.n, w=args.w, perms=args.perms, depth=args.depth, seeds=args.seeds)
     if args.n < 2:
         raise UsageError("--n must be at least 2: the spectrum needs a second eigenvalue")
-    est_bytes, est_flops = _spectrum_cost(args.n, args.perms, args.depth, args.seeds)
-    if est_bytes > MAX_SPECTRUM_BYTES or est_flops > MAX_SPECTRUM_FLOPS:
-        raise UsageError(f"spectrum would hold about {est_bytes >> 20} MiB and take about "
-                         f"{est_flops:.1e} flops of dense eigen-solves, over the "
-                         f"{MAX_SPECTRUM_BYTES >> 20} MiB / {MAX_SPECTRUM_FLOPS:.0e} flop cap; "
-                         f"lower --n, --perms, --seeds or --depth")
+    _check_cost("spectrum", _spectrum_cost(args.n, args.perms, args.depth, args.seeds),
+                "--n, --perms, --seeds or --depth")
     measured = spectrum(SeededRng(args.seed), n=args.n, w=args.w, perms=args.perms,
                         mixing_n=args.n, depth=args.depth, mixing_seeds=args.seeds)["measured"]
     result = {
@@ -316,12 +383,24 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _maskviz_cost(n: int, svg: bool) -> tuple[int, int]:
+    """Estimated (bytes, cell visits) of a maskviz run: at most four n x n
+    boolean masks at once (the window, the permuted window, the causal
+    filter and its result; a written copy comes after), about 64 bytes a
+    token of permutation and band index arrays, for SVG about 300 bytes of
+    text a cell (its element, the joined document and its copy), and about
+    eight passes over the n^2 cells."""
+    return 4 * n * n + 64 * n + (300 * n * n if svg else 0), 8 * n * n
+
+
 def cmd_maskviz(args) -> int:
-    _check_positive(n=args.n, w=args.w)
+    # the full causal mask has no window
+    _check_positive(n=args.n, w=None if args.kind == "full" else args.w)
     if args.format == "pgm" and args.n > 512:
         raise UsageError("image output is capped at n <= 512")
     if args.format == "svg" and args.n > 128:
         raise UsageError("svg mask output is capped at n <= 128")
+    _check_cost("maskviz", _maskviz_cost(args.n, args.format == "svg"), "--n")
     if args.kind == "full":
         mask = intersect_causal(np.ones((args.n, args.n), dtype=bool))
     else:
@@ -385,26 +464,26 @@ def cmd_cost(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gradcheck_cost(n: int, d_h: int, instances: int) -> tuple[int, int, int]:
-    """Estimated (bytes, score cells, flops) of a gradcheck run: each instance
-    runs a plus and a minus dense forward of n^2 score cells for each of its
-    3 n d_h input coordinates, at 4 d_h flops a cell (scores and values),
-    and holds about six n x (n + d_h) float64 arrays at once (the dense
-    backward's, or one bumped pair's scores and softmax work arrays)."""
+def _gradcheck_cost(n: int, d_h: int, instances: int) -> tuple[int, int]:
+    """Estimated (bytes, flops) of a gradcheck run: each instance runs a plus
+    and a minus dense forward of n^2 score cells for each of its 3 n d_h
+    input coordinates, at 4 d_h flops a cell (scores and values). It holds
+    about six n x (n + d_h) float64 arrays (the dense backward's) and, for
+    the forwards, stacked over as many coordinates as fit MC_CHUNK_BYTES at
+    16 n max(n, d_h) bytes a coordinate (at least one), about six arrays of
+    a chunk's size: the last chunk's outputs, the bumped inputs, the scores,
+    two softmax work arrays and the outputs."""
     cells = instances * 6 * n ** 3 * d_h
-    return 6 * 8 * n * (n + d_h), cells, 4 * d_h * cells
+    chunk = max(MC_CHUNK_BYTES, 16 * n * max(n, d_h))
+    return 6 * 8 * n * (n + d_h) + 6 * chunk, 4 * d_h * cells
 
 
 def cmd_gradcheck(args) -> int:
     _check_positive(n=args.n, dh=args.dh, instances=args.instances)
     if args.n < 2:
         raise UsageError("--n must be at least 2: the audited window spans two tokens")
-    est_bytes, est_cells, est_flops = _gradcheck_cost(args.n, args.dh, args.instances)
-    if est_bytes > MAX_GRADCHECK_BYTES or est_flops > MAX_GRADCHECK_FLOPS:
-        raise UsageError(f"gradcheck would hold about {est_bytes >> 20} MiB and evaluate about "
-                         f"{est_cells:.1e} score cells ({est_flops:.1e} flops), over the "
-                         f"{MAX_GRADCHECK_BYTES >> 20} MiB / {MAX_GRADCHECK_FLOPS:.0e} flop cap; "
-                         f"lower --n, --dh or --instances")
+    _check_cost("gradcheck", _gradcheck_cost(args.n, args.dh, args.instances),
+                "--n, --dh or --instances")
     report = gradcheck(SeededRng(args.seed), n=args.n, d_h=args.dh, instances=args.instances,
                        perturb=args.perturb_backward)
     result = dict(report["measured"], passed=report["passed"], command="gradcheck",
@@ -420,12 +499,46 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _stats_cost(stat: str, n: int, w: int, d: int, trials: int) -> tuple[int, int]:
+    """Estimated (bytes, entries) of a stats run. Trials run in chunks of as
+    many as fit MC_CHUNK_BYTES at a trial's bytes below (at least one); a
+    chunk holds about eight arrays of that size. With V the bytes of the
+    n x d float64 values:
+    - bias: seven V-sized arrays (the values, two running sums, the final
+      moments) and (n + 2w) d float64 window sums a trial, about ten
+      passes over each window's (n + w) d sums;
+    - variance: three V-sized arrays, the whole n x w int64 window table
+      (one row is read), the (trials, d) float64 sample means five times
+      (the samples, shifted, centred, squared, per-trial sums), and
+      max(n, w d) entries a trial, about 2n + 4wd of them touched;
+    - bvdecomp: about sixteen V-sized arrays (the values, reference outputs,
+      gates and biases), the right-hand batch of (trials - anchor) / 2 samples
+      twice (the batch and its variance's copy), the two d x d float64 gate
+      matrices with a finite check, and n w d gathered values a trial, about
+      n w (2d + 4) entries a trial and 4 n d^2 flops of gate products."""
+    value = n * d * 8
+    if stat == "bias":
+        per_trial, held, work = (n + 2 * w) * d * 8, 7 * value, 10 * trials * (2 * n + 3 * w) * d
+    elif stat == "variance":
+        per_trial = max(n, w * d) * 8
+        held = 3 * value + n * w * 8 + 5 * trials * d * 8
+        work = trials * (2 * n + 4 * w * d)
+    else:
+        n_rhs = (trials - max(50, trials // 10)) // 2
+        per_trial = n * w * d * 8
+        held = (2 * n_rhs + 16) * value + 17 * d * d
+        work = trials * n * w * (2 * d + 4) + 4 * n * d * d
+    return held + 8 * max(MC_CHUNK_BYTES, per_trial), work
+
+
 def cmd_stats(args) -> int:
     _check_positive(n=args.n, w=args.w, d=args.d, trials=args.trials)
     if args.stat == "bvdecomp" and args.trials < 100:
         raise UsageError("--trials must be at least 100 for bvdecomp's pilot and audit batches")
     if args.trials < 2:
         raise UsageError("--trials must be at least 2 to estimate a standard error")
+    _check_cost(f"stats {args.stat}", _stats_cost(args.stat, args.n, args.w, args.d, args.trials),
+                "--n, --w, --d or --trials")
     rng = SeededRng(args.seed)
     v = rng.child(7, 0).uniform(-1.0, 1.0, size=(args.n, args.d))
     if args.stat == "bias":

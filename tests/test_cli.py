@@ -52,63 +52,156 @@ class TestExitCodes:
         ["coverage", "--n", 64, "--w", 8, "--layers", 1000000, "--seeds", 1],
         ["coverage", "--n", 8192, "--w", 8192, "--layers", 1, "--seeds", 1,
          "--convention", "causal", "--modes", "fused"],
+        ["coverage", "--n", 100000],
         ["spectrum", "--n", 8192],
         ["spectrum", "--n", 256, "--perms", 100000],
         ["gradcheck", "--n", 4096, "--dh", 64],
         ["gradcheck", "--n", 128, "--dh", 64, "--instances", 100000],
+        ["stats", "bias", "--d", 1_000_000_000],
+        ["stats", "bvdecomp", "--n", 16, "--w", 4, "--d", 200_000, "--trials", 100],
+        ["stats", "variance", "--n", 16, "--w", 4, "--trials", 2_000_000_000],
+        ["stats", "bvdecomp", "--n", 8192, "--w", 16, "--trials", 10000],
+        ["smallworld", "--n", 8192, "--w", 8192],
+        ["connprob", "--causal", "--n", 8192, "--w", 8192],
+        ["--format", "csv", "maskviz", "--n", 8192],
+        ["stats", "bias", "--d", 10**400],
     ], ids=["connprob-n1", "exhaustive-n9", "gradcheck-n1", "bvdecomp-trials50",
             "smallworld-w1", "smallworld-w2", "smallworld-w3", "precision-negative",
             "duplicate-seeds", "verify-only-empty", "maskviz-json", "coverage-json",
             "coverage-pgm", "cost-json", "cost-pgm", "verify-csv", "coverage-w-over-n",
             "coverage-modes-empty", "spectrum-n1", "bias-trials1", "variance-trials1",
             "cost-w-over-length", "coverage-layers-bytes", "coverage-causal-table-bytes",
-            "spectrum-n-bytes", "spectrum-perms-flops", "gradcheck-n-bytes",
-            "gradcheck-instances-flops"])
+            "coverage-n-rows-bytes", "spectrum-n-bytes", "spectrum-perms-flops",
+            "gradcheck-n-bytes", "gradcheck-instances-flops", "bias-d-values-bytes",
+            "bvdecomp-d-gates-bytes", "variance-trials-samples-bytes",
+            "bvdecomp-n-batch-bytes", "smallworld-table-bytes", "connprob-causal-table-bytes",
+            "maskviz-csv-n-bytes", "bias-d-past-float-range"])
     def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, args):
         assert run(["--out", tmp_path, *args]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_spectrum_guard_refuses_before_any_solve(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("entry,args", [
+        ("simulate_reachability", ["coverage", "--n", 100000]),
+        ("simulate_reachability", ["coverage", "--n", 64, "--w", 8, "--layers", 10**6]),
+        ("connprob", ["connprob", "--n", 256, "--trials", 10**10]),
+        ("connprob_causal", ["connprob", "--causal", "--n", 8192, "--w", 8192]),
+        ("layer_edges", ["smallworld", "--n", 8192, "--w", 8192]),
+        ("layer_edges", ["smallworld", "--n", 8192, "--w", 128]),
+        ("spectrum", ["spectrum", "--n", 4096]),
+        ("spectrum", ["spectrum", "--n", 64, "--depth", 10**6]),
+        ("layer_mask", ["--format", "csv", "maskviz", "--n", 8192]),
+        ("intersect_causal", ["--format", "csv", "maskviz", "--kind", "full", "--n", 8192]),
+        ("gradcheck", ["gradcheck", "--n", 4096, "--dh", 64]),
+        ("gradcheck", ["gradcheck", "--n", 8, "--instances", 10**9]),
+        ("sa_bias_mc", ["stats", "bias", "--d", 10**9]),
+        ("sa_variance_mc", ["stats", "variance", "--n", 16, "--w", 4, "--trials", 2 * 10**9]),
+        ("fusion_bv_decompose", ["stats", "bvdecomp", "--n", 8192, "--w", 16]),
+    ], ids=["coverage-n-bytes", "coverage-layers-bytes", "connprob-trials-work",
+            "connprob-causal-table-bytes", "smallworld-table-bytes", "smallworld-draw-bytes",
+            "spectrum-n-bytes", "spectrum-depth-flops", "maskviz-csv-bytes",
+            "maskviz-full-csv-bytes", "gradcheck-n-bytes", "gradcheck-instances-flops",
+            "bias-d-bytes", "variance-trials-bytes", "bvdecomp-n-bytes"])
+    def test_cost_guard_refuses_before_any_compute(self, tmp_path, monkeypatch, entry, args):
         from stochattn import cli
 
         def never(*args, **kwargs):
-            raise AssertionError("the guard must refuse before the check runs")
+            raise AssertionError("the guard must refuse before the command computes")
 
-        monkeypatch.setattr(cli, "spectrum", never)
-        assert run(["--out", tmp_path, "spectrum", "--n", 4096]) == 1
-        assert run(["--out", tmp_path, "spectrum", "--n", 64, "--depth", 10**6]) == 1
+        monkeypatch.setattr(cli, entry, never)
+        assert run(["--out", tmp_path, *args]) == 1
 
     def test_spectrum_cost_estimates(self):
-        from stochattn.cli import MAX_SPECTRUM_BYTES, MAX_SPECTRUM_FLOPS, _spectrum_cost
+        from stochattn.cli import MAX_BYTES, _spectrum_cost
         assert _spectrum_cost(256, 20, 3, 20) == (2 * 2**20, 530 * 256**3)
-        # the command's defaults and verify's sizes stay far inside the caps
-        for sizes in [(256, 20, 3, 20), (64, 20, 3, 10), (128, 20, 3, 10)]:
-            est_bytes, est_flops = _spectrum_cost(*sizes)
-            assert est_bytes < MAX_SPECTRUM_BYTES and est_flops < MAX_SPECTRUM_FLOPS / 100
-        assert _spectrum_cost(8192, 1, 1, 1)[0] > MAX_SPECTRUM_BYTES
-
-    def test_gradcheck_guard_refuses_before_any_forward(self, tmp_path, monkeypatch):
-        from stochattn import cli
-
-        def never(*args, **kwargs):
-            raise AssertionError("the guard must refuse before the check runs")
-
-        monkeypatch.setattr(cli, "gradcheck", never)
-        assert run(["--out", tmp_path, "gradcheck", "--n", 4096, "--dh", 64]) == 1
-        assert run(["--out", tmp_path, "gradcheck", "--n", 8, "--instances", 10**9]) == 1
+        assert _spectrum_cost(8192, 1, 1, 1)[0] > MAX_BYTES
 
     def test_gradcheck_cost_estimates(self):
-        from stochattn.cli import MAX_GRADCHECK_BYTES, MAX_GRADCHECK_FLOPS, _gradcheck_cost
-        # 20 instances x 6 n^3 d_h score cells at n = 8, d_h = 4; 4 d_h flops a cell
-        assert _gradcheck_cost(8, 4, 20) == (48 * 8 * 12, 245_760, 16 * 245_760)
-        # the command's defaults and the sizes the checks run stay far inside the caps
-        for sizes in [(8, 4, 20), (8, 4, 10), (5, 3, 10), (64, 16, 1)]:
-            est_bytes, _, est_flops = _gradcheck_cost(*sizes)
-            assert est_bytes < MAX_GRADCHECK_BYTES and est_flops < MAX_GRADCHECK_FLOPS / 100
-        assert _gradcheck_cost(4096, 1, 1)[0] > MAX_GRADCHECK_BYTES
-        assert _gradcheck_cost(128, 64, 1)[2] < MAX_GRADCHECK_FLOPS < _gradcheck_cost(256, 64, 1)[2]
+        from stochattn.cli import MAX_BYTES, MAX_WORK, MC_CHUNK_BYTES, _gradcheck_cost
+        # 20 instances x 6 n^3 d_h score cells at n = 8, d_h = 4; 4 d_h flops a
+        # cell; six n x (n + d_h) arrays plus six of a 1 MiB forward chunk
+        assert _gradcheck_cost(8, 4, 20) == (48 * 8 * 12 + 6 * MC_CHUNK_BYTES, 16 * 245_760)
+        assert _gradcheck_cost(4096, 1, 1)[0] > MAX_BYTES
+        assert _gradcheck_cost(128, 64, 1)[1] < MAX_WORK < _gradcheck_cost(256, 64, 1)[1]
+
+    @pytest.mark.parametrize("args", [
+        # the commands' defaults
+        ["coverage"], ["connprob"], ["connprob", "--causal"], ["smallworld"], ["spectrum"],
+        ["maskviz"], ["--format", "csv", "maskviz"], ["--format", "svg", "maskviz"],
+        ["gradcheck"], ["stats", "bias"], ["stats", "variance"], ["stats", "bvdecomp"],
+        # the README's examples
+        ["coverage", "--n", 2048, "--w", 32, "--modes", "swa,sa", "--layers", 8, "--seeds", 100],
+        ["connprob", "--n", 256, "--w", 16, "--trials", 100000],
+        ["maskviz", "--kind", "sa", "--n", 27, "--w", 8],
+        ["smallworld", "--n", 1024, "--w", 16, "--seeds", 20],
+        ["spectrum", "--n", 256, "--w", 8, "--depth", 3, "--seeds", 20],
+        ["gradcheck", "--n", 8, "--dh", 4, "--instances", 20],
+        ["stats", "bias", "--n", 256, "--w", 16, "--trials", 10000],
+        # the sizes verify's checks run
+        ["coverage", "--n", 1024, "--w", 32, "--seeds", 40],
+        ["connprob", "--n", 128, "--w", 8, "--trials", 20000],
+        ["connprob", "--causal", "--n", 128, "--w", 8, "--trials", 2000],
+        ["smallworld", "--n", 512, "--w", 16, "--seeds", 10],
+        ["spectrum", "--n", 64, "--w", 8, "--perms", 20, "--depth", 3, "--seeds", 10],
+        ["spectrum", "--n", 128, "--w", 8, "--perms", 20, "--depth", 3, "--seeds", 10],
+        ["gradcheck", "--n", 8, "--dh", 4, "--instances", 10],
+        ["gradcheck", "--n", 5, "--dh", 3, "--instances", 10],
+        ["gradcheck", "--n", 64, "--dh", 16, "--instances", 1],
+        ["stats", "variance", "--n", 64, "--w", 8, "--d", 4, "--trials", 4000],
+        ["stats", "bias", "--n", 128, "--w", 8, "--d", 4, "--trials", 4000],
+        ["stats", "bvdecomp", "--n", 32, "--w", 8, "--d", 4, "--trials", 4000],
+    ])
+    def test_everyday_runs_stay_far_inside_the_caps(self, tmp_path, monkeypatch, args):
+        from stochattn import cli
+
+        class Estimated(Exception):
+            pass
+
+        def record(command, cost, lower):
+            raise Estimated(cost)
+
+        monkeypatch.setattr(cli, "_check_cost", record)
+        with pytest.raises(Estimated) as estimated:
+            run(["--out", tmp_path, *args])
+        est_bytes, est_work = estimated.value.args[0]
+        assert est_bytes < cli.MAX_BYTES and est_work < cli.MAX_WORK / 100
+
+    # One size a command: its estimate is at least 16 MiB (gradcheck's 6 MiB:
+    # a 16 MiB gradcheck, n = 342, runs about 6 s) and it runs in seconds.
+    # tracemalloc sees numpy's arrays but not LAPACK's workspace or scipy's
+    # assignment solver, whose buffers the estimates leave out.
+    @pytest.mark.parametrize("args", [
+        ["coverage"],
+        ["connprob", "--causal", "--n", 2048, "--w", 1024, "--trials", 5],
+        ["smallworld"],
+        ["spectrum", "--n", 725, "--perms", 1, "--depth", 1, "--seeds", 1],
+        ["--format", "csv", "maskviz", "--kind", "union", "--n", 2048],
+        ["gradcheck", "--n", 48, "--dh", 64, "--instances", 1],
+        ["stats", "bias", "--n", 64, "--w", 32, "--d", 20000, "--trials", 3],
+        ["stats", "variance", "--n", 16, "--w", 4, "--trials", 500000],
+        ["stats", "bvdecomp", "--n", 64, "--w", 4, "--d", 1, "--trials", 100000],
+    ], ids=lambda args: "-".join(map(str, args[:3])))
+    def test_estimate_bounds_the_traced_peak(self, tmp_path, monkeypatch, args):
+        import tracemalloc
+
+        from stochattn import cli
+        costs = []
+        guard = cli._check_cost
+
+        def guard_then_trace(command, cost, lower):
+            guard(command, cost, lower)
+            costs.append(cost)
+            tracemalloc.start()
+
+        monkeypatch.setattr(cli, "_check_cost", guard_then_trace)
+        try:
+            assert run(["--out", tmp_path, *args]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (est_bytes, _), = costs
+        assert peak <= est_bytes
 
     def test_perturbed_backward_fails_gradcheck(self, tmp_path):
         assert run(["--out", tmp_path, "gradcheck", "--instances", 2,
@@ -245,12 +338,14 @@ class TestMaskviz:
         meta = "stochattn maskviz kind=swa seed=4 n=27 w=8 convention=causal"
         assert got == self._expected_swa_pgm(27, 8, meta)
 
-    def test_full_causal_is_lower_triangle(self, tmp_path):
-        assert run(["--out", tmp_path, "maskviz", "--kind", "full", "--n", 9,
-                    "--w", 4]) == 0
+    # the full mask has no window: the default --w 8 may exceed --n
+    @pytest.mark.parametrize("n,window", [(9, ["--w", 4]), (4, [])],
+                             ids=["n9-w4", "n4-default-w"])
+    def test_full_causal_is_lower_triangle(self, tmp_path, n, window):
+        assert run(["--out", tmp_path, "maskviz", "--kind", "full", "--n", n, *window]) == 0
         body = (tmp_path / "mask_full.pgm").read_bytes().split(b"255\n", 1)[1]
-        pix = np.frombuffer(body, dtype=np.uint8).reshape(9, 9)
-        assert np.array_equal(pix == 255, np.tril(np.ones((9, 9), dtype=bool)))
+        pix = np.frombuffer(body, dtype=np.uint8).reshape(n, n)
+        assert np.array_equal(pix == 255, np.tril(np.ones((n, n), dtype=bool)))
 
     def test_stochastic_mask_reaches_off_band(self, tmp_path):
         assert run(["--seed", 6, "--out", tmp_path, "maskviz", "--kind", "sa",
