@@ -11,6 +11,7 @@ in a metadata comment (CSV/PGM) or field (JSON) and never carry timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -145,25 +146,29 @@ def _parse_seeds(raw: str):
 def _coverage_cost(n: int, w: int, layers: int, seeds: int, modes: list[str],
                    causal: bool) -> tuple[int, int]:
     """Estimated (bytes, word ORs) of a coverage run. A curve holds its seeds'
-    (layers + 1) x n int64 counts five times at once: the per-seed list,
-    their stack, the fractions, the pooled copy and the median's copy. A
+    (layers + 1) x n float64 fractions once, one seed's int64 counts while
+    that seed runs, and three seeds x (layers + 1) float64 arrays of per-seed
+    means (the last curve's, the new means and their contiguous copy). A
     seed's simulation holds packed reachability rows of n bits in whole
     64-bit words: about 5n + 3w of them under the circular convention (the
     rows, their permuted copy, two wrap-padded OR buffers and the overlap
-    copy of an in-place OR), and two sets of n under the causal one, with
-    three n x 2w (n x w without fused) int64 neighbour tables and two
-    gathers of up to _GATHER_BYTES or one token's neighbour rows. Per seed
-    and layer each row ORs about 2 log2(w) + 4 rows (circular: shifted
-    doublings and gathers), or one row per neighbour (causal)."""
+    copy of an in-place OR) and four int64 n-arrays (the layer's permutation,
+    its inverse and the index temporaries of drawing and applying them),
+    and two sets of n under the causal one, with three n x 2w (n x w
+    without fused) int64 neighbour tables and two gathers of up to
+    _GATHER_BYTES or one token's neighbour rows. Per seed and layer each row
+    ORs about 2 log2(w) + 4 rows (circular: shifted doublings and gathers),
+    or one row per neighbour (causal); every layer is counted, as a seed
+    need not saturate before the last."""
     words = -(-n // 64)
     width = 2 * w if "fused" in modes else w
     if causal:
         rows = 2 * n * 8 * words + 3 * n * width * 8 + 2 * max(_GATHER_BYTES, width * 8 * words)
         per_row = width
     else:
-        rows = (5 * n + 3 * w) * 8 * words
+        rows = (5 * n + 3 * w) * 8 * words + 4 * n * 8
         per_row = 2 * w.bit_length() + 4
-    return (5 * seeds * (layers + 1) * n * 8 + rows,
+    return ((seeds + 1) * (layers + 1) * n * 8 + 3 * seeds * (layers + 1) * 8 + rows,
             len(modes) * seeds * layers * n * words * per_row)
 
 
@@ -507,10 +512,9 @@ def _stats_cost(stat: str, n: int, w: int, d: int, trials: int) -> tuple[int, in
     - bias: seven V-sized arrays (the values, two running sums, the final
       moments) and (n + 2w) d float64 window sums a trial, about ten
       passes over each window's (n + w) d sums;
-    - variance: three V-sized arrays, the whole n x w int64 window table
-      (one row is read), the (trials, d) float64 sample means five times
-      (the samples, shifted, centred, squared, per-trial sums), and
-      max(n, w d) entries a trial, about 2n + 4wd of them touched;
+    - variance: three V-sized arrays, the (trials, d) float64 sample means
+      five times (the samples, shifted, centred, squared, per-trial sums),
+      and max(n, w d) entries a trial, about 2n + 4wd of them touched;
     - bvdecomp: about sixteen V-sized arrays (the values, reference outputs,
       gates and biases), the right-hand batch of (trials - anchor) / 2 samples
       twice (the batch and its variance's copy), the two d x d float64 gate
@@ -521,7 +525,7 @@ def _stats_cost(stat: str, n: int, w: int, d: int, trials: int) -> tuple[int, in
         per_trial, held, work = (n + 2 * w) * d * 8, 7 * value, 10 * trials * (2 * n + 3 * w) * d
     elif stat == "variance":
         per_trial = max(n, w * d) * 8
-        held = 3 * value + n * w * 8 + 5 * trials * d * 8
+        held = 3 * value + 5 * trials * d * 8
         work = trials * (2 * n + 4 * w * d)
     else:
         n_rhs = (trials - max(50, trials // 10)) // 2
@@ -604,7 +608,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The process's one parser, built on the first call. Parsing does not
+    change it, so ``main`` reuses it rather than rebuilding nine subcommands
+    on every call; callers must not modify it."""
     parser = _Parser(
         prog="stochattn",
         description=__doc__,

@@ -138,6 +138,9 @@ def _propagate_circular(reached: np.ndarray, back: int, fwd: int,
 
 def _simulate_seed_circular(n: int, w: int, layers: int, mode: RoutingMode,
                             rng: SeededRng) -> np.ndarray:
+    """(layers + 1, n) reached counts of one seed, row l after l layers.
+    Stops once every row holds all n tokens, which every later layer keeps,
+    and fills the remaining rows with n."""
     back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
     reached = _pack_identity(n)
     counts = np.empty((layers + 1, n), dtype=np.int64)
@@ -154,6 +157,9 @@ def _simulate_seed_circular(n: int, w: int, layers: int, mode: RoutingMode,
             reached = (_propagate_circular(reached, back, fwd, None)
                        | _propagate_circular(reached, back, fwd, perm))
         counts[ell] = _popcount_rows(reached)
+        if counts[ell].min() == n:
+            counts[ell + 1:] = n
+            break
     return counts
 
 
@@ -216,16 +222,24 @@ def layer_edges(n: int, w: int, mode: RoutingMode, convention: Convention,
 
 def _simulate_seed_causal(n: int, w: int, layers: int, mode: RoutingMode,
                           rng: SeededRng) -> np.ndarray:
+    """(layers + 1, n) reached counts of one seed, row l after l layers.
+    Row i can reach only tokens 0..i; the run stops once every row holds all
+    of them, which every later layer keeps, and fills the remaining rows
+    with i + 1."""
     reached = _pack_identity(n)
     spare = np.empty_like(reached)
     counts = np.empty((layers + 1, n), dtype=np.int64)
     counts[0] = 1
+    full = np.arange(1, n + 1)
     for ell in range(1, layers + 1):
         table = _layer_neighbours(n, w, mode, Convention.CAUSAL_ONE_SIDED, rng)
         indptr = np.arange(0, table.size + 1, table.shape[1])
         _or_neighbours(reached, indptr, table.ravel(), spare)
         reached, spare = spare, reached
         counts[ell] = _popcount_rows(reached)
+        if np.array_equal(counts[ell], full):
+            counts[ell + 1:] = full
+            break
     return counts
 
 
@@ -247,6 +261,13 @@ def simulate_reachability(
     indices; each index s runs on the independent stream child(s, 0) of
     ``rng``. SWA is deterministic, so a single simulation is shared across
     seeds.
+
+    A seed's simulation stops at saturation, once every source reaches every
+    token it can (all n circular, tokens 0..i for source i causal): later
+    layers cannot change the reached sets, so their counts are known. Only
+    that seed's own stream then skips its remaining permutation draws, so no
+    reported number changes; the cost grows with the saturation depth (about
+    log_w n for SA), not with ``layers``.
     """
     if layers < 0:
         raise ValueError("layers must be >= 0")
@@ -257,28 +278,26 @@ def simulate_reachability(
     seed_indices = list(range(n_seeds)) if isinstance(n_seeds, int) else [int(s) for s in n_seeds]
     if not seed_indices:
         raise ValueError("need at least one seed")
-    effective = seed_indices[:1] if mode is RoutingMode.SWA else seed_indices
-    per_seed = []
-    for s in effective:
-        seed_rng = rng.child(s, 0)
-        if convention is Convention.SYMMETRIC_CIRCULAR:
-            counts = _simulate_seed_circular(n, w, layers, mode, seed_rng)
-        else:
-            counts = _simulate_seed_causal(n, w, layers, mode, seed_rng)
-        per_seed.append(counts)
-    all_counts = np.stack(per_seed)                       # (seeds, L+1, n)
-    if mode is RoutingMode.SWA and len(seed_indices) > 1:
-        all_counts = np.repeat(all_counts, len(seed_indices), axis=0)
-    frac = all_counts / float(n)
-    pooled = frac.transpose(1, 0, 2).reshape(layers + 1, -1)
+    simulate = (_simulate_seed_circular if convention is Convention.SYMMETRIC_CIRCULAR
+                else _simulate_seed_causal)
+    # layer-major, so each layer's seeds x n fractions are one contiguous row
+    frac = np.empty((layers + 1, len(seed_indices), n))
+    if mode is RoutingMode.SWA:
+        frac[:] = simulate(n, w, layers, mode, rng.child(seed_indices[0], 0))[:, None]
+    else:
+        for k, s in enumerate(seed_indices):
+            frac[:, k] = simulate(n, w, layers, mode, rng.child(s, 0))
+    frac /= n
+    pooled = frac.reshape(layers + 1, -1)
+    mean, lo, hi = pooled.mean(axis=1), pooled.min(axis=1), pooled.max(axis=1)
+    # C order: std over seeds (mean_stderr) then adds whole rows, one seed at a time
+    seed_mean = np.ascontiguousarray(frac.mean(axis=2).T)
     return CoverageCurve(
         n=n, w=w, mode=mode, convention=convention, n_seeds=len(seed_indices),
-        layers=np.arange(layers + 1),
-        mean=pooled.mean(axis=1),
-        lo=pooled.min(axis=1),
-        median=np.median(pooled, axis=1),
-        hi=pooled.max(axis=1),
-        seed_mean=frac.mean(axis=2),
+        layers=np.arange(layers + 1), mean=mean, lo=lo,
+        # last: it reorders each layer's row of frac in place
+        median=np.median(pooled, axis=1, overwrite_input=True),
+        hi=hi, seed_mean=seed_mean,
     )
 
 
@@ -502,6 +521,21 @@ def _random_graph_same_edges(n: int, n_edges: int,
     return rows[order], cols[order]
 
 
+def _first_unreachable(n: int, rows: np.ndarray, cols: np.ndarray,
+                       deg: np.ndarray) -> int | None:
+    """The first node unreachable from node 0 of the graph with both
+    directions of its edges in (rows, cols), sorted by row, and node degrees
+    ``deg``; None if the graph is connected. One BFS, O(n + m)."""
+    # imported here, not with the module: every program imports graphs
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    graph = csr_array((np.ones(cols.size), cols, indptr), shape=(n, n))
+    missing = np.ones(n, dtype=bool)
+    missing[breadth_first_order(graph, 0, return_predecessors=False)] = False
+    return int(np.argmax(missing)) if missing.any() else None
+
+
 def smallworld_metrics(adjacency: np.ndarray, rng: SeededRng | None = None,
                        baselines: int = 10) -> GraphMetrics:
     """Clustering, mean path length, and the small-worldness ratio
@@ -510,7 +544,8 @@ def smallworld_metrics(adjacency: np.ndarray, rng: SeededRng | None = None,
     C_rand is the analytic density mean_degree/(n-1); L_rand is averaged
     over ``baselines`` sampled random graphs (disconnected samples are
     redrawn, up to a bounded number of retries; NoConnectedBaselineError
-    when they run out).
+    when they run out). A disconnected graph raises DisconnectedGraphError
+    as ``graph_path_length`` does.
     """
     if rng is None:
         rng = SeededRng(0)
@@ -520,22 +555,30 @@ def smallworld_metrics(adjacency: np.ndarray, rng: SeededRng | None = None,
 def _smallworld_metrics(n: int, rows: np.ndarray, cols: np.ndarray, rng: SeededRng,
                         baselines: int) -> GraphMetrics:
     """``smallworld_metrics`` of the graph with edge list (n, rows, cols), as
-    ``_edges`` returns it."""
-    path_length = _path_length(n, rows, cols)
-    clustering = _clustering(n, rows, cols)
+    ``_edges`` returns it. Connectivity, of the graph and then of each
+    baseline draw, is tested in O(n + m) (a draw with an isolated node by its
+    degrees alone), and the baselines are measured before the graph's own
+    all-pairs BFS, so either failure is reported before the expensive work."""
+    if n < 2:
+        raise ValueError(f"smallworld_metrics needs n >= 2, got n={n}")
+    node = _first_unreachable(n, rows, cols, np.bincount(rows, minlength=n))
+    if node is not None:
+        raise DisconnectedGraphError(node)
     n_edges = rows.size // 2
-    mean_degree = 2.0 * n_edges / n
-
     lengths = []
     attempts = 0
     while len(lengths) < baselines:
         if attempts > 20 * baselines:
             raise NoConnectedBaselineError(n, n_edges, attempts)
         attempts += 1
-        try:
-            lengths.append(_path_length(n, *_random_graph_same_edges(n, n_edges, rng)))
-        except DisconnectedGraphError:
+        r_rows, r_cols = _random_graph_same_edges(n, n_edges, rng)
+        deg = np.bincount(r_rows, minlength=n)
+        if deg.min() == 0 or _first_unreachable(n, r_rows, r_cols, deg) is not None:
             continue
+        lengths.append(_path_length(n, r_rows, r_cols))
+    path_length = _path_length(n, rows, cols)
+    clustering = _clustering(n, rows, cols)
+    mean_degree = 2.0 * n_edges / n
     path_length_rand = float(np.mean(lengths))
     clustering_rand = mean_degree / (n - 1)
     sigma = (clustering / clustering_rand) / (path_length / path_length_rand)

@@ -183,7 +183,8 @@ def sa_variance_mc(v, w: int, trials: int, rng: SeededRng | None = None) -> Vari
         rng = SeededRng(0)
     v = as_matrix(v, "v")
     n, d = v.shape
-    slot_window = window_neighbours(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR))[0]
+    back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
+    slot_window = np.arange(-back, fwd + 1) % n     # row 0 of window_neighbours
     ys = np.empty((trials, d))
     for lo, hi in trial_chunks(trials, max(n, w * d) * 8):
         token_of_slot = rng.permutations(hi - lo, n)

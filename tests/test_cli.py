@@ -1,6 +1,7 @@
 """CLI contracts: exit codes, schemas, determinism of emitted files."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -180,6 +181,9 @@ class TestExitCodes:
         ["gradcheck", "--n", 48, "--dh", 64, "--instances", 1],
         ["stats", "bias", "--n", 64, "--w", 32, "--d", 20000, "--trials", 3],
         ["stats", "variance", "--n", 16, "--w", 4, "--trials", 500000],
+        # reads one window row, not an n x w table
+        pytest.param(["stats", "variance", "--n", 50000, "--w", 50000, "--trials", 3],
+                     id="stats-variance-n50000-w50000"),
         ["stats", "bvdecomp", "--n", 64, "--w", 4, "--d", 1, "--trials", 100000],
     ], ids=lambda args: "-".join(map(str, args[:3])))
     def test_estimate_bounds_the_traced_peak(self, tmp_path, monkeypatch, args):
@@ -214,6 +218,39 @@ class TestExitCodes:
         data = json.loads((tmp_path / "gradcheck.json").read_text())
         assert data["passed"] is True
         assert data["dq"] <= 1e-6
+
+
+class TestRepeatedCalls:
+    # commands, a usage error argparse reports, one the command reports, then
+    # a valid run
+    SEQUENCE = [
+        ["verify", "--only", "cost,connectome"],
+        ["--seed", 3, "coverage", "--n", 64, "--w", 8, "--layers", 3, "--seeds", 2],
+        ["coverage", "--bogus"],
+        ["coverage", "--n", -5],
+        ["--format", "svg", "cost", "--lengths", "16,32", "--w", 4],
+    ]
+
+    def _call(self, args, out, capsys):
+        try:
+            code = run(["--out", out, *args])
+        except SystemExit as exc:
+            code = exc.code
+        std = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        return code, std.out.replace(str(out), "OUT"), std.err, files
+
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, capsys):
+        from stochattn import cli
+        in_turn = [self._call(args, tmp_path / "turn" / str(i), capsys)
+                   for i, args in enumerate(self.SEQUENCE)]
+        assert cli.build_parser() is cli.build_parser()
+        alone = []
+        for i, args in enumerate(self.SEQUENCE):
+            cli.build_parser.cache_clear()      # as a fresh process starts
+            alone.append(self._call(args, tmp_path / "alone" / str(i), capsys))
+        assert [call[0] for call in in_turn] == [0, 0, 1, 1, 0]
+        assert in_turn == alone
 
 
 class TestCoverage:
@@ -296,6 +333,16 @@ class TestSmallworld:
         }
         want = json.dumps(oracle, sort_keys=True, indent=2) + "\n"
         assert (tmp_path / "smallworld.json").read_bytes() == want.encode("ascii")
+
+    def test_too_sparse_fails_before_the_ring_bfs(self, tmp_path, capsys):
+        # the baselines' isolated nodes are found by counting degrees, before
+        # the 4096-node ring's own all-pairs BFS
+        start = time.perf_counter()
+        assert run(["--out", tmp_path, "smallworld", "--n", 4096, "--w", 4, "--seeds", 1,
+                    "--baselines", 1]) == 1
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: none of 21 random graphs") and err.count("\n") == 1
 
 
 class TestConnprob:

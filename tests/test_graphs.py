@@ -108,19 +108,25 @@ class TestReachability:
         # the packed sliding-OR propagation against the literal route:
         # build each layer's mask densely and propagate with a matrix product
         for mode in RoutingMode:
-            for n, w, layers in [(16, 4, 5), (32, 8, 4), (33, 5, 6), (24, 24, 2)]:
+            for n, w, layers in [(16, 4, 5), (32, 8, 4), (33, 5, 6), (24, 24, 2), (24, 12, 8)]:
                 fast = _simulate_seed_circular(n, w, layers, mode, SeededRng(40))
                 dense = _dense_reachability(n, w, layers, mode,
                                             Convention.SYMMETRIC_CIRCULAR, SeededRng(40))
                 assert np.array_equal(fast, dense), (mode, n, w)
+            # the last case saturates by layer 3, so the engine fills the layers after
+            assert np.all(dense[3:] == n), mode
 
     @pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
     def test_causal_neighbour_lists_match_dense_mask_propagation(self, mode):
-        for n, w, layers in [(16, 4, 5), (33, 5, 6), (40, 1, 3), (24, 24, 3), (70, 9, 4)]:
+        for n, w, layers in [(16, 4, 5), (33, 5, 6), (40, 1, 3), (24, 24, 3), (70, 9, 4),
+                             (16, 16, 6), (12, 12, 8)]:
             fast = _simulate_seed_causal(n, w, layers, mode, SeededRng(41))
             dense = _dense_reachability(n, w, layers, mode,
                                         Convention.CAUSAL_ONE_SIDED, SeededRng(41))
             assert np.array_equal(fast, dense), (mode, n, w)
+        # the last case saturates (row i holds tokens 0..i) by layer 4, so the
+        # engine fills the layers after
+        assert np.all(dense[4:] == np.arange(1, n + 1)), mode
 
     @given(st.integers(1, 96).flatmap(lambda n: st.tuples(
         st.just(n), st.integers(1, n), st.integers(1, 3), st.integers(0, 2**32 - 1))))
@@ -132,6 +138,23 @@ class TestReachability:
         back, fwd = WindowSpec(w).offsets()
         assert np.array_equal(_window_or_circular(rows, back, fwd),
                               _roll_window_or_circular(rows, back, fwd))
+
+    def test_propagation_stops_at_saturation(self, monkeypatch):
+        calls = []
+        propagate = graphs._propagate_circular
+
+        def counted(*args):
+            calls.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(graphs, "_propagate_circular", counted)
+        layers = 12
+        curve = simulate_reachability(256, 16, layers, RoutingMode.SA, rng=SeededRng(8))
+        # one seed: full mean coverage means every row holds every token
+        depth = layers_to_coverage(curve, 1.0)
+        assert depth is not None and depth < layers
+        assert len(calls) == depth
+        assert np.all(curve.lo[depth:] == 1.0)
 
     def test_layer_zero_is_self_only(self):
         for mode in RoutingMode:
@@ -469,6 +492,21 @@ class TestSmallWorld:
             got[rows, cols] = True
             assert np.array_equal(got, want | want.T)
             assert rows.size == 2 * n_edges and np.all(np.diff(rows) >= 0)
+
+    def test_smallworld_names_the_node_the_path_length_names(self):
+        # the O(n + m) connectivity test against the all-pairs BFS's report
+        rng = np.random.default_rng(27)
+        for n, density in [(30, 0.2), (50, 0.1), (12, 0.3), (40, 0.06), (64, 0.05)]:
+            side = rng.random(n) < 0.3          # no edge joins the two sides
+            side[0], side[-1] = False, True
+            adj = (rng.random((n, n)) < density) & (side[:, None] == side)
+            adj = adj | adj.T
+            np.fill_diagonal(adj, False)
+            with pytest.raises(DisconnectedGraphError) as want:
+                graph_path_length(adj)
+            with pytest.raises(DisconnectedGraphError) as got:
+                smallworld_metrics(adj, SeededRng(n), baselines=2)
+            assert got.value.node == want.value.node
 
     def test_too_sparse_for_a_connected_baseline(self):
         # a 64-cycle: a random graph with 64 edges on 64 nodes is almost never connected
