@@ -51,14 +51,13 @@ from .masks import (
     build_stochastic_mask,
     build_window_mask,
     intersect_causal,
-    mask_density,
     mask_to_csv,
     mask_to_pgm,
     symmetrize,
     window_neighbours,
 )
 from .numerics import FullyMaskedRowError, SeededRng, derive_seed, masked_row_softmax
-from .permute import Permutation, identity_permutation, invert, permute_rows, sample_permutation
+from .permute import Permutation, permute_rows, sample_permutation
 from .stats import (
     BiasReport,
     BVReport,
@@ -67,7 +66,6 @@ from .stats import (
     sa_bias_mc,
     sa_variance_exact,
     sa_variance_mc,
-    uniform_sa_output,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Attention kernels: masked full attention, sliding-window attention (SWA),
 stochastic attention (SA = permute -> windowed attention -> un-permute),
-rotary embeddings on original positions, gated SA+SWA fusion, and an
-analytic backward pass for the masked core.
+rotary embeddings on original positions (row p at position p), gated
+SA+SWA fusion, and an analytic backward pass for the masked core.
 
 ``swa_forward`` and ``sa_forward`` share one banded windowed-attention core
 (``_windowed_attention``): the keys are extended by the window's w-1
@@ -393,53 +393,40 @@ def sa_forward(
     return _windowed_attention(inp.q, inp.k, inp.v, w, keys, p.inverse)
 
 
-def _rope_rotations(pos: np.ndarray, d_h: int, base: float) -> np.ndarray:
-    """(len(pos), d_h/2) complex table exp(i * pos * base^(-2k/d_h))."""
+@functools.lru_cache(maxsize=8)
+def _rope_table(n: int, d_h: int, base: float) -> np.ndarray:
+    """Read-only (n, d_h/2) complex table exp(i * p * base^(-2k/d_h)) of
+    positions p = 0..n-1: cos and sin of large angles cost more than the
+    rotation itself, and a model repeats lengths."""
     inv_freq = base ** (-np.arange(0, d_h, 2, dtype=np.float64) / d_h)
-    ang = pos[:, None] * inv_freq[None, :]
+    ang = np.arange(n, dtype=np.float64)[:, None] * inv_freq[None, :]
     table = np.empty(ang.shape, dtype=np.complex128)
     np.cos(ang, out=table.real)
     np.sin(ang, out=table.imag)
-    return table
-
-
-@functools.lru_cache(maxsize=8)
-def _rope_table(n: int, d_h: int, base: float) -> np.ndarray:
-    """Read-only rotation table of positions 0..n-1: cos and sin of large
-    angles cost more than the rotation itself, and a model repeats lengths."""
-    table = _rope_rotations(np.arange(n, dtype=np.float64), d_h, base)
     table.flags.writeable = False
     return table
 
 
-def rope_apply(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
-    """Rotary position embedding on consecutive coordinate pairs.
+def rope_apply(x: np.ndarray, base: float) -> np.ndarray:
+    """Rotary position embedding on consecutive coordinate pairs, row p at
+    position p.
 
-    Pair k of a row at position p is rotated by angle p * base^(-2k/d_h),
-    that is, ``x[2k] + i*x[2k+1]`` is multiplied by ``exp(i*p*base^(-2k/d_h))``
-    (RoFormer). Must be applied before any permutation, with original
-    positions, so that the relative-offset property q_m . k_n == q_{m+s} .
-    k_{n+s} refers to true sequence distances. ``x`` is ``(n, d_h)`` or a
-    stack ``(..., n, d_h)``, which may be a strided view (a head-major view
-    of an ``(n, d)`` projection, say); it is read as complex pairs in place,
-    after a copy only if its last axis is not unit-stride. One complex table
-    serves the whole stack; the table of positions 0..n-1 is cached per
-    ``(n, d_h, base)``. The result is a new C-ordered array.
+    Pair k of row p is rotated by angle p * base^(-2k/d_h), that is,
+    ``x[2k] + i*x[2k+1]`` is multiplied by ``exp(i*p*base^(-2k/d_h))``
+    (RoFormer). Rows are original token positions, so this must be applied
+    before any permutation: the relative-offset property q_m . k_n ==
+    q_{m+s} . k_{n+s} then refers to true sequence distances. ``x`` is
+    ``(n, d_h)`` or a stack ``(..., n, d_h)``, which may be a strided view
+    (a head-major view of an ``(n, d)`` projection, say); it is read as
+    complex pairs in place, after a copy only if its last axis is not
+    unit-stride. One complex table, cached per ``(n, d_h, base)``, serves
+    the whole stack. The result is a new C-ordered array.
     """
     x = as_matrices(x, "x")
     n, d_h = x.shape[-2:]
     if d_h % 2 != 0:
         raise ValueError(f"rotary embedding needs an even head dimension, got {d_h}")
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape != (n,):
-        raise ValueError("positions must have one entry per row")
-    if not np.isfinite(pos).all():
-        raise ValueError("positions must be finite")
-    base = _check_rope_base(base)
-    if np.array_equal(pos, np.arange(n)):
-        table = _rope_table(n, d_h, base)
-    else:
-        table = _rope_rotations(pos, d_h, base)
+    table = _rope_table(n, d_h, _check_rope_base(base))
     if x.strides[-1] != x.itemsize:
         x = x.copy()
     out = np.empty(x.shape[:-1] + (d_h // 2,), dtype=np.complex128)
@@ -513,7 +500,7 @@ def dual_path_layer(
 
     perm = sample_permutation(n, rng)
     qk_full = np.hstack([x, x]) if w_qk is None else x @ w_qk
-    qk = rope_apply(heads(qk_full), np.arange(n, dtype=np.int64), cfg.rope_base)
+    qk = rope_apply(heads(qk_full), cfg.rope_base)
     del qk_full
     # q and k are the two disjoint halves of one stack. They must never
     # share a buffer: numpy's matmul computes q @ q.T through BLAS syrk,

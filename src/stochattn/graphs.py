@@ -127,42 +127,6 @@ def _window_or_circular(s: np.ndarray, back: int, fwd: int) -> np.ndarray:
     return buf[:n]
 
 
-def _propagate_circular(reached: np.ndarray, back: int, fwd: int,
-                        perm: Permutation | None) -> np.ndarray:
-    if perm is None:
-        return _window_or_circular(reached, back, fwd)
-    s = reached[perm.inverse]
-    w_or = _window_or_circular(s, back, fwd)
-    return w_or[perm.forward]
-
-
-def _simulate_seed_circular(n: int, w: int, layers: int, mode: RoutingMode,
-                            rng: SeededRng) -> np.ndarray:
-    """(layers + 1, n) reached counts of one seed, row l after l layers.
-    Stops once every row holds all n tokens, which every later layer keeps,
-    and fills the remaining rows with n."""
-    back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
-    reached = _pack_identity(n)
-    counts = np.empty((layers + 1, n), dtype=np.int64)
-    counts[0] = 1
-    for ell in range(1, layers + 1):
-        perm = None
-        if mode in (RoutingMode.SA, RoutingMode.FUSED):
-            perm = sample_permutation(n, rng)
-        if mode is RoutingMode.SWA:
-            reached = _propagate_circular(reached, back, fwd, None)
-        elif mode is RoutingMode.SA:
-            reached = _propagate_circular(reached, back, fwd, perm)
-        else:
-            reached = (_propagate_circular(reached, back, fwd, None)
-                       | _propagate_circular(reached, back, fwd, perm))
-        counts[ell] = _popcount_rows(reached)
-        if counts[ell].min() == n:
-            counts[ell + 1:] = n
-            break
-    return counts
-
-
 def layer_mask(n: int, w: int, mode: RoutingMode, convention: Convention,
                rng: SeededRng) -> np.ndarray:
     """Dense mask of one layer: the window (SWA), the permuted window drawn
@@ -220,22 +184,36 @@ def layer_edges(n: int, w: int, mode: RoutingMode, convention: Convention,
     return n, rows, cols
 
 
-def _simulate_seed_causal(n: int, w: int, layers: int, mode: RoutingMode,
-                          rng: SeededRng) -> np.ndarray:
+def _simulate_seed(n: int, w: int, layers: int, mode: RoutingMode, convention: Convention,
+                   rng: SeededRng) -> np.ndarray:
     """(layers + 1, n) reached counts of one seed, row l after l layers.
-    Row i can reach only tokens 0..i; the run stops once every row holds all
-    of them, which every later layer keeps, and fills the remaining rows
-    with i + 1."""
+
+    A circular layer ORs each row's window in O(log w) shifted ORs, of the
+    rows in slot order for SA (a permutation drawn from ``rng``); a causal
+    layer ORs the rows of each token's ``_layer_neighbours``. Row i can reach
+    every token (circular) or tokens 0..i (causal); the run stops once every
+    row holds all it can, which every later layer keeps, and fills the
+    remaining rows with that count."""
+    circular = convention is Convention.SYMMETRIC_CIRCULAR
+    back, fwd = WindowSpec(w, convention).offsets()
+    full = np.full(n, n) if circular else np.arange(1, n + 1)
     reached = _pack_identity(n)
-    spare = np.empty_like(reached)
     counts = np.empty((layers + 1, n), dtype=np.int64)
     counts[0] = 1
-    full = np.arange(1, n + 1)
     for ell in range(1, layers + 1):
-        table = _layer_neighbours(n, w, mode, Convention.CAUSAL_ONE_SIDED, rng)
-        indptr = np.arange(0, table.size + 1, table.shape[1])
-        _or_neighbours(reached, indptr, table.ravel(), spare)
-        reached, spare = spare, reached
+        if not circular:
+            table = _layer_neighbours(n, w, mode, convention, rng)
+            step = np.empty_like(reached)
+            _or_neighbours(reached, np.arange(0, table.size + 1, table.shape[1]), table.ravel(),
+                           step)
+        elif mode is RoutingMode.SWA:
+            step = _window_or_circular(reached, back, fwd)
+        else:
+            perm = sample_permutation(n, rng)
+            step = _window_or_circular(reached[perm.inverse], back, fwd)[perm.forward]
+            if mode is RoutingMode.FUSED:
+                step |= _window_or_circular(reached, back, fwd)
+        reached = step
         counts[ell] = _popcount_rows(reached)
         if np.array_equal(counts[ell], full):
             counts[ell + 1:] = full
@@ -248,8 +226,8 @@ def simulate_reachability(
     w: int,
     layers: int,
     mode: RoutingMode,
-    convention: Convention = Convention.SYMMETRIC_CIRCULAR,
-    rng: SeededRng | None = None,
+    convention: Convention,
+    rng: SeededRng,
     n_seeds=1,
 ) -> CoverageCurve:
     """Propagate exact per-source reachability through ``layers`` attention
@@ -273,20 +251,17 @@ def simulate_reachability(
         raise ValueError("layers must be >= 0")
     if not 1 <= w <= n:
         raise ValueError(f"window size must satisfy 1 <= w <= n, got w={w}, n={n}")
-    if rng is None:
-        rng = SeededRng(0)
     seed_indices = list(range(n_seeds)) if isinstance(n_seeds, int) else [int(s) for s in n_seeds]
     if not seed_indices:
         raise ValueError("need at least one seed")
-    simulate = (_simulate_seed_circular if convention is Convention.SYMMETRIC_CIRCULAR
-                else _simulate_seed_causal)
     # layer-major, so each layer's seeds x n fractions are one contiguous row
     frac = np.empty((layers + 1, len(seed_indices), n))
     if mode is RoutingMode.SWA:
-        frac[:] = simulate(n, w, layers, mode, rng.child(seed_indices[0], 0))[:, None]
+        frac[:] = _simulate_seed(n, w, layers, mode, convention,
+                                 rng.child(seed_indices[0], 0))[:, None]
     else:
         for k, s in enumerate(seed_indices):
-            frac[:, k] = simulate(n, w, layers, mode, rng.child(s, 0))
+            frac[:, k] = _simulate_seed(n, w, layers, mode, convention, rng.child(s, 0))
     frac /= n
     pooled = frac.reshape(layers + 1, -1)
     mean, lo, hi = pooled.mean(axis=1), pooled.min(axis=1), pooled.max(axis=1)
@@ -351,7 +326,7 @@ def _circular_hits(a, b, n: int, back: int, fwd: int):
 
 
 def connection_probability_mc(
-    n: int, w: int, trials: int, causal: bool = False, rng: SeededRng | None = None,
+    n: int, w: int, trials: int, causal: bool = False, *, rng: SeededRng,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of the stochastic-window connection probability.
 
@@ -364,8 +339,6 @@ def connection_probability_mc(
         raise ValueError("trials must be >= 1")
     if n < 2:
         raise ValueError(f"a token pair needs n >= 2, got n={n}")
-    if rng is None:
-        rng = SeededRng(0)
     spec = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR)
     if not causal:
         back, fwd = spec.offsets()
@@ -536,7 +509,7 @@ def _first_unreachable(n: int, rows: np.ndarray, cols: np.ndarray,
     return int(np.argmax(missing)) if missing.any() else None
 
 
-def smallworld_metrics(adjacency: np.ndarray, rng: SeededRng | None = None,
+def smallworld_metrics(adjacency: np.ndarray, rng: SeededRng,
                        baselines: int = 10) -> GraphMetrics:
     """Clustering, mean path length, and the small-worldness ratio
     (C/C_rand)/(L/L_rand) against edge-count-matched uniform random graphs.
@@ -547,8 +520,6 @@ def smallworld_metrics(adjacency: np.ndarray, rng: SeededRng | None = None,
     when they run out). A disconnected graph raises DisconnectedGraphError
     as ``graph_path_length`` does.
     """
-    if rng is None:
-        rng = SeededRng(0)
     return _smallworld_metrics(*_edges(adjacency), rng, baselines)
 
 
@@ -679,7 +650,7 @@ class MixingReport:
 
 
 def multilayer_mixing(n: int, w: int, depth: int, n_seeds: int,
-                      rng: SeededRng | None = None) -> MixingReport:
+                      rng: SeededRng) -> MixingReport:
     """Second-eigenvalue modulus of depth-layer products of independent
     stochastic-layer walks, against the depth-th power of the single-layer
     circulant value.
@@ -690,8 +661,6 @@ def multilayer_mixing(n: int, w: int, depth: int, n_seeds: int,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if rng is None:
-        rng = SeededRng(0)
     circ = circulant_spectrum(n, w)
     lam2 = np.empty(n_seeds)
     for s in range(n_seeds):

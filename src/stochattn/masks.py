@@ -113,12 +113,6 @@ def intersect_causal(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def mask_density(m: np.ndarray) -> float:
-    """Fraction of unmasked entries over all n^2 cells."""
-    m = np.asarray(m, dtype=bool)
-    return float(m.sum()) / float(m.size)
-
-
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Undirected version of a mask: edge present if either direction is."""
     m = np.asarray(m, dtype=bool)

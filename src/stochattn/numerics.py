@@ -99,27 +99,27 @@ def trial_chunks(trials: int, bytes_per_trial: int):
         yield lo, min(lo + step, trials)
 
 
-def _require_finite(x: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(x)):
+def as_matrices(x, name: str = "matrices") -> np.ndarray:
+    """Coerce a bool, integer or real-float matrix or stack of matrices
+    ``(..., rows, cols)`` to finite float64. A strided float64 view stays a
+    view; any other dtype (complex, strings, objects) is a ValueError."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold bool, integer or real-float values, "
+                         f"got dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
+    if a.ndim < 2:
+        raise ValueError(f"{name} must be 2-D or a stack of 2-D arrays, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains NaN or Inf entries")
-
-
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite float64 2-D array."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    _require_finite(a, name)
     return a
 
 
-def as_matrices(x, name: str = "matrices") -> np.ndarray:
-    """Coerce to a finite float64 matrix or stack of matrices ``(..., rows,
-    cols)``. A strided view stays a view."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim < 2:
-        raise ValueError(f"{name} must be 2-D or a stack of 2-D arrays, got shape {a.shape}")
-    _require_finite(a, name)
+def as_matrix(x, name: str = "matrix") -> np.ndarray:
+    """``as_matrices`` of exactly one matrix."""
+    a = as_matrices(x, name)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     return a
 
 

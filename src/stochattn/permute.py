@@ -5,13 +5,13 @@ Row-placement convention, used everywhere in this package:
     permute_rows(x, p)[i] == x[p.inverse[i]]
 
 i.e. row ``i`` of the permuted matrix is the token that lands at slot ``i``
-(token ``j`` moves to slot ``p.forward[j]``). Un-permuting with ``invert(p)``
-restores the input bit-exactly.
+(token ``j`` moves to slot ``p.forward[j]``). Un-permuting with
+``Permutation(p.inverse)`` restores the input bit-exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,44 +20,44 @@ from .numerics import SeededRng
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection on {0..n-1} with its inverse precomputed.
+    """A bijection on {0..n-1}, given by its ``forward`` array.
 
-    ``forward[i]`` is the slot token i moves to; ``inverse[s]`` is the token
-    occupying slot s.
+    ``forward[i]`` is the slot token i moves to; ``inverse[s]``, derived
+    from it, is the token occupying slot s.
     """
 
     forward: np.ndarray
-    inverse: np.ndarray
+    inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        fwd = np.asarray(self.forward, dtype=np.int64)
-        inv = np.asarray(self.inverse, dtype=np.int64)
+        fwd = np.asarray(self.forward)
+        if fwd.ndim != 1 or fwd.dtype.kind not in "iu":
+            raise ValueError(f"forward must be a 1-D integer array, got shape {fwd.shape} "
+                             f"and dtype {fwd.dtype}")
+        fwd = fwd.astype(np.int64, copy=False)
+        n = fwd.shape[0]
+        bad = f"forward must hold each of 0..{n - 1} exactly once"
+        # viewed as unsigned, a negative entry is out of range too
+        if n and fwd.view(np.uint64).max() >= n:
+            raise ValueError(bad)
+        inv = np.full(n, -1, dtype=np.int64)
+        inv[fwd] = np.arange(n)
+        # n entries in range fill every slot only if none repeats
+        if n and inv.min() < 0:
+            raise ValueError(bad)
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "inverse", inv)
-        n = fwd.shape[0]
-        if fwd.ndim != 1 or inv.shape != (n,):
-            raise ValueError("forward and inverse must be 1-D arrays of equal length")
-        if not np.array_equal(inv[fwd], np.arange(n)):
-            raise ValueError("inverse is not the inverse of forward")
 
     @property
     def n(self) -> int:
         return self.forward.shape[0]
 
 
-def identity_permutation(n: int) -> Permutation:
-    idx = np.arange(n, dtype=np.int64)
-    return Permutation(idx, idx.copy())
-
-
 def sample_permutation(n: int, rng: SeededRng) -> Permutation:
     """Draw a permutation uniformly over the symmetric group on n elements."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    forward = rng.permutation(n).astype(np.int64)
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[forward] = np.arange(n, dtype=np.int64)
-    return Permutation(forward, inverse)
+    return Permutation(rng.permutation(n))
 
 
 def inverse_rows(forward: np.ndarray) -> np.ndarray:
@@ -67,10 +67,6 @@ def inverse_rows(forward: np.ndarray) -> np.ndarray:
     inverse = np.empty_like(forward)
     inverse[np.arange(trials)[:, None], forward] = np.arange(n)
     return inverse
-
-
-def invert(p: Permutation) -> Permutation:
-    return Permutation(p.inverse, p.forward)
 
 
 def permute_rows(x: np.ndarray, p: Permutation) -> np.ndarray:

@@ -104,13 +104,7 @@ def _uniform_sa_outputs(v: np.ndarray, forward: np.ndarray, w: int) -> np.ndarra
     return np.take(slot_means.reshape(-1, d), forward + n * np.arange(trials)[:, None], axis=0)
 
 
-def uniform_sa_output(v: np.ndarray, perm, w: int) -> np.ndarray:
-    """Uniform-attention stochastic output for every token: the mean of v
-    over each token's circular window in permuted order (self included)."""
-    return _uniform_sa_outputs(as_matrix(v, "v"), perm.forward[None], w)[0]
-
-
-def sa_bias_mc(v, ws, trials: int, rng: SeededRng | None = None) -> BiasReport:
+def sa_bias_mc(v, ws, trials: int, rng: SeededRng) -> BiasReport:
     """Average the uniform-attention stochastic output over fresh
     permutations and report its distance from the value mean.
 
@@ -122,8 +116,6 @@ def sa_bias_mc(v, ws, trials: int, rng: SeededRng | None = None) -> BiasReport:
     v = as_matrix(v, "v")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if rng is None:
-        rng = SeededRng(0)
     n, d = v.shape
     v_bar = v.mean(axis=0)
     ws = [int(w) for w in (ws if np.iterable(ws) else [ws])]
@@ -168,7 +160,7 @@ def sa_variance_exact(v, w: int) -> VarianceReport:
                           exact=exact, bound=bound)
 
 
-def sa_variance_mc(v, w: int, trials: int, rng: SeededRng | None = None) -> VarianceReport:
+def sa_variance_mc(v, w: int, trials: int, rng: SeededRng) -> VarianceReport:
     """Monte-Carlo variance of the uniform-attention stochastic output at a
     fixed permuted slot.
 
@@ -179,8 +171,6 @@ def sa_variance_mc(v, w: int, trials: int, rng: SeededRng | None = None) -> Vari
     base = sa_variance_exact(v, w)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if rng is None:
-        rng = SeededRng(0)
     v = as_matrix(v, "v")
     n, d = v.shape
     back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
@@ -238,7 +228,7 @@ def _causal_uniform_sa_samples(v: np.ndarray, w: int, rng: SeededRng,
 
 
 def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
-                        rng: SeededRng | None = None) -> BVReport:
+                        rng: SeededRng) -> BVReport:
     """Audit the bias-variance split of the gated dual path against uniform
     full causal attention.
 
@@ -259,8 +249,6 @@ def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
     v = as_matrix(v, "v")
     if trials < 100:
         raise ValueError("need at least 100 trials to form pilot and audit batches")
-    if rng is None:
-        rng = SeededRng(0)
     n, d = v.shape
     if gates.d != d:
         raise ValueError(f"gate width {gates.d} does not match value width {d}")

@@ -14,6 +14,7 @@ from stochattn import (
     Convention,
     GateParams,
     LayerConfig,
+    Permutation,
     SeededRng,
     WindowSpec,
     attention_backward,
@@ -22,9 +23,7 @@ from stochattn import (
     build_window_mask,
     dual_path_layer,
     gated_fusion,
-    identity_permutation,
     intersect_causal,
-    invert,
     permute_rows,
     rope_apply,
     sa_forward,
@@ -43,12 +42,13 @@ def _random_inputs(rng, n, d_h):
     return AttentionInputs(q, k, v)
 
 
-def _rope_pairs(x, positions, base=10000.0):
+def _rope_pairs(x, base):
     """Oracle: RoPE as real rotations of the even and odd coordinate slices,
-    (x_2k, x_2k+1) -> (x_2k cos - x_2k+1 sin, x_2k sin + x_2k+1 cos)."""
-    d_h = x.shape[-1]
+    (x_2k, x_2k+1) -> (x_2k cos - x_2k+1 sin, x_2k sin + x_2k+1 cos), row p
+    at position p."""
+    n, d_h = x.shape[-2:]
     inv_freq = base ** (-np.arange(0, d_h, 2, dtype=np.float64) / d_h)
-    ang = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
+    ang = np.arange(n, dtype=np.float64)[:, None] * inv_freq[None, :]
     cos, sin = np.cos(ang), np.sin(ang)
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty(x.shape)
@@ -69,13 +69,12 @@ def _per_head_layer(x, cfg, g, rng, projections=None):
         q_full = k_full = v_full = x
     else:
         q_full, k_full, v_full = (x @ m for m in projections)
-    positions = np.arange(n)
     perm = sample_permutation(n, rng)
     y_swa_heads, y_sa_heads = [], []
     for head in range(cfg.h):
         sl = slice(head * cfg.d_h, (head + 1) * cfg.d_h)
-        q = rope_apply(q_full[:, sl], positions, cfg.rope_base)
-        k = rope_apply(k_full[:, sl], positions, cfg.rope_base)
+        q = rope_apply(q_full[:, sl], cfg.rope_base)
+        k = rope_apply(k_full[:, sl], cfg.rope_base)
         inp = AttentionInputs(q, k, v_full[:, sl])
         y_swa_heads.append(swa_forward(inp, cfg.w))
         y_sa_heads.append(sa_forward(inp, cfg.w, perm, Convention.CAUSAL_ONE_SIDED))
@@ -161,7 +160,7 @@ class TestSa:
     def test_identity_permutation_is_swa_bit_for_bit(self):
         rng = SeededRng(8)
         inp = _random_inputs(rng, 14, 4)
-        out = sa_forward(inp, 4, identity_permutation(14), Convention.CAUSAL_ONE_SIDED)
+        out = sa_forward(inp, 4, Permutation(np.arange(14)), Convention.CAUSAL_ONE_SIDED)
         assert np.array_equal(out, swa_forward(inp, 4))
 
     def test_window_covering_sequence_is_full_causal(self):
@@ -176,7 +175,7 @@ class TestSa:
             np.testing.assert_allclose(out, full, atol=1e-12)
         # one-sided windows keep the slot order, so this degeneracy needs
         # the identity permutation
-        out = sa_forward(inp, 9, identity_permutation(9), Convention.CAUSAL_ONE_SIDED)
+        out = sa_forward(inp, 9, Permutation(np.arange(9)), Convention.CAUSAL_ONE_SIDED)
         np.testing.assert_allclose(out, full, atol=1e-12)
 
     def test_equivalent_to_masked_attention(self):
@@ -312,7 +311,7 @@ class TestBlockedKernels:
         with pytest.raises(ValueError):
             swa_forward(inp, 7)
         with pytest.raises(ValueError):
-            sa_forward(inp, 0, identity_permutation(6))
+            sa_forward(inp, 0, Permutation(np.arange(6)))
 
     def test_peak_memory_is_linear_in_n(self):
         # one dense n x n float64 array at n = 8192 is 512 MB
@@ -358,11 +357,10 @@ class TestHeadStack:
            st.integers(0, 2**32 - 1))
     def test_rope_equals_each_head(self, n, h, d_h, seed):
         x = np.random.default_rng(seed).normal(size=(n, h * d_h))
-        positions = np.arange(n) * 3
-        out = rope_apply(x.reshape(n, h, d_h).transpose(1, 0, 2), positions, 500.0)
+        out = rope_apply(x.reshape(n, h, d_h).transpose(1, 0, 2), 500.0)
         assert out.shape == (h, n, d_h) and out.flags.c_contiguous
         for head in range(h):
-            one = rope_apply(x[:, head * d_h:(head + 1) * d_h], positions, 500.0)
+            one = rope_apply(x[:, head * d_h:(head + 1) * d_h], 500.0)
             assert np.array_equal(out[head], one)
 
     def test_permute_rows_gathers_every_head(self):
@@ -371,7 +369,7 @@ class TestHeadStack:
         out = permute_rows(x, p)
         for head in range(3):
             assert np.array_equal(out[head], permute_rows(x[head], p))
-        assert np.array_equal(permute_rows(out, invert(p)), x)
+        assert np.array_equal(permute_rows(out, Permutation(p.inverse)), x)
         with pytest.raises(ValueError):
             permute_rows(np.arange(10.0), p)
 
@@ -423,36 +421,37 @@ class TestRope:
     def test_position_zero_unchanged(self):
         rng = SeededRng(13)
         x = np.asarray(rng.normal(size=(4, 8)))
-        out = rope_apply(x, np.zeros(4))
-        np.testing.assert_allclose(out, x, atol=1e-15)
+        out = rope_apply(x, 10000.0)
+        np.testing.assert_allclose(out[0], x[0], atol=1e-15)
 
     def test_pair_norms_preserved(self):
         rng = SeededRng(14)
         x = np.asarray(rng.normal(size=(6, 10)))
-        out = rope_apply(x, np.arange(6) * 17)
+        out = rope_apply(x, 10000.0)
         for k in range(5):
             before = np.hypot(x[:, 2 * k], x[:, 2 * k + 1])
             after = np.hypot(out[:, 2 * k], out[:, 2 * k + 1])
             np.testing.assert_allclose(before, after, atol=1e-12)
 
     def test_relative_offset_property(self):
-        # the rotated inner product depends only on the position gap
+        # the rotated inner product depends only on the position gap: the
+        # same q and k at every row, compared across rows
         rng = SeededRng(15)
-        q = np.asarray(rng.normal(size=(1, 8)))
-        k = np.asarray(rng.normal(size=(1, 8)))
+        q = np.repeat(np.asarray(rng.normal(size=(1, 8))), 121, axis=0)
+        k = np.repeat(np.asarray(rng.normal(size=(1, 8))), 121, axis=0)
+        scores = rope_apply(q, 10000.0) @ rope_apply(k, 10000.0).T
         for m, nn, s in [(3, 11, 5), (0, 7, 100), (20, 21, 13)]:
-            a = rope_apply(q, [m]) @ rope_apply(k, [nn]).T
-            b = rope_apply(q, [m + s]) @ rope_apply(k, [nn + s]).T
-            assert abs(a[0, 0] - b[0, 0]) <= 1e-10
+            assert abs(scores[m, nn] - scores[m + s, nn + s]) <= 1e-10
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
-            rope_apply(np.zeros((2, 3)), [0, 1])
+            rope_apply(np.zeros((2, 3)), 10000.0)
 
     @given(st.integers(1, 40), st.sampled_from([1, 2, 4]), st.sampled_from([2, 4, 8, 64]),
            st.sampled_from(["head", "head_major", "stack", "strided"]),
            st.sampled_from([500.0, 10000.0]), st.integers(0, 2**32 - 1))
     @example(4096, 4, 64, "stack", 10000.0, 0)
+    @example(8192, 1, 2, "strided", 500.0, 1)
     def test_matches_real_rotation_oracle(self, n, h, d_h, layout, base, seed):
         rng = np.random.default_rng(seed)
         if layout == "head":
@@ -463,20 +462,16 @@ class TestRope:
             x = rng.normal(size=(2 * h, n, d_h))
         else:
             x = rng.normal(size=(n, 2 * d_h))[:, ::2]
-        positions = rng.integers(0, 8192, size=n)
-        out = rope_apply(x, positions, base)
+        out = rope_apply(x, base)
         assert out.shape == x.shape and out.flags.c_contiguous
-        assert np.abs(out - _rope_pairs(x, positions, base)).max() <= 1e-14
+        assert np.abs(out - _rope_pairs(x, base)).max() <= 1e-14
 
-    @pytest.mark.parametrize("base, position", [
-        (0.0, 1.0), (-5.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-        (10000.0, np.nan), (10000.0, np.inf), (10000.0, -np.inf),
-    ])
-    def test_bad_base_or_position_is_one_line_value_error(self, base, position):
+    @pytest.mark.parametrize("base", [0.0, -5.0, np.nan, np.inf])
+    def test_bad_base_is_one_line_value_error(self, base):
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            with pytest.raises(ValueError) as err:
-                rope_apply(np.ones((2, 4)), [0.0, position], base)
+            with pytest.raises(ValueError, match="rotary base") as err:
+                rope_apply(np.ones((2, 4)), base)
         assert "\n" not in str(err.value)
 
     @pytest.mark.parametrize("base", [0.0, -5.0, np.nan, np.inf])
@@ -636,6 +631,38 @@ class TestBackward:
                 assert rel <= 1e-6
 
 
+class TestInputDtypes:
+    """Matrices are bool, integer or real float; anything else is refused
+    rather than cast (complex parts dropped, strings parsed)."""
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[1 + 2j, 0], [0, 1]]),
+        np.array([["1", "2"], ["3", "4"]]),
+        np.array([[1.0, 0.0], [0.0, 1.0]], dtype=object),
+    ], ids=["complex", "str", "object"])
+    def test_other_dtypes_are_one_line_value_errors(self, bad):
+        ok = np.eye(2)
+        gates = GateParams(ok, ok)
+        calls = [lambda: AttentionInputs(bad, ok, ok), lambda: AttentionInputs(ok, ok, bad),
+                 lambda: GateParams(bad, ok), lambda: GateParams(ok, bad),
+                 lambda: dual_path_layer(bad, LayerConfig(d=2, h=1, w=1), gates, SeededRng(0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="dtype") as err:
+                    call()
+                assert "\n" not in str(err.value)
+
+    def test_bool_and_integer_inputs_are_read_as_float(self):
+        q = np.array([[True, False], [False, True]])
+        k = np.array([[1, 2], [3, 4]], dtype=np.int32)
+        v = np.array([[1, 2], [3, 4]], dtype=np.uint8)
+        inp = AttentionInputs(q, k, v)
+        assert all(a.dtype == np.float64 for a in (inp.q, inp.k, inp.v))
+        assert np.array_equal(inp.k, k) and np.array_equal(inp.v, v)
+        assert np.array_equal(GateParams(q, k).w_gate_swa, np.eye(2))
+
+
 class _IdentityPermRng(SeededRng):
     """Stream whose permutation draw is always the identity arrangement."""
 
@@ -683,7 +710,7 @@ class TestDualPathLayer:
         cfg = LayerConfig(d=4, h=1, w=3)
         gates = GateParams(np.zeros((4, 4)), np.zeros((4, 4)))
         out = dual_path_layer(x, cfg, gates, _IdentityPermRng(0))
-        q = rope_apply(x, np.arange(12), cfg.rope_base)
+        q = rope_apply(x, cfg.rope_base)
         swa = attention_forward(
             AttentionInputs(q, q, x),
             build_window_mask(12, WindowSpec(3, Convention.CAUSAL_ONE_SIDED)))
@@ -698,9 +725,8 @@ class TestDualPathLayer:
         gates = GateParams(np.zeros((4, 4)), np.zeros((4, 4)))
         out = dual_path_layer(x, cfg, gates, _IdentityPermRng(0))
         heads = []
-        positions = np.arange(6)
         for hslice in (slice(0, 2), slice(2, 4)):
-            q = rope_apply(x[:, hslice], positions, cfg.rope_base)
+            q = rope_apply(x[:, hslice], cfg.rope_base)
             heads.append(attention_forward(AttentionInputs(q, q, x[:, hslice]),
                                            np.tril(np.ones((6, 6), dtype=bool))))
         np.testing.assert_allclose(out, np.hstack(heads), atol=1e-12)

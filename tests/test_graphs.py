@@ -47,12 +47,13 @@ from stochattn.graphs import (
     NoConnectedBaselineError,
     _edges,
     _popcount_rows,
-    _simulate_seed_causal,
-    _simulate_seed_circular,
+    _simulate_seed,
     _window_or_circular,
     layer_edges,
     layer_mask,
 )
+
+_CIRCULAR = Convention.SYMMETRIC_CIRCULAR
 
 # Oracle: set bits of every byte value.
 _BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
@@ -109,7 +110,8 @@ class TestReachability:
         # build each layer's mask densely and propagate with a matrix product
         for mode in RoutingMode:
             for n, w, layers in [(16, 4, 5), (32, 8, 4), (33, 5, 6), (24, 24, 2), (24, 12, 8)]:
-                fast = _simulate_seed_circular(n, w, layers, mode, SeededRng(40))
+                fast = _simulate_seed(n, w, layers, mode, Convention.SYMMETRIC_CIRCULAR,
+                                      SeededRng(40))
                 dense = _dense_reachability(n, w, layers, mode,
                                             Convention.SYMMETRIC_CIRCULAR, SeededRng(40))
                 assert np.array_equal(fast, dense), (mode, n, w)
@@ -120,7 +122,7 @@ class TestReachability:
     def test_causal_neighbour_lists_match_dense_mask_propagation(self, mode):
         for n, w, layers in [(16, 4, 5), (33, 5, 6), (40, 1, 3), (24, 24, 3), (70, 9, 4),
                              (16, 16, 6), (12, 12, 8)]:
-            fast = _simulate_seed_causal(n, w, layers, mode, SeededRng(41))
+            fast = _simulate_seed(n, w, layers, mode, Convention.CAUSAL_ONE_SIDED, SeededRng(41))
             dense = _dense_reachability(n, w, layers, mode,
                                         Convention.CAUSAL_ONE_SIDED, SeededRng(41))
             assert np.array_equal(fast, dense), (mode, n, w)
@@ -140,40 +142,46 @@ class TestReachability:
                               _roll_window_or_circular(rows, back, fwd))
 
     def test_propagation_stops_at_saturation(self, monkeypatch):
-        calls = []
-        propagate = graphs._propagate_circular
+        # an SA or FUSED layer draws one permutation, under either convention
+        draws = []
+        draw = graphs.sample_permutation
 
         def counted(*args):
-            calls.append(args)
-            return propagate(*args)
+            draws.append(args)
+            return draw(*args)
 
-        monkeypatch.setattr(graphs, "_propagate_circular", counted)
+        monkeypatch.setattr(graphs, "sample_permutation", counted)
         layers = 12
-        curve = simulate_reachability(256, 16, layers, RoutingMode.SA, rng=SeededRng(8))
-        # one seed: full mean coverage means every row holds every token
-        depth = layers_to_coverage(curve, 1.0)
-        assert depth is not None and depth < layers
-        assert len(calls) == depth
-        assert np.all(curve.lo[depth:] == 1.0)
+        for convention, mode in ((_CIRCULAR, RoutingMode.SA),
+                                 (Convention.CAUSAL_ONE_SIDED, RoutingMode.FUSED)):
+            draws.clear()
+            curve = simulate_reachability(256, 16, layers, mode, convention, rng=SeededRng(8))
+            # one seed, saturated when every row holds all it can: all 256
+            # tokens, or tokens 0..i for row i
+            full = 1.0 if convention is _CIRCULAR else 257 / 512
+            depth = layers_to_coverage(curve, full)
+            assert depth is not None and depth < layers and len(draws) == depth, convention
+            assert np.all(curve.mean[depth:] == full)
 
     def test_layer_zero_is_self_only(self):
         for mode in RoutingMode:
-            curve = simulate_reachability(32, 4, 0, mode, rng=SeededRng(1), n_seeds=3)
+            curve = simulate_reachability(32, 4, 0, mode, _CIRCULAR, rng=SeededRng(1),
+                                          n_seeds=3)
             assert curve.mean[0] == 1 / 32
             assert curve.lo[0] == curve.hi[0] == 1 / 32
 
     def test_swa_circular_closed_form(self):
         n, w, layers = 64, 8, 12
-        curve = simulate_reachability(n, w, layers, RoutingMode.SWA, rng=SeededRng(2))
+        curve = simulate_reachability(n, w, layers, RoutingMode.SWA, _CIRCULAR, rng=SeededRng(2))
         for ell in range(layers + 1):
             assert curve.mean[ell] == min(1.0, (ell * (w - 1) + 1) / n)
 
     def test_monotone_and_fused_dominates(self):
         n, w, layers = 128, 8, 6
-        swa = simulate_reachability(n, w, layers, RoutingMode.SWA, rng=SeededRng(3))
-        fused = simulate_reachability(n, w, layers, RoutingMode.FUSED,
+        swa = simulate_reachability(n, w, layers, RoutingMode.SWA, _CIRCULAR, rng=SeededRng(3))
+        fused = simulate_reachability(n, w, layers, RoutingMode.FUSED, _CIRCULAR,
                                       rng=SeededRng(3), n_seeds=4)
-        sa = simulate_reachability(n, w, layers, RoutingMode.SA,
+        sa = simulate_reachability(n, w, layers, RoutingMode.SA, _CIRCULAR,
                                    rng=SeededRng(3), n_seeds=4)
         for curve in (swa, fused, sa):
             assert np.all(np.diff(curve.mean) >= 0)
@@ -188,22 +196,22 @@ class TestReachability:
         assert np.all(curve.lo == 1 / 24)
 
     def test_sa_first_layer_reaches_exactly_w(self):
-        curve = simulate_reachability(256, 16, 1, RoutingMode.SA,
+        curve = simulate_reachability(256, 16, 1, RoutingMode.SA, _CIRCULAR,
                                       rng=SeededRng(5), n_seeds=3)
         assert curve.mean[1] == 16 / 256
         assert curve.lo[1] == curve.hi[1] == 16 / 256
 
     def test_layers_to_coverage(self):
         n, w = 256, 16
-        curve = simulate_reachability(n, w, 20, RoutingMode.SWA, rng=SeededRng(6))
+        curve = simulate_reachability(n, w, 20, RoutingMode.SWA, _CIRCULAR, rng=SeededRng(6))
         assert layers_to_coverage(curve, 1 / n) == 0
         # growth is (w-1) per layer: ceil((n-1)/(w-1)) layers to saturate
         assert layers_to_coverage(curve, 1.0) == -(-(n - 1) // (w - 1))
-        short = simulate_reachability(n, w, 2, RoutingMode.SWA, rng=SeededRng(6))
+        short = simulate_reachability(n, w, 2, RoutingMode.SWA, _CIRCULAR, rng=SeededRng(6))
         assert layers_to_coverage(short, 1.0) is None
 
     def test_per_seed_depths(self):
-        curve = simulate_reachability(128, 16, 6, RoutingMode.SA,
+        curve = simulate_reachability(128, 16, 6, RoutingMode.SA, _CIRCULAR,
                                       rng=SeededRng(7), n_seeds=5)
         depths = per_seed_layers_to_coverage(curve, 1.0)
         assert depths.shape == (5,)
@@ -287,7 +295,7 @@ class TestConnectionProbability:
     def test_mc_needs_a_pair(self):
         for causal in (False, True):
             with pytest.raises(ValueError):
-                connection_probability_mc(1, 1, 10, causal=causal)
+                connection_probability_mc(1, 1, 10, causal=causal, rng=SeededRng(0))
         with pytest.raises(ValueError):
             connection_probability_exhaustive(1, 1)
 
@@ -383,7 +391,7 @@ class TestGraphRoutesAgainstDense:
             assert graph_path_length(adj) == _oracle_path_length(adj)
             assert graph_clustering(adj) == _oracle_clustering(adj)
         for mode in RoutingMode:
-            fast = _simulate_seed_causal(50, 6, 4, mode, SeededRng(26))
+            fast = _simulate_seed(50, 6, 4, mode, Convention.CAUSAL_ONE_SIDED, SeededRng(26))
             dense = _dense_reachability(50, 6, 4, mode, Convention.CAUSAL_ONE_SIDED,
                                         SeededRng(26))
             assert np.array_equal(fast, dense), mode

@@ -8,14 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from stochattn import (
-    Permutation,
-    SeededRng,
-    identity_permutation,
-    invert,
-    permute_rows,
-    sample_permutation,
-)
+from stochattn import Permutation, SeededRng, permute_rows, sample_permutation
 
 
 class TestSampling:
@@ -54,30 +47,49 @@ class TestSampling:
         assert np.all(np.abs(freq - 1 / n) <= 3 * stderr)
 
     def test_invalid_inverse_rejected(self):
-        with pytest.raises(ValueError):
+        # the inverse is derived from forward, never taken: none can disagree
+        with pytest.raises(TypeError):
             Permutation(np.array([1, 0, 2]), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("forward", [
+        [-1, 0], [0.5, 1.0], [0, 5], [2**64 - 1, 0], [1, 1, 0], [[0, 1], [1, 0]],
+        [True, False], ["0", "1"], [],
+    ], ids=["negative", "fractional", "out_of_range", "uint64_max", "repeated", "2d", "bool",
+            "str", "empty"])
+    def test_malformed_forward_is_one_line_value_error(self, forward):
+        with pytest.raises(ValueError) as err:
+            Permutation(np.array(forward))
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+    def test_any_integer_dtype_is_stored_as_int64(self, dtype):
+        p = Permutation(np.array([2, 0, 1], dtype=dtype))
+        assert p.forward.dtype == p.inverse.dtype == np.int64
+        assert p.inverse.tolist() == [1, 2, 0]
 
 
 class TestInvert:
+    """Un-permuting is ``Permutation(p.inverse)``."""
+
     def test_identity_fixed_point(self):
-        p = identity_permutation(5)
-        assert np.array_equal(invert(p).forward, p.forward)
+        p = Permutation(np.arange(5))
+        assert np.array_equal(Permutation(p.inverse).forward, p.forward)
 
     def test_involution(self):
         p = sample_permutation(12, SeededRng(1))
-        q = invert(invert(p))
+        q = Permutation(Permutation(p.inverse).inverse)
         assert np.array_equal(q.forward, p.forward)
         assert np.array_equal(q.inverse, p.inverse)
 
     def test_swaps_arrays(self):
         p = sample_permutation(9, SeededRng(4))
-        assert np.array_equal(invert(p).forward, p.inverse)
+        assert np.array_equal(Permutation(p.inverse).inverse, p.forward)
 
 
 class TestPermuteRows:
     def test_identity_unchanged(self):
         x = np.arange(12, dtype=float).reshape(4, 3)
-        assert np.array_equal(permute_rows(x, identity_permutation(4)), x)
+        assert np.array_equal(permute_rows(x, Permutation(np.arange(4))), x)
 
     @given(st.integers(1, 64), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @example(1, 1, 0)
@@ -89,14 +101,16 @@ class TestPermuteRows:
         spots = gen.random((n, d)) < 0.2
         x[spots] = gen.choice(specials, size=int(spots.sum()))
         p = sample_permutation(n, SeededRng(seed))
-        for there, back in ((p, invert(p)), (invert(p), p)):
+        q = Permutation(p.inverse)
+        for there, back in ((p, q), (q, p)):
             out = permute_rows(permute_rows(x, there), back)
             assert np.array_equal(out.view(np.uint64), x.view(np.uint64))
 
     def test_cyclic_shift_convention(self):
         # sigma maps 0->1, 1->2, 2->0; slot i receives token inverse[i],
         # so rows [a; b; c] become [c; a; b].
-        p = Permutation(np.array([1, 2, 0]), np.array([2, 0, 1]))
+        p = Permutation(np.array([1, 2, 0]))
+        assert p.inverse.tolist() == [2, 0, 1]
         x = np.array([[1.0], [2.0], [3.0]])  # a, b, c
         out = permute_rows(x, p)
         assert np.array_equal(out, np.array([[3.0], [1.0], [2.0]]))

@@ -22,11 +22,10 @@ from stochattn import (
     sa_variance_exact,
     sa_variance_mc,
     sample_permutation,
-    uniform_sa_output,
     window_neighbours,
 )
 from stochattn import numerics
-from stochattn.stats import _causal_uniform_sa_samples
+from stochattn.stats import _causal_uniform_sa_samples, _uniform_sa_outputs
 
 
 def _dense_causal_uniform_sa_sample(v, w, perm):
@@ -216,7 +215,8 @@ class TestBias:
         n, w, d, seed = case
         v = np.asarray(SeededRng(seed).normal(size=(n, d)))
         perm = sample_permutation(n, SeededRng(seed).child(0, 1))
-        assert np.array_equal(uniform_sa_output(v, perm, w), _loop_uniform_sa_output(v, perm, w))
+        assert np.array_equal(_uniform_sa_outputs(v, perm.forward[None], w)[0],
+                              _loop_uniform_sa_output(v, perm, w))
 
     def test_chunk_memory_is_bounded(self):
         # one unchunked (256, 8192, 4) float64 gather alone is 64 MB
@@ -248,7 +248,7 @@ class TestBias:
         total = np.zeros_like(v)
         for _ in range(trials):
             perm = sample_permutation(n, rng)
-            total += uniform_sa_output(v, perm, w)
+            total += _uniform_sa_outputs(v, perm.forward[None], w)[0]
         mc_mean = total / trials
         expected = v / w + ((w - 1) / (w * (n - 1))) * (v.sum(axis=0)[None, :] - v)
         assert np.abs(mc_mean - expected).max() <= 0.02
