@@ -23,6 +23,10 @@ The windowed kernels, ``rope_apply`` and ``permute_rows`` take one head
 each chunk's validity mask built once for all heads and one batched matmul
 for its scores and one for its values; every head's result is bit-identical
 to running it alone. The kernels return a stack in token-major memory.
+Their scratch (scores, bands, transposed keys, key/value and query rows)
+is carved from one workspace that each thread keeps between calls, up to
+4 MiB: freed scratch goes back to the system and would be faulted in again
+page by page on the next call. Their output is always a fresh array.
 ``dual_path_layer`` runs each stage once per layer on the stack: one GEMM
 projects q and k together, one ``rope_apply`` call rotates both as a
 ``(2h, n, d_h)`` stack, and each path's heads join without a copy.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +44,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .masks import Convention, WindowSpec
 from .numerics import (
+    MC_CHUNK_BYTES,
     SeededRng,
     as_matrices,
     as_matrix,
@@ -217,6 +223,32 @@ def _gather_rows(x: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# Each thread keeps the windowed kernels' scratch between calls, up to this
+# many bytes: freed scratch goes back to the system, and the next call would
+# fault it in page by page again.
+_SCRATCH_KEEP_BYTES = 4 * MC_CHUNK_BYTES
+_scratch = threading.local()
+
+
+def _workspace(*sizes: int) -> list[np.ndarray]:
+    """Flat float64 buffers of the given sizes, each starting at a 64-byte
+    boundary, carved out of one workspace. The workspace is this thread's
+    kept one, grown when a call needs more; a workspace larger than
+    ``_SCRATCH_KEEP_BYTES`` serves one call only and leaves the kept one as
+    it is."""
+    starts = [0]
+    for size in sizes:
+        starts.append(starts[-1] + -(-size // 8) * 8)   # 8 doubles: 64 bytes
+    ws = getattr(_scratch, "buf", None)
+    if ws is None or ws.size < starts[-1]:
+        raw = np.empty(starts[-1] + 7)
+        skip = -raw.ctypes.data % 64 // 8
+        ws = raw[skip:skip + starts[-1]]
+        if raw.nbytes <= _SCRATCH_KEEP_BYTES:
+            _scratch.buf = ws
+    return [ws[a:a + size] for a, size in zip(starts, sizes)]
+
+
 def _windowed_attention(
     q: np.ndarray,
     k: np.ndarray,
@@ -243,8 +275,11 @@ def _windowed_attention(
     one batched matmul for the scores and one for the values over strided
     span views. The softmax runs on each block's w-wide band only; the value
     product reads the span-wide weights, zero off the band. Every head
-    shares the slots and masks, and gets the result it gets alone. Returns
-    ``(..., n, d_h)`` whose memory is token-major ``(n, ..., d_h)``.
+    shares the slots and masks, and gets the result it gets alone. The
+    chunks' scratch comes from ``_workspace``: this thread's kept buffer,
+    or one of the call's own when the plan needs more than
+    ``_SCRATCH_KEEP_BYTES``. Returns a fresh ``(..., n, d_h)`` array, never
+    scratch, whose memory is token-major ``(n, ..., d_h)``.
     """
     lead, (n, d_h) = q.shape[:-2], q.shape[-2:]
     stack, b = math.prod(lead), max(1, w // 4)
@@ -272,8 +307,8 @@ def _windowed_attention(
     # their starts
     nq_max = max(g * bb for _, g, bb in chunks)
     nk_max = nq_max + w - 1
-    scores_buf, t_buf, kt_buf, kv_buf, qy_buf = (np.empty(stack * size) for size in (
-        nq_max * (b + w - 1), nq_max * w, d_h * nk_max, nk_max * d_h, nq_max * d_h))
+    scores_buf, t_buf, kt_buf, kv_buf, qy_buf = _workspace(*(stack * size for size in (
+        nq_max * (b + w - 1), nq_max * w, d_h * nk_max, nk_max * d_h, nq_max * d_h)))
     out = np.empty((n,) + lead + (d_h,)).transpose(*range(1, len(lead) + 1), 0, len(lead) + 1)
 
     def part(buf, *shape):

@@ -48,6 +48,17 @@ class Permutation:
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "inverse", inv)
 
+    @classmethod
+    def _of_bijection(cls, forward: np.ndarray) -> Permutation:
+        """The permutation of a 1-D int64 ``forward`` that is a bijection by
+        construction, such as a draw; nothing is checked."""
+        p = object.__new__(cls)
+        inv = np.empty_like(forward)
+        inv[forward] = np.arange(forward.shape[0])
+        object.__setattr__(p, "forward", forward)
+        object.__setattr__(p, "inverse", inv)
+        return p
+
     @property
     def n(self) -> int:
         return self.forward.shape[0]
@@ -57,7 +68,7 @@ def sample_permutation(n: int, rng: SeededRng) -> Permutation:
     """Draw a permutation uniformly over the symmetric group on n elements."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return Permutation(rng.permutation(n))
+    return Permutation._of_bijection(rng.permutation(n))
 
 
 def inverse_rows(forward: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Attention kernels: forward/backward, the permuted route against the
 mask route, rotary embeddings, and the gated dual path."""
 
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -407,6 +409,84 @@ class TestHeadStack:
         inp = AttentionInputs(np.zeros((2, 4, 2)), np.zeros((2, 4, 2)), np.zeros((2, 4, 2)))
         with pytest.raises(ValueError, match="one head"):
             attention_backward(inp, _causal_full(4), np.zeros((2, 4, 2)))
+
+
+class TestScratch:
+    """The windowed kernels keep their scratch per thread between calls, up
+    to 4 MiB, and never return it."""
+
+    @staticmethod
+    def _kernels(n, w, seed, h=4, d_h=64):
+        """swa_forward and sa_forward in both conventions on one (h, n, d_h)
+        stack, or one head for h None."""
+        rng = np.random.default_rng(seed)
+        shape = (n, d_h) if h is None else (h, n, d_h)
+        inp = AttentionInputs(*(rng.normal(size=shape) for _ in range(3)))
+        perm = sample_permutation(n, SeededRng(seed))
+        return [lambda: swa_forward(inp, w)] + [
+            lambda conv=conv: sa_forward(inp, w, perm, conv) for conv in Convention]
+
+    def test_successive_calls_keep_one_buffer(self):
+        for kernel in self._kernels(512, 64, 0):
+            kernel()
+            kept = attention._scratch.buf
+            kernel()
+            assert attention._scratch.buf is kept
+            assert kept.base.nbytes <= 4 * 2**20
+
+    def test_a_plan_past_the_bound_leaves_the_kept_buffer(self):
+        self._kernels(512, 64, 1)[0]()
+        kept = attention._scratch.buf
+        for kernel in self._kernels(2048, 1024, 1):
+            kernel()
+            assert attention._scratch.buf is kept
+
+    @pytest.mark.parametrize("h", [None, 4])
+    def test_outputs_never_share_the_workspace(self, h):
+        for kernel in self._kernels(320, 64, 2, h):
+            out = kernel()
+            assert not np.shares_memory(out, attention._scratch.buf.base)
+
+    def test_outputs_survive_later_calls(self):
+        first, later = self._kernels(512, 64, 3), self._kernels(512, 64, 4)
+        outs = [kernel() for kernel in first]
+        kept = [out.copy() for out in outs]
+        for kernel in later:
+            kernel()
+        assert all(np.array_equal(out, copy) for out, copy in zip(outs, kept))
+
+    def test_two_threads_match_serial_calls(self):
+        cfg = LayerConfig(d=256, h=4, w=64)
+        params = [_layer_params(np.random.default_rng(40 + t), 256, cfg.d, True)
+                  for t in range(2)]
+
+        def layers(t):
+            x, projections, gates = params[t]
+            rng = SeededRng(40 + t)
+            return [dual_path_layer(x, cfg, gates, rng, projections) for _ in range(10)]
+
+        serial = [layers(t) for t in range(2)]
+        results = [None, None]
+        start = threading.Barrier(2, timeout=60)
+
+        def worker(t):
+            start.wait()
+            results[t] = layers(t)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in range(2):
+            assert results[t] is not None
+            assert all(np.array_equal(a, b) for a, b in zip(results[t], serial[t]))
 
 
 @st.composite

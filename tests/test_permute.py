@@ -67,6 +67,14 @@ class TestSampling:
         assert p.forward.dtype == p.inverse.dtype == np.int64
         assert p.inverse.tolist() == [1, 2, 0]
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 1024])
+    def test_a_draw_equals_the_checked_constructor(self, n):
+        # sample_permutation skips the bijection check its draw cannot fail
+        drawn = sample_permutation(n, SeededRng(n))
+        checked = Permutation(SeededRng(n).permutation(n))
+        for a, b in ((drawn.forward, checked.forward), (drawn.inverse, checked.inverse)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
 
 class TestInvert:
     """Un-permuting is ``Permutation(p.inverse)``."""
