@@ -27,15 +27,24 @@ Their scratch (scores, bands, transposed keys, key/value and query rows)
 is carved from one workspace that each thread keeps between calls, up to
 4 MiB: freed scratch goes back to the system and would be faulted in again
 page by page on the next call. Their output is always a fresh array.
-``dual_path_layer`` runs each stage once per layer on the stack: one GEMM
-projects q and k together, one ``rope_apply`` call rotates both as a
-``(2h, n, d_h)`` stack, and each path's heads join without a copy.
+``dual_path_layer`` runs each stage once per layer on the stack: q and k
+are projected into the two halves of one array, one ``rope_apply`` call
+rotates both as a ``(2h, n, d_h)`` stack, and each path's heads join
+without a copy. The layer uses one extra thread: a worker, made on the
+first call and kept by the process, runs the v projection, ``sa_forward``
+and the SA gate while the calling thread runs the q/k projections with
+RoPE, ``swa_forward`` and the SWA gate, with a join after each pair. The
+calling thread allocates every large array the worker writes (glibc would
+keep the worker's freed pages in an arena of its own). The kernels
+themselves run on one thread each.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -256,6 +265,7 @@ def _windowed_attention(
     w: int,
     keys: np.ndarray,
     rows: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Windowed attention of query slots 0..n-1 over extended key rows.
 
@@ -279,7 +289,9 @@ def _windowed_attention(
     chunks' scratch comes from ``_workspace``: this thread's kept buffer,
     or one of the call's own when the plan needs more than
     ``_SCRATCH_KEEP_BYTES``. Returns a fresh ``(..., n, d_h)`` array, never
-    scratch, whose memory is token-major ``(n, ..., d_h)``.
+    scratch, whose memory is token-major ``(n, ..., d_h)``; or, when given,
+    ``out``, a ``(..., n, d_h)`` float64 array that a gathering call (``rows``
+    given) fills through row scatters, whatever its layout.
     """
     lead, (n, d_h) = q.shape[:-2], q.shape[-2:]
     stack, b = math.prod(lead), max(1, w // 4)
@@ -309,7 +321,9 @@ def _windowed_attention(
     nk_max = nq_max + w - 1
     scores_buf, t_buf, kt_buf, kv_buf, qy_buf = _workspace(*(stack * size for size in (
         nq_max * (b + w - 1), nq_max * w, d_h * nk_max, nk_max * d_h, nq_max * d_h)))
-    out = np.empty((n,) + lead + (d_h,)).transpose(*range(1, len(lead) + 1), 0, len(lead) + 1)
+    if out is None:
+        out = np.empty((n,) + lead + (d_h,)).transpose(*range(1, len(lead) + 1), 0,
+                                                        len(lead) + 1)
 
     def part(buf, *shape):
         """C-ordered ``lead + shape`` view of the start of a flat buffer."""
@@ -394,6 +408,8 @@ def sa_forward(
     w: int,
     p: Permutation,
     convention: Convention = Convention.SYMMETRIC_CIRCULAR,
+    *,
+    _out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stochastic attention: permute rows, run windowed attention in the
     permuted order, un-permute the result.
@@ -414,7 +430,9 @@ def sa_forward(
     rows: wrapped slots for the circular window, masked pads before slot 0
     for the one-sided one) and scatters its outputs back to token order, so
     nothing is permuted whole. Every head shares ``p``; a stack's result is
-    in token-major memory ``(n, h, d_h)``.
+    in token-major memory ``(n, h, d_h)``. ``_out`` is private to
+    ``dual_path_layer``, which runs this on its worker thread: the result is
+    written into that caller-allocated array of the result's shape instead.
     """
     n = inp.n
     if p.n != n:
@@ -425,7 +443,7 @@ def sa_forward(
     if convention is Convention.SYMMETRIC_CIRCULAR:
         slots %= n
     keys = np.where(slots < 0, n, p.inverse[slots])
-    return _windowed_attention(inp.q, inp.k, inp.v, w, keys, p.inverse)
+    return _windowed_attention(inp.q, inp.k, inp.v, w, keys, p.inverse, _out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -469,13 +487,60 @@ def rope_apply(x: np.ndarray, base: float) -> np.ndarray:
     return out.view(np.float64)
 
 
+# The layer's one worker thread: (process id, one-thread pool), made on the
+# first call that needs it, when concurrent.futures is first imported. A
+# forked child has no copy of the parent's thread, so a pool made by another
+# process is replaced, not used.
+_pool = None
+_pool_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    # A fork holds the lock, so no child starts with it taken mid-update.
+    # The hooks are the lock's own methods: a hook defined in this module
+    # would keep its globals, and so the pool and its thread, alive after
+    # the module is dropped and imported afresh.
+    os.register_at_fork(before=_pool_lock.acquire, after_in_parent=_pool_lock.release,
+                        after_in_child=_pool_lock.release)
+
+
+def _both(f, f_args, g, g_args):
+    """``(f(*f_args), g(*g_args))``: f runs on the worker thread while this
+    thread runs g, and both are done on return.
+
+    f runs in a copy of this thread's context, so it sees the caller's
+    ``np.errstate``. g is the half that serial code runs first: when both
+    raise, g's error is the one raised.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="stochattn"))
+        pool = _pool[1]
+    done = pool.submit(contextvars.copy_context().run, f, *f_args)
+    try:
+        g_out = g(*g_args)
+    except BaseException:
+        done.exception()
+        raise
+    return done.result(), g_out
+
+
+def _gated(y: np.ndarray, w_gate: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sigmoid(y @ w_gate^T) * y, into ``out`` when given."""
+    gate = sigmoid_in_place(np.matmul(y, w_gate.T, out=out))
+    gate *= y
+    return gate
+
+
 def gated_fusion(y_swa: np.ndarray, y_sa: np.ndarray, g: GateParams) -> np.ndarray:
     """Combine the two attention paths with independent sigmoid gates.
 
-    y = sigmoid(y_sa @ W_sa^T) * y_sa + sigmoid(y_swa @ W_swa^T) * y_swa,
+    y = sigmoid(y_swa @ W_swa^T) * y_swa + sigmoid(y_sa @ W_sa^T) * y_sa,
     per token and per dimension. The gates are independent (not a softmax
     split), so both paths can be up- or down-weighted simultaneously; there
-    is no bias term.
+    is no bias term. The two gated terms are computed at the same time: the
+    SWA term on the calling thread, the SA term on the layer's worker thread
+    (see ``dual_path_layer``), into an array this thread allocates.
     """
     y_swa = as_matrix(y_swa, "y_swa")
     y_sa = as_matrix(y_sa, "y_sa")
@@ -483,10 +548,8 @@ def gated_fusion(y_swa: np.ndarray, y_sa: np.ndarray, g: GateParams) -> np.ndarr
         raise ValueError(f"path outputs disagree: {y_swa.shape} vs {y_sa.shape}")
     if y_swa.shape[1] != g.d:
         raise ValueError(f"gate width {g.d} does not match output width {y_swa.shape[1]}")
-    out = sigmoid_in_place(y_sa @ g.w_gate_sa.T)
-    out *= y_sa
-    gated_swa = sigmoid_in_place(y_swa @ g.w_gate_swa.T)
-    gated_swa *= y_swa
+    out, gated_swa = _both(_gated, (y_sa, g.w_gate_sa, np.empty(y_sa.shape)),
+                           _gated, (y_swa, g.w_gate_swa))
     out += gated_swa
     return out
 
@@ -504,11 +567,26 @@ def dual_path_layer(
     sliding-window path and the stochastic path (one fresh permutation per
     call, shared across heads), head outputs concatenated per path and the
     two paths combined by ``gated_fusion``. Every stage runs once on the
-    head stack ``(h, n, d_h)``: q and k come from one ``x @ [W_q | W_k]``
-    GEMM and one ``rope_apply`` call on their ``(2h, n, d_h)`` stack. Each
-    intermediate is dropped once it is consumed. Q/K/V projections default
-    to the identity; there is no output projection, MLP or normalization
-    here: this is an attention-sublayer reference, not a trainable block.
+    head stack ``(h, n, d_h)``: q and k are projected into the two halves of
+    one ``(n, 2d)`` array and rotated by one ``rope_apply`` call on its
+    ``(2h, n, d_h)`` stack. Q/K/V projections default to the identity; there
+    is no output projection, MLP or normalization here: this is an
+    attention-sublayer reference, not a trainable block.
+
+    The layer's independent halves run side by side: this thread runs one,
+    and one worker thread, shared by every layer call of the process, runs
+    the other. There are three phases, each joined before the next starts:
+    this thread projects q and k and rotates them while the worker projects
+    v; this thread runs ``swa_forward`` while the worker runs
+    ``sa_forward``; and ``gated_fusion`` computes its two gates the same
+    way. The permutation is drawn here, before them. The worker allocates no
+    large array: it writes v, the SA output and the SA gate into arrays
+    this thread allocated. glibc gives a second thread an arena of its own,
+    which keeps freed pages, so arrays allocated there would raise the
+    process's memory. The joins drop each intermediate once it is consumed,
+    as serial code does; only v is made beside q and k instead of after
+    RoPE. The output is bit-identical to running the stages one after
+    another.
     """
     x = as_matrix(x, "x")
     n, d = x.shape
@@ -518,11 +596,8 @@ def dual_path_layer(
         raise ValueError("gate width does not match config width")
     if not 1 <= cfg.w <= n:
         raise ValueError(f"window size {cfg.w} invalid for sequence length {n}")
-    if projections is None:
-        w_qk = wv = None
-    else:
+    if projections is not None:
         wq, wk, wv = (as_matrix(m, "projection") for m in projections)
-        w_qk = np.hstack([wq, wk])
 
     def heads(full):
         """Head-major (full.shape[1] // d_h, n, d_h) view of an (n, *) array."""
@@ -533,16 +608,29 @@ def dual_path_layer(
         kernels return token-major memory."""
         return y.transpose(1, 0, 2).reshape(n, d)
 
+    def rotated(qk_full):
+        return rope_apply(heads(qk_full), cfg.rope_base)
+
+    def projected_and_rotated():
+        qk_full = np.empty((n, 2 * d))
+        np.matmul(x, wq, out=qk_full[:, :d])
+        np.matmul(x, wk, out=qk_full[:, d:])
+        return rotated(qk_full)
+
     perm = sample_permutation(n, rng)
-    qk_full = np.hstack([x, x]) if w_qk is None else x @ w_qk
-    qk = rope_apply(heads(qk_full), cfg.rope_base)
-    del qk_full
     # q and k are the two disjoint halves of one stack. They must never
     # share a buffer: numpy's matmul computes q @ q.T through BLAS syrk,
     # which is not bit-identical to the general product of the per-head route.
-    inp = AttentionInputs(qk[:cfg.h], qk[cfg.h:], heads(x if wv is None else x @ wv))
-    del qk
-    y_swa = merged(swa_forward(inp, cfg.w))
-    y_sa = merged(sa_forward(inp, cfg.w, perm, Convention.CAUSAL_ONE_SIDED))
+    if projections is None:
+        v, qk = x, rotated(np.hstack([x, x]))
+    else:
+        v = np.empty((n, d))
+        _, qk = _both(np.matmul, (x, wv, v), projected_and_rotated, ())
+    inp = AttentionInputs(qk[:cfg.h], qk[cfg.h:], heads(v))
+    del qk, v
+    y_sa = np.empty((n, d))
+    sa = functools.partial(sa_forward, _out=heads(y_sa))
+    _, y_swa = _both(sa, (inp, cfg.w, perm, Convention.CAUSAL_ONE_SIDED),
+                     swa_forward, (inp, cfg.w))
     del inp
-    return gated_fusion(y_swa, y_sa, g)
+    return gated_fusion(merged(y_swa), y_sa, g)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .masks import (Convention, WindowSpec, build_stochastic_mask, build_window_mask,
                     intersect_causal, window_neighbours)
@@ -594,6 +593,9 @@ def eigenvalue_multiset_distance(a, b) -> float:
     pairs share real parts to rounding error, so multiset equality is
     checked through a minimum-cost assignment instead.
     """
+    # imported here, not with the module: it alone would make up most of the
+    # package's import time and memory
+    from scipy.optimize import linear_sum_assignment
     a = np.asarray(a, dtype=np.complex128).ravel()
     b = np.asarray(b, dtype=np.complex128).ravel()
     if a.shape != b.shape:

@@ -1,10 +1,14 @@
 """Attention kernels: forward/backward, the permuted route against the
 mask route, rotary embeddings, and the gated dual path."""
 
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -846,3 +850,95 @@ class TestDualPathLayer:
             dual_path_layer(np.zeros((8, 6)), LayerConfig(d=4, h=1, w=2), gates, SeededRng(0))
         with pytest.raises(ValueError):
             LayerConfig(d=6, h=4, w=2)
+
+
+class TestWorkerThread:
+    """The layer runs its two halves on the caller's thread and one worker
+    thread."""
+
+    def test_worker_sees_the_callers_errstate(self, monkeypatch):
+        seen = {}
+
+        def recorded(name, original):
+            def wrapper(*args, **kwargs):
+                seen[name] = (threading.current_thread(), np.geterr())
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("sa_forward", "swa_forward", "sample_permutation"):
+            monkeypatch.setattr(attention, name, recorded(name, getattr(attention, name)))
+        cfg = LayerConfig(d=8, h=2, w=3)
+        x, projections, gates = _layer_params(np.random.default_rng(36), 20, cfg.d, True)
+        with np.errstate(all="raise"):
+            caller = (threading.current_thread(), np.geterr())
+            dual_path_layer(x, cfg, gates, SeededRng(36), projections)
+        assert seen["sa_forward"][0] is not caller[0]
+        assert seen["sa_forward"][1] == caller[1]
+        # the permutation is drawn once, on the caller's thread
+        assert seen["sample_permutation"] == seen["swa_forward"] == caller
+
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_score_overflow_is_a_one_line_value_error(self, projected):
+        cfg = LayerConfig(d=8, h=2, w=4)
+        x, projections, gates = _layer_params(np.random.default_rng(37), 24, cfg.d, projected)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^scores contains NaN or Inf entries$"):
+                dual_path_layer(x * 1e200, cfg, gates, SeededRng(37), projections)
+
+    def test_calls_add_at_most_one_thread(self):
+        cfg = LayerConfig(d=8, h=2, w=3)
+        x, projections, gates = _layer_params(np.random.default_rng(38), 20, cfg.d, True)
+        before = threading.active_count()
+        for seed in range(20):
+            dual_path_layer(x, cfg, gates, SeededRng(seed), projections)
+        assert threading.active_count() <= before + 1
+
+    def test_a_module_imported_afresh_leaves_no_thread(self):
+        # a benchmark re-imports the package for each set-up; the dropped
+        # module's worker must end with it
+        code = """if True:
+            import gc, importlib, sys, threading, time
+            import numpy as np
+            sys.path.insert(0, sys.argv[1])
+            for seed in range(5):
+                for name in [m for m in sys.modules if m.split(".")[0] == "stochattn"]:
+                    del sys.modules[name]
+                sa = importlib.import_module("stochattn")
+                gates = sa.GateParams(np.eye(8), np.eye(8))
+                sa.dual_path_layer(np.ones((16, 8)), sa.LayerConfig(8, 2, 4), gates,
+                                   sa.SeededRng(seed))
+            gc.collect()
+            deadline = time.monotonic() + 30
+            while threading.active_count() > 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            print(threading.active_count())
+        """
+        src = str(Path(attention.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert run.stdout.strip() == "2"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_a_layer(self):
+        # the child has no copy of the parent's worker thread: it must make
+        # its own rather than wait on the parent's
+        cfg = LayerConfig(d=8, h=2, w=3)
+        x, projections, gates = _layer_params(np.random.default_rng(39), 64, cfg.d, True)
+        want = dual_path_layer(x, cfg, gates, SeededRng(39), projections)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                got = dual_path_layer(x, cfg, gates, SeededRng(39), projections)
+                code = 0 if np.array_equal(got, want) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's layer call did not finish in 60 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0

@@ -1,8 +1,11 @@
 """Reachability growth, connection probability, small-world structure,
 spectra, cost model."""
 
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
+import stochattn
 from stochattn import (
     Convention,
     RoutingMode,
@@ -633,6 +637,16 @@ class TestSpectrum:
         a = np.array([1.0 + 0j, 0.5j, -0.5j])
         assert eigenvalue_multiset_distance(a, a[::-1]) == 0.0
         assert eigenvalue_multiset_distance(a, a + 1e-3) == pytest.approx(1e-3, rel=1e-6)
+
+    def test_import_leaves_the_assignment_solver_unloaded(self):
+        # scipy.optimize is most of a cold import's time and memory; only
+        # eigenvalue_multiset_distance loads it, on its first call
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import stochattn, stochattn.cli; "
+                "print('scipy.optimize' in sys.modules)")
+        src = str(Path(stochattn.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert run.stdout.strip() == "False"
 
 
 class _IdentityPermRng(SeededRng):
