@@ -27,16 +27,17 @@ Their scratch (scores, bands, transposed keys, key/value and query rows)
 is carved from one workspace that each thread keeps between calls, up to
 4 MiB: freed scratch goes back to the system and would be faulted in again
 page by page on the next call. Their output is always a fresh array.
-``dual_path_layer`` runs each stage once per layer on the stack: q and k
-are projected into the two halves of one array, one ``rope_apply`` call
-rotates both as a ``(2h, n, d_h)`` stack, and each path's heads join
-without a copy. The layer uses one extra thread: a worker, made on the
-first call and kept by the process, runs the v projection, ``sa_forward``
-and the SA gate while the calling thread runs the q/k projections with
-RoPE, ``swa_forward`` and the SWA gate, with a join after each pair. The
-calling thread allocates every large array the worker writes (glibc would
-keep the worker's freed pages in an arena of its own). The kernels
-themselves run on one thread each.
+``dual_path_layer`` takes its three (d, d) projections as a required
+argument and has one front end. It runs each stage once per layer on the
+stack: q and k are projected into the two halves of one array, one
+``rope_apply`` call rotates both as a ``(2h, n, d_h)`` stack, and each
+path's heads join without a copy. The layer uses one extra thread: a
+worker, made on the first call and kept by the process, runs the v
+projection, ``sa_forward`` and the SA gate while the calling thread runs
+the q/k projections with RoPE, ``swa_forward`` and the SWA gate, with a
+join after each pair. The calling thread allocates every large array the
+worker writes (glibc would keep the worker's freed pages in an arena of
+its own). The kernels themselves run on one thread each.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .masks import Convention, WindowSpec
+from .masks import Convention, WindowSpec, check_window
 from .numerics import (
     MC_CHUNK_BYTES,
     SeededRng,
@@ -132,8 +133,9 @@ class LayerConfig:
     def __post_init__(self):
         if self.d < 1 or self.h < 1 or self.d % self.h != 0:
             raise ValueError(f"model width d={self.d} must be a positive multiple of h={self.h}")
-        if self.w < 1:
-            raise ValueError(f"window size must be >= 1, got {self.w}")
+        if self.d_h % 2 != 0:
+            raise ValueError(f"rotary embedding needs an even head width, got "
+                             f"d_h={self.d_h} (d={self.d}, h={self.h})")
         _check_rope_base(self.rope_base)
 
     @property
@@ -141,11 +143,7 @@ class LayerConfig:
         return self.d // self.h
 
 
-def attention_forward(
-    inp: AttentionInputs,
-    mask: np.ndarray,
-    return_weights: bool = False,
-):
+def attention_forward(inp: AttentionInputs, mask: np.ndarray) -> np.ndarray:
     """Masked scaled-dot-product attention of one head ``(n, d_h)`` or a
     stack ``(..., n, d_h)`` under one shared ``(n, n)`` mask.
 
@@ -161,10 +159,7 @@ def attention_forward(
     scale = 1.0 / np.sqrt(inp.d_h)
     scores = (inp.q @ np.swapaxes(inp.k, -1, -2)) * scale
     weights = masked_row_softmax(scores, np.broadcast_to(mask, scores.shape))
-    y = weights @ inp.v
-    if return_weights:
-        return y, weights
-    return y
+    return weights @ inp.v
 
 
 def attention_backward(
@@ -387,17 +382,12 @@ def _windowed_attention(
     return out
 
 
-def _check_window(n: int, w: int) -> None:
-    if not 1 <= w <= n:
-        raise ValueError(f"window size must satisfy 1 <= w <= n, got w={w}, n={n}")
-
-
 def swa_forward(inp: AttentionInputs, w: int) -> np.ndarray:
     """Causal sliding-window attention: each token sees the previous w tokens
     (itself included). Returns the shape of ``inp.v``, one head or a stack;
     a stack's memory is token-major ``(n, h, d_h)``."""
     n = inp.n
-    _check_window(n, w)
+    check_window(n, w)
     keys = np.arange(1 - w, n)
     keys[:w - 1] = n
     return _windowed_attention(inp.q, inp.k, inp.v, w, keys)
@@ -437,7 +427,7 @@ def sa_forward(
     n = inp.n
     if p.n != n:
         raise ValueError(f"permutation size {p.n} does not match sequence length {n}")
-    _check_window(n, w)
+    check_window(n, w)
     back, fwd = WindowSpec(w, convention).offsets()
     slots = np.arange(-back, n + fwd)
     if convention is Convention.SYMMETRIC_CIRCULAR:
@@ -559,19 +549,20 @@ def dual_path_layer(
     cfg: LayerConfig,
     g: GateParams,
     rng: SeededRng,
-    projections: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    projections: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """One dual-path attention sublayer: SWA and SA side by side, fused.
 
-    Rotary embeddings on original positions, then both the causal
-    sliding-window path and the stochastic path (one fresh permutation per
-    call, shared across heads), head outputs concatenated per path and the
-    two paths combined by ``gated_fusion``. Every stage runs once on the
-    head stack ``(h, n, d_h)``: q and k are projected into the two halves of
-    one ``(n, 2d)`` array and rotated by one ``rope_apply`` call on its
-    ``(2h, n, d_h)`` stack. Q/K/V projections default to the identity; there
-    is no output projection, MLP or normalization here: this is an
-    attention-sublayer reference, not a trainable block.
+    ``projections`` are the three (d, d) matrices (w_q, w_k, w_v), applied
+    as ``x @ w``. Rotary embeddings on original positions, then both the
+    causal sliding-window path and the stochastic path (one fresh
+    permutation per call, shared across heads), head outputs concatenated
+    per path and the two paths combined by ``gated_fusion``. Every stage
+    runs once on the head stack ``(h, n, d_h)``: q and k are projected into
+    the two halves of one ``(n, 2d)`` array and rotated by one
+    ``rope_apply`` call on its ``(2h, n, d_h)`` stack. There is no output
+    projection, MLP or normalization here: this is an attention-sublayer
+    reference, not a trainable block.
 
     The layer's independent halves run side by side: this thread runs one,
     and one worker thread, shared by every layer call of the process, runs
@@ -594,10 +585,15 @@ def dual_path_layer(
         raise ValueError(f"input width {d} does not match config width {cfg.d}")
     if g.d != cfg.d:
         raise ValueError("gate width does not match config width")
-    if not 1 <= cfg.w <= n:
-        raise ValueError(f"window size {cfg.w} invalid for sequence length {n}")
-    if projections is not None:
-        wq, wk, wv = (as_matrix(m, "projection") for m in projections)
+    check_window(n, cfg.w)
+    names = ("w_q", "w_k", "w_v")
+    if len(projections) != 3:
+        raise ValueError(f"projections must be the three matrices (w_q, w_k, w_v), "
+                         f"got {len(projections)}")
+    wq, wk, wv = (as_matrix(m, name) for m, name in zip(projections, names))
+    for name, m in zip(names, (wq, wk, wv)):
+        if m.shape != (d, d):
+            raise ValueError(f"projection {name} must be ({d}, {d}), got {m.shape}")
 
     def heads(full):
         """Head-major (full.shape[1] // d_h, n, d_h) view of an (n, *) array."""
@@ -608,24 +604,19 @@ def dual_path_layer(
         kernels return token-major memory."""
         return y.transpose(1, 0, 2).reshape(n, d)
 
-    def rotated(qk_full):
-        return rope_apply(heads(qk_full), cfg.rope_base)
-
     def projected_and_rotated():
+        # q and k are the two disjoint halves of one stack. They must never
+        # share a buffer: numpy's matmul computes q @ q.T through BLAS syrk,
+        # which is not bit-identical to the general product of the per-head
+        # route.
         qk_full = np.empty((n, 2 * d))
         np.matmul(x, wq, out=qk_full[:, :d])
         np.matmul(x, wk, out=qk_full[:, d:])
-        return rotated(qk_full)
+        return rope_apply(heads(qk_full), cfg.rope_base)
 
     perm = sample_permutation(n, rng)
-    # q and k are the two disjoint halves of one stack. They must never
-    # share a buffer: numpy's matmul computes q @ q.T through BLAS syrk,
-    # which is not bit-identical to the general product of the per-head route.
-    if projections is None:
-        v, qk = x, rotated(np.hstack([x, x]))
-    else:
-        v = np.empty((n, d))
-        _, qk = _both(np.matmul, (x, wv, v), projected_and_rotated, ())
+    v = np.empty((n, d))
+    _, qk = _both(np.matmul, (x, wv, v), projected_and_rotated, ())
     inp = AttentionInputs(qk[:cfg.h], qk[cfg.h:], heads(v))
     del qk, v
     y_sa = np.empty((n, d))

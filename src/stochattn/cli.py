@@ -117,8 +117,10 @@ def _write_csv(path: Path, meta: str, header: list[str], rows: list[list], preci
 
 
 def _write_json(path: Path, obj: dict) -> None:
+    """Write strict JSON: a NaN or infinite value raises rather than being
+    written as a token that strict parsers reject."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
+        fh.write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
         fh.write("\n")
 
 

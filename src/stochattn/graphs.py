@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .masks import (Convention, WindowSpec, build_stochastic_mask, build_window_mask,
-                    intersect_causal, window_neighbours)
+                    check_window, intersect_causal, window_neighbours)
 from .numerics import SeededRng, trial_chunks
 from .permute import Permutation, inverse_rows, sample_permutation
 
@@ -248,8 +248,7 @@ def simulate_reachability(
     """
     if layers < 0:
         raise ValueError("layers must be >= 0")
-    if not 1 <= w <= n:
-        raise ValueError(f"window size must satisfy 1 <= w <= n, got w={w}, n={n}")
+    check_window(n, w)
     seed_indices = list(range(n_seeds)) if isinstance(n_seeds, int) else [int(s) for s in n_seeds]
     if not seed_indices:
         raise ValueError("need at least one seed")
@@ -708,10 +707,9 @@ class CostReport:
 
 
 def cost_model(n: int, w: int, d: int) -> CostReport:
-    if n < 1 or w < 1 or d < 1:
-        raise ValueError("n, w, d must all be positive")
-    if w > n:
-        raise ValueError(f"a window of {w} tokens is wider than the sequence (n={n})")
+    if d < 1:
+        raise ValueError(f"model width d must be positive, got d={d}")
+    check_window(n, w)
     def attn(cells: float) -> float:
         return 4.0 * cells * d + SOFTMAX_FLOPS_PER_CELL * cells
     full_att = attn(float(n) * n)

@@ -46,9 +46,11 @@ class WindowSpec:
         return (self.w - 1) // 2, self.w // 2
 
 
-def _validate_window(n: int, spec: WindowSpec) -> None:
-    if not 1 <= spec.w <= n:
-        raise ValueError(f"window size must satisfy 1 <= w <= n, got w={spec.w}, n={n}")
+def check_window(n: int, w: int) -> None:
+    """Reject a window size outside 1..n: every routine that takes a
+    sequence length and a window checks them here."""
+    if not 1 <= w <= n:
+        raise ValueError(f"window size must satisfy 1 <= w <= n, got w={w}, n={n}")
 
 
 def window_neighbours(n: int, spec: WindowSpec, p: Permutation | None = None) -> np.ndarray:
@@ -57,7 +59,7 @@ def window_neighbours(n: int, spec: WindowSpec, p: Permutation | None = None) ->
     wrap mod n; one-sided offsets before slot 0 repeat token i. Scattered, the
     rows are those of ``build_window_mask`` or ``build_stochastic_mask``.
     Causality on original tokens is the caller's: keep the entries <= i."""
-    _validate_window(n, spec)
+    check_window(n, spec.w)
     if p is not None and p.n != n:
         raise ValueError(f"permutation size {p.n} does not match n={n}")
     back, fwd = spec.offsets()
@@ -72,7 +74,7 @@ def window_neighbours(n: int, spec: WindowSpec, p: Permutation | None = None) ->
 
 def build_window_mask(n: int, spec: WindowSpec) -> np.ndarray:
     """Local window mask in sequence order (no permutation applied)."""
-    _validate_window(n, spec)
+    check_window(n, spec.w)
     # bit (i, j) depends on j - i only: band[k] is the bit for j - i = k-(n-1),
     # and row i is band[n-1-i : 2n-1-i]
     diff = np.arange(-(n - 1), n)
@@ -119,30 +121,27 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return m | m.T
 
 
-def mask_to_csv(m: np.ndarray, path, meta: str | None = None) -> None:
-    """Dump a mask as rows of comma-separated 0/1, with an optional leading
-    '#' metadata comment line."""
+def mask_to_csv(m: np.ndarray, path, meta: str) -> None:
+    """Dump a mask as rows of comma-separated 0/1 after a leading '#'
+    metadata comment line."""
     m = np.asarray(m, dtype=np.uint8)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
+        fh.write(f"# {meta}\n")
         for row in m:
             fh.write(",".join("1" if b else "0" for b in row))
             fh.write("\n")
 
 
-def mask_to_pgm(m: np.ndarray, path, meta: str | None = None) -> None:
-    """Dump a mask as a binary (P5) PGM image, one byte per cell.
+def mask_to_pgm(m: np.ndarray, path, meta: str) -> None:
+    """Dump a mask as a binary (P5) PGM image, one byte per cell, with a
+    '#' metadata comment line in its header.
 
     Unmasked cells are 255 (white), masked cells 0 (black), row-major in
     query order from the top.
     """
     m = np.asarray(m, dtype=bool)
     n_rows, n_cols = m.shape
-    header = f"P5\n"
-    if meta:
-        header += f"# {meta}\n"
-    header += f"{n_cols} {n_rows}\n255\n"
+    header = f"P5\n# {meta}\n{n_cols} {n_rows}\n255\n"
     body = np.where(m, np.uint8(255), np.uint8(0)).tobytes()
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))

@@ -99,7 +99,7 @@ def trial_chunks(trials: int, bytes_per_trial: int):
         yield lo, min(lo + step, trials)
 
 
-def as_matrices(x, name: str = "matrices") -> np.ndarray:
+def as_matrices(x, name: str) -> np.ndarray:
     """Coerce a bool, integer or real-float matrix or stack of matrices
     ``(..., rows, cols)`` to finite float64. A strided float64 view stays a
     view; any other dtype (complex, strings, objects) is a ValueError."""
@@ -115,7 +115,7 @@ def as_matrices(x, name: str = "matrices") -> np.ndarray:
     return a
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
+def as_matrix(x, name: str) -> np.ndarray:
     """``as_matrices`` of exactly one matrix."""
     a = as_matrices(x, name)
     if a.ndim != 2:

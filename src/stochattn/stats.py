@@ -23,12 +23,12 @@ The two sampling models are deliberately different and both faithful:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import GateParams
-from .masks import Convention, WindowSpec, window_neighbours
+from .masks import Convention, WindowSpec, check_window, window_neighbours
 from .numerics import SeededRng, as_matrix, sigmoid_in_place, trial_chunks
 from .permute import inverse_rows
 
@@ -36,14 +36,16 @@ from .permute import inverse_rows
 @dataclass(frozen=True)
 class BiasReport:
     """Deviation of the mean stochastic output from the value mean, per
-    swept window size."""
+    swept window size, and its mean squared z-score against the closed form
+    (None where no component has a positive stderr)."""
 
     n: int
     d: int
     trials: int
-    ws: list = field(default_factory=list)
-    deviations: list = field(default_factory=list)
-    stderrs: list = field(default_factory=list)
+    ws: list
+    deviations: list
+    stderrs: list
+    mean_z_sq: list
 
 
 @dataclass(frozen=True)
@@ -72,13 +74,12 @@ class BVReport:
     trials: int
     bias_sq: float
     variance_term: float
-    variance_term_uniform: float
     mse: float
     mse_stderr: float
     rhs_stderr: float
     residual: float
     combined_stderr: float
-    dim_variance_ratio: float
+    dim_variance_ratio: float | None
 
 
 def _add_in_order(total: np.ndarray, batch: np.ndarray) -> None:
@@ -104,25 +105,33 @@ def _uniform_sa_outputs(v: np.ndarray, forward: np.ndarray, w: int) -> np.ndarra
     return np.take(slot_means.reshape(-1, d), forward + n * np.arange(trials)[:, None], axis=0)
 
 
+def _bias_slope(n: int, w: int) -> float:
+    """c in the exact mean deviation E[Y_i] - mean(V) = c * (V_i - mean(V))."""
+    return 0.0 if w == n else (n - w) / (w * (n - 1))
+
+
 def sa_bias_mc(v, ws, trials: int, rng: SeededRng) -> BiasReport:
     """Average the uniform-attention stochastic output over fresh
-    permutations and report its distance from the value mean.
+    permutations, for each window size in the sequence ``ws``, and report
+    its distance from the value mean.
 
     The reported deviation for each window size is the mean over tokens of
     ||E_mc[Y_i] - mean(V)||; the stderr field is the matching mean
     estimator-noise scale per token. Deviations shrink as O(1/w): doubling
     w multiplies the exact per-token deviation by (n-2w)/(2(n-w)).
+    ``mean_z_sq`` averages z^2 over the components with a positive stderr,
+    z = (E_mc[Y_i] - mean(V) - c (V_i - mean(V))) / stderr with the exact
+    c = (n-w)/(w(n-1)); it is about 1 when the model holds.
     """
     v = as_matrix(v, "v")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 2:
+        raise ValueError("trials must be >= 2 to estimate a standard error")
     n, d = v.shape
     v_bar = v.mean(axis=0)
-    ws = [int(w) for w in (ws if np.iterable(ws) else [ws])]
-    deviations, stderrs = [], []
+    ws = [int(w) for w in ws]
+    deviations, stderrs, mean_z_sq = [], [], []
     for wi, w in enumerate(ws):
-        if not 1 <= w <= n:
-            raise ValueError(f"window size {w} invalid for n={n}")
+        check_window(n, w)
         w_rng = rng.child(wi, 0)
         total = np.zeros((n, d))
         total_sq = np.zeros((n, d))
@@ -133,15 +142,16 @@ def sa_bias_mc(v, ws, trials: int, rng: SeededRng) -> BiasReport:
         mean_y = total / trials
         dev = np.linalg.norm(mean_y - v_bar[None, :], axis=1)
         deviations.append(float(dev.mean()))
-        if trials > 1:
-            comp_var = (total_sq / trials - mean_y**2) * trials / (trials - 1)
-            comp_var = np.maximum(comp_var, 0.0)
-            token_noise = np.sqrt(comp_var.sum(axis=1) / trials)
-            stderrs.append(float(token_noise.mean()))
-        else:
-            stderrs.append(float("inf"))
-    return BiasReport(n=n, d=d, trials=trials, ws=ws,
-                      deviations=deviations, stderrs=stderrs)
+        comp_var = (total_sq / trials - mean_y**2) * trials / (trials - 1)
+        comp_var = np.maximum(comp_var, 0.0)
+        token_noise = np.sqrt(comp_var.sum(axis=1) / trials)
+        stderrs.append(float(token_noise.mean()))
+        comp_se = np.sqrt(comp_var / trials)
+        kept = comp_se > 0.0
+        z = (mean_y - v_bar - _bias_slope(n, w) * (v - v_bar))[kept] / comp_se[kept]
+        mean_z_sq.append(float(np.mean(z * z)) if z.size else None)
+    return BiasReport(n=n, d=d, trials=trials, ws=ws, deviations=deviations,
+                      stderrs=stderrs, mean_z_sq=mean_z_sq)
 
 
 def sa_variance_exact(v, w: int) -> VarianceReport:
@@ -149,8 +159,7 @@ def sa_variance_exact(v, w: int) -> VarianceReport:
     (1/w) * (n-w)/(n-1) * sigma_V^2, with the coarse bound 4*B^2/w."""
     v = as_matrix(v, "v")
     n, d = v.shape
-    if not 1 <= w <= n:
-        raise ValueError(f"window size {w} invalid for n={n}")
+    check_window(n, w)
     v_bar = v.mean(axis=0)
     sigma_v2 = float(((v - v_bar) ** 2).sum(axis=1).mean())
     b_max = float(np.linalg.norm(v, axis=1).max())
@@ -169,8 +178,8 @@ def sa_variance_mc(v, w: int, trials: int, rng: SeededRng) -> VarianceReport:
     counterpart of ``sa_variance_exact``.
     """
     base = sa_variance_exact(v, w)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 2:
+        raise ValueError("trials must be >= 2 to estimate a standard error")
     v = as_matrix(v, "v")
     n, d = v.shape
     back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
@@ -186,8 +195,8 @@ def sa_variance_mc(v, w: int, trials: int, rng: SeededRng) -> VarianceReport:
     shifted = ys - ys[0]
     centered = shifted - shifted.mean(axis=0, keepdims=True)
     sq = (centered**2).sum(axis=1)
-    mc_var = float(sq.sum() / max(trials - 1, 1))
-    mc_stderr = float(sq.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
+    mc_var = float(sq.sum() / (trials - 1))
+    mc_stderr = float(sq.std(ddof=1) / math.sqrt(trials))
     return VarianceReport(n=base.n, w=base.w, d=base.d, sigma_v2=base.sigma_v2,
                           b_max=base.b_max, exact=base.exact, bound=base.bound,
                           mc_variance=mc_var, mc_stderr=mc_stderr, trials=trials)
@@ -243,8 +252,8 @@ def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
     output, so both are deterministic with respect to the batches used for
     the two sides. The left side and the right side use disjoint trial
     batches, and the report carries both standard errors plus the max/min
-    per-dimension variance ratio (the diagnostic for the uniform-variance
-    simplification, which is reported, never assumed).
+    per-dimension variance ratio (1.0 when no dimension varies, None when
+    some but not all do).
     """
     v = as_matrix(v, "v")
     if trials < 100:
@@ -252,8 +261,7 @@ def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
     n, d = v.shape
     if gates.d != d:
         raise ValueError(f"gate width {gates.d} does not match value width {d}")
-    if not 1 <= w <= n:
-        raise ValueError(f"window size {w} invalid for n={n}")
+    check_window(n, w)
 
     y_star = _causal_uniform_full(v)
     y_swa = _causal_uniform_window(v, w)
@@ -278,20 +286,18 @@ def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
     for lo, hi in trial_chunks(n_rhs, sample_bytes):
         rhs_samples[lo:hi] = _causal_uniform_sa_samples(v, w, rhs_rng, hi - lo)
 
-    def rhs_from(samples: np.ndarray) -> tuple[float, float, float]:
+    def rhs_from(samples: np.ndarray) -> tuple[float, float]:
         mean_sa = samples.mean(axis=0)
         var_nd = samples.var(axis=0, ddof=1)
         bias_sq = float(((g_sa * (mean_sa - y_star) + swa_part) ** 2).sum())
         var_term = float((g_sa**2 * var_nd).sum())
-        var_uniform = float(((g_sa**2).sum(axis=1) * var_nd.sum(axis=1) / d).sum())
-        return bias_sq, var_term, var_uniform
+        return bias_sq, var_term
 
-    bias_sq, variance_term, variance_term_uniform = rhs_from(rhs_samples)
+    bias_sq, variance_term = rhs_from(rhs_samples)
     chunk_vals = []
     for chunk in np.array_split(rhs_samples, 10):
         if chunk.shape[0] >= 2:
-            cb, cv, _ = rhs_from(chunk)
-            chunk_vals.append(cb + cv)
+            chunk_vals.append(sum(rhs_from(chunk)))
     rhs_stderr = float(np.std(chunk_vals, ddof=1) / math.sqrt(len(chunk_vals)))
 
     lhs_samples = np.empty(n_lhs)
@@ -304,13 +310,12 @@ def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
 
     var_by_dim = rhs_samples.var(axis=0, ddof=1).mean(axis=0)
     top, bottom = float(var_by_dim.max()), float(var_by_dim.min())
-    dim_ratio = 1.0 if top == 0.0 else (float("inf") if bottom == 0.0 else top / bottom)
+    dim_ratio = 1.0 if top == 0.0 else (None if bottom == 0.0 else top / bottom)
 
     rhs = bias_sq + variance_term
     return BVReport(
         n=n, d=d, w=w, trials=trials,
         bias_sq=bias_sq, variance_term=variance_term,
-        variance_term_uniform=variance_term_uniform,
         mse=mse, mse_stderr=mse_stderr, rhs_stderr=rhs_stderr,
         residual=mse - rhs,
         combined_stderr=math.sqrt(mse_stderr**2 + rhs_stderr**2),

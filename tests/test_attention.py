@@ -67,14 +67,11 @@ def _causal_full(n):
     return np.tril(np.ones((n, n), dtype=bool))
 
 
-def _per_head_layer(x, cfg, g, rng, projections=None):
+def _per_head_layer(x, cfg, g, rng, projections):
     """Oracle: ``dual_path_layer`` one head at a time, every stage on 2-D
     inputs, the head outputs joined by ``hstack``."""
     n = x.shape[0]
-    if projections is None:
-        q_full = k_full = v_full = x
-    else:
-        q_full, k_full, v_full = (x @ m for m in projections)
+    q_full, k_full, v_full = (x @ m for m in projections)
     perm = sample_permutation(n, rng)
     y_swa_heads, y_sa_heads = [], []
     for head in range(cfg.h):
@@ -87,11 +84,17 @@ def _per_head_layer(x, cfg, g, rng, projections=None):
     return gated_fusion(np.hstack(y_swa_heads), np.hstack(y_sa_heads), g)
 
 
+def _identity_projections(d):
+    return (np.eye(d),) * 3
+
+
 def _layer_params(rng, n, d, projected):
+    """Input, projections (random, or the identity when not ``projected``)
+    and gates of one layer call."""
     x = rng.normal(size=(n, d))
     projections = tuple(rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(3))
     gates = GateParams(*(rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(2)))
-    return x, projections if projected else None, gates
+    return x, projections if projected else _identity_projections(d), gates
 
 
 class TestForward:
@@ -119,7 +122,9 @@ class TestForward:
         rng = SeededRng(2)
         inp = _random_inputs(rng, 9, 3)
         mask = intersect_causal(np.asarray(rng.random((9, 9)) < 0.4))
-        _, weights = attention_forward(inp, mask, return_weights=True)
+        scores = (inp.q @ inp.k.T) * (1.0 / np.sqrt(inp.d_h))
+        weights = numerics.masked_row_softmax(scores, mask)
+        assert np.array_equal(attention_forward(inp, mask), weights @ inp.v)
         assert np.all(weights[~mask] == 0.0)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
@@ -394,14 +399,10 @@ class TestHeadStack:
         mask[np.arange(n), rng.integers(n, size=n)] = True
         stacked = AttentionInputs(**fields)
         y = attention_forward(stacked, mask)
-        y_w, weights = attention_forward(stacked, mask, return_weights=True)
-        assert y.shape == (*batch, n, d_h) and weights.shape == (*batch, n, n)
-        assert np.array_equal(y_w, y)
+        assert y.shape == (*batch, n, d_h)
         for idx in np.ndindex(batch):
             one = AttentionInputs(*(fields[f][idx] for f in ("q", "k", "v")))
-            y_one, weights_one = attention_forward(one, mask, return_weights=True)
             assert np.array_equal(y[idx], attention_forward(one, mask))
-            assert np.array_equal(y[idx], y_one) and np.array_equal(weights[idx], weights_one)
 
     def test_dense_forward_takes_one_shared_mask(self):
         inp = AttentionInputs(np.zeros((2, 4, 2)), np.zeros((2, 4, 2)), np.zeros((2, 4, 2)))
@@ -729,7 +730,8 @@ class TestInputDtypes:
         gates = GateParams(ok, ok)
         calls = [lambda: AttentionInputs(bad, ok, ok), lambda: AttentionInputs(ok, ok, bad),
                  lambda: GateParams(bad, ok), lambda: GateParams(ok, bad),
-                 lambda: dual_path_layer(bad, LayerConfig(d=2, h=1, w=1), gates, SeededRng(0))]
+                 lambda: dual_path_layer(bad, LayerConfig(d=2, h=1, w=1), gates, SeededRng(0),
+                                         (ok, ok, ok))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in calls:
@@ -773,7 +775,7 @@ class TestDualPathLayer:
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             dual_path_layer(x, cfg, gates, SeededRng(32), projections)
-            dual_path_layer(x, cfg, gates, SeededRng(33))
+            dual_path_layer(x, cfg, gates, SeededRng(33), _identity_projections(cfg.d))
 
     def test_peak_memory(self):
         # the per-head loop peaked at 92 MB here; the head-stacked layer
@@ -793,7 +795,7 @@ class TestDualPathLayer:
         x = np.asarray(rng.normal(size=(12, 4)))
         cfg = LayerConfig(d=4, h=1, w=3)
         gates = GateParams(np.zeros((4, 4)), np.zeros((4, 4)))
-        out = dual_path_layer(x, cfg, gates, _IdentityPermRng(0))
+        out = dual_path_layer(x, cfg, gates, _IdentityPermRng(0), _identity_projections(4))
         q = rope_apply(x, cfg.rope_base)
         swa = attention_forward(
             AttentionInputs(q, q, x),
@@ -807,7 +809,7 @@ class TestDualPathLayer:
         x = np.asarray(rng.normal(size=(6, 4)))
         cfg = LayerConfig(d=4, h=2, w=6)
         gates = GateParams(np.zeros((4, 4)), np.zeros((4, 4)))
-        out = dual_path_layer(x, cfg, gates, _IdentityPermRng(0))
+        out = dual_path_layer(x, cfg, gates, _IdentityPermRng(0), _identity_projections(4))
         heads = []
         for hslice in (slice(0, 2), slice(2, 4)):
             q = rope_apply(x[:, hslice], cfg.rope_base)
@@ -823,9 +825,10 @@ class TestDualPathLayer:
         wg = (np.asarray(rng.normal(size=(d, d))), np.asarray(rng.normal(size=(d, d))))
         gates = GateParams(*wg)
         cfg = LayerConfig(d=d, h=h, w=w)
-        out = dual_path_layer(x, cfg, gates, SeededRng(seed))
+        projections = _identity_projections(d)
+        out = dual_path_layer(x, cfg, gates, SeededRng(seed), projections)
         # rebuilt from the individual operations with the same stream
-        oracle = _per_head_layer(x, cfg, gates, SeededRng(seed))
+        oracle = _per_head_layer(x, cfg, gates, SeededRng(seed), projections)
         assert np.abs(out - oracle).max() <= 1e-12
 
     def test_one_rope_pass_and_one_permutation(self, monkeypatch):
@@ -839,7 +842,7 @@ class TestDualPathLayer:
             monkeypatch.setattr(attention, name, counted)
         cfg = LayerConfig(d=8, h=2, w=3)
         x, projections, gates = _layer_params(np.random.default_rng(35), 20, cfg.d, True)
-        for proj in (projections, None):
+        for proj in (projections, _identity_projections(cfg.d)):
             calls.update(rope_apply=0, sample_permutation=0)
             dual_path_layer(x, cfg, gates, SeededRng(35), proj)
             assert calls == {"rope_apply": 1, "sample_permutation": 1}
@@ -847,9 +850,32 @@ class TestDualPathLayer:
     def test_config_mismatch_rejected(self):
         gates = GateParams(np.zeros((4, 4)), np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            dual_path_layer(np.zeros((8, 6)), LayerConfig(d=4, h=1, w=2), gates, SeededRng(0))
+            dual_path_layer(np.zeros((8, 6)), LayerConfig(d=4, h=1, w=2), gates, SeededRng(0),
+                            _identity_projections(4))
         with pytest.raises(ValueError):
             LayerConfig(d=6, h=4, w=2)
+
+    def test_odd_head_width_rejected(self):
+        # every call would otherwise fail inside rope_apply
+        with pytest.raises(ValueError, match=r"^rotary embedding needs an even head width, "
+                                             r"got d_h=3 \(d=6, h=2\)$"):
+            LayerConfig(d=6, h=2, w=2)
+
+    @pytest.mark.parametrize("projections,message", [
+        ((np.eye(4),) * 2, r"^projections must be the three matrices \(w_q, w_k, w_v\), got 2$"),
+        ((np.eye(4),) * 4, r"^projections must be the three matrices \(w_q, w_k, w_v\), got 4$"),
+        ((np.eye(4), np.ones((4, 5)), np.eye(4)),
+         r"^projection w_k must be \(4, 4\), got \(4, 5\)$"),
+        ((np.eye(4), np.eye(4), np.ones((3, 4))),
+         r"^projection w_v must be \(4, 4\), got \(3, 4\)$"),
+        ((np.ones(4), np.eye(4), np.eye(4)), r"^w_q must be 2-D"),
+        ((np.eye(4), np.eye(4), np.full((4, 4), np.nan)), r"^w_v contains NaN or Inf entries$"),
+    ], ids=["two", "four", "wk-wide", "wv-short", "wq-1d", "wv-nan"])
+    def test_bad_projections_name_the_matrix(self, projections, message):
+        cfg = LayerConfig(d=4, h=2, w=2)
+        gates = GateParams(np.zeros((4, 4)), np.zeros((4, 4)))
+        with pytest.raises(ValueError, match=message):
+            dual_path_layer(np.ones((6, 4)), cfg, gates, SeededRng(0), projections)
 
 
 class TestWorkerThread:
@@ -907,7 +933,7 @@ class TestWorkerThread:
                 sa = importlib.import_module("stochattn")
                 gates = sa.GateParams(np.eye(8), np.eye(8))
                 sa.dual_path_layer(np.ones((16, 8)), sa.LayerConfig(8, 2, 4), gates,
-                                   sa.SeededRng(seed))
+                                   sa.SeededRng(seed), (np.eye(8),) * 3)
             gc.collect()
             deadline = time.monotonic() + 30
             while threading.active_count() > 2 and time.monotonic() < deadline:

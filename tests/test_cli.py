@@ -478,6 +478,42 @@ class TestStatsCommands:
         assert abs(data["residual"]) <= 4 * data["combined_stderr"]
 
 
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("args", [
+        ["connprob", "--n", 16, "--w", 4, "--trials", 1000],
+        ["connprob", "--exhaustive", "--n", 4, "--w", 2],
+        ["connprob", "--causal", "--n", 16, "--w", 4, "--trials", 200],
+        ["smallworld", "--n", 64, "--w", 8, "--seeds", 2, "--baselines", 2],
+        ["spectrum", "--n", 16, "--w", 4, "--perms", 2, "--depth", 2, "--seeds", 2],
+        ["gradcheck", "--n", 4, "--dh", 2, "--instances", 2],
+        ["stats", "bias", "--n", 16, "--w", 4, "--trials", 100],
+        ["stats", "bias", "--n", 1, "--w", 1, "--trials", 2],
+        ["stats", "variance", "--n", 16, "--w", 4, "--trials", 100],
+        ["stats", "bvdecomp", "--n", 16, "--w", 4, "--trials", 100],
+        ["stats", "bvdecomp", "--n", 1, "--w", 1, "--trials", 100],
+        ["verify"],
+    ], ids=["connprob", "connprob-exhaustive", "connprob-causal", "smallworld", "spectrum",
+            "gradcheck", "bias", "bias-n1", "variance", "bvdecomp", "bvdecomp-n1", "verify"])
+    def test_every_json_output_parses_strictly(self, tmp_path, args):
+        assert run(["--out", tmp_path, *args]) in (0, 2)
+        (path,) = tmp_path.glob("*.json")
+        _strict_json(path.read_text())
+
+    def test_undefined_dimension_ratio_is_null(self, tmp_path):
+        # one token: every sample is the value row, so each dimension's
+        # variance is rounding noise, zero in some dimensions only
+        assert run(["--out", tmp_path, "stats", "bvdecomp", "--n", 1, "--w", 1,
+                    "--trials", 100]) == 0
+        data = _strict_json((tmp_path / "stats_bvdecomp.json").read_text())
+        assert data["dim_variance_ratio"] is None
+
+
 class TestOutputDirEnv:
     def test_env_var_used_when_no_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STOCHATTN_OUT", str(tmp_path / "envout"))

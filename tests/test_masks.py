@@ -6,19 +6,63 @@ import numpy as np
 import pytest
 
 from stochattn import (
+    AttentionInputs,
     Convention,
+    GateParams,
+    LayerConfig,
+    RoutingMode,
     SeededRng,
     WindowSpec,
     build_stochastic_mask,
     build_window_mask,
+    cost_model,
+    dual_path_layer,
+    fusion_bv_decompose,
     intersect_causal,
     mask_to_csv,
     mask_to_pgm,
+    sa_bias_mc,
+    sa_forward,
+    sa_variance_exact,
+    sa_variance_mc,
     sample_permutation,
+    simulate_reachability,
+    swa_forward,
     symmetrize,
     window_neighbours,
 )
 from stochattn.permute import Permutation
+
+_N = 6
+_ONES = np.ones((_N, 4))
+# every public entry that takes a sequence length and a window size, called
+# at n = _N with window w
+_WINDOWED_ENTRIES = {
+    "swa_forward": lambda w: swa_forward(AttentionInputs(_ONES, _ONES, _ONES), w),
+    "sa_forward": lambda w: sa_forward(AttentionInputs(_ONES, _ONES, _ONES), w,
+                                       Permutation(np.arange(_N))),
+    "dual_path_layer": lambda w: dual_path_layer(
+        _ONES, LayerConfig(d=4, h=2, w=w), GateParams(np.eye(4), np.eye(4)), SeededRng(0),
+        (np.eye(4),) * 3),
+    "window_neighbours": lambda w: window_neighbours(_N, WindowSpec(w)),
+    "build_window_mask": lambda w: build_window_mask(_N, WindowSpec(w)),
+    "simulate_reachability": lambda w: simulate_reachability(
+        _N, w, 2, RoutingMode.SA, Convention.SYMMETRIC_CIRCULAR, SeededRng(0)),
+    "cost_model": lambda w: cost_model(_N, w, 4),
+    "sa_bias_mc": lambda w: sa_bias_mc(_ONES, [w], 10, SeededRng(0)),
+    "sa_variance_exact": lambda w: sa_variance_exact(_ONES, w),
+    "sa_variance_mc": lambda w: sa_variance_mc(_ONES, w, 10, SeededRng(0)),
+    "fusion_bv_decompose": lambda w: fusion_bv_decompose(
+        _ONES, GateParams(np.eye(4), np.eye(4)), w, 100, SeededRng(0)),
+}
+
+
+@pytest.mark.parametrize("w", [0, _N + 1])
+@pytest.mark.parametrize("entry", list(_WINDOWED_ENTRIES))
+def test_window_outside_one_to_n_gets_the_shared_message(entry, w):
+    with pytest.raises(ValueError) as err:
+        _WINDOWED_ENTRIES[entry](w)
+    assert str(err.value) == f"window size must satisfy 1 <= w <= n, got w={w}, n={_N}"
 
 
 class TestWindowMask:

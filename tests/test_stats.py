@@ -24,7 +24,7 @@ from stochattn import (
     sample_permutation,
     window_neighbours,
 )
-from stochattn import numerics
+from stochattn import checks, numerics, stats
 from stochattn.stats import _causal_uniform_sa_samples, _uniform_sa_outputs
 
 
@@ -62,7 +62,7 @@ def _loop_sa_bias_mc(v, ws, trials, rng):
     """Oracle: ``sa_bias_mc`` drawing and adding its trials one by one."""
     n, d = v.shape
     v_bar = v.mean(axis=0)
-    deviations, stderrs = [], []
+    deviations, stderrs, mean_z_sq = [], [], []
     for wi, w in enumerate(ws):
         w_rng = rng.child(wi, 0)
         total, total_sq = np.zeros((n, d)), np.zeros((n, d))
@@ -74,8 +74,13 @@ def _loop_sa_bias_mc(v, ws, trials, rng):
         deviations.append(float(np.linalg.norm(mean_y - v_bar[None, :], axis=1).mean()))
         comp_var = np.maximum((total_sq / trials - mean_y**2) * trials / (trials - 1), 0.0)
         stderrs.append(float(np.sqrt(comp_var.sum(axis=1) / trials).mean()))
+        comp_se = np.sqrt(comp_var / trials)
+        slope = 0.0 if w == n else (n - w) / (w * (n - 1))
+        z = [(mean_y - v_bar - slope * (v - v_bar))[i, j] / comp_se[i, j]
+             for i, j in zip(*np.nonzero(comp_se))]
+        mean_z_sq.append(float(np.mean(np.square(z))) if z else None)
     return BiasReport(n=n, d=d, trials=trials, ws=list(ws), deviations=deviations,
-                      stderrs=stderrs)
+                      stderrs=stderrs, mean_z_sq=mean_z_sq)
 
 
 def _loop_variance_samples(v, w, trials, rng):
@@ -266,6 +271,19 @@ class TestBias:
         v = np.asarray(SeededRng(17).uniform(-1, 1, size=(96, 3)))
         report = sa_bias_mc(v, [4, 8, 16, 32], 4000, SeededRng(18))
         assert all(b <= a * 1.02 for a, b in zip(report.deviations, report.deviations[1:]))
+
+    def test_closed_form_gate_rejects_the_model_without_its_finite_n_factor(self,
+                                                                          monkeypatch):
+        # at verify's sizes and streams the exact slope (n-w)/(w(n-1)) reads a
+        # mean z^2 near 1, and the slope 1/w (no (n-w)/(n-1) factor) fails
+        index = list(checks.CHECKS).index("bias")
+        for seed in range(8):
+            assert checks.bias(SeededRng(seed).child(index, 0))["passed"]
+        monkeypatch.setattr(stats, "_bias_slope", lambda n, w: 1.0 / w)
+        for seed in range(8):
+            report = checks.bias(SeededRng(seed).child(index, 0))
+            assert not report["passed"]
+            assert max(report["measured"]["mean_z_sq"]) > 1.5
 
     def test_stderr_positive(self):
         v = np.asarray(SeededRng(19).normal(size=(32, 2)))
