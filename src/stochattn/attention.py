@@ -3,17 +3,21 @@ stochastic attention (SA = permute -> windowed attention -> un-permute),
 rotary embeddings on original positions (row p at position p), gated
 SA+SWA fusion, and an analytic backward pass for the masked core.
 
-``swa_forward`` and ``sa_forward`` share one banded windowed-attention core
-(``_windowed_attention``): the keys are extended by the window's w-1
+``swa_forward`` and ``sa_forward`` share one banded windowed-attention core,
+a block plan (``_BlockPlan``): the keys are extended by the window's w-1
 offsets (wrapped slots for the circular window, masked pads before slot 0
 for the one-sided one), rows run in blocks of b = max(1, w // 4) slots, and
 each block scores its span of b+w-1 extended keys with one matmul and
 softmaxes only its w-wide band. A call evaluates n*(b+w-1) score cells per
-head and never builds an n x n array. ``sa_forward`` genuinely routes
-through permuted space: each chunk of permuted slots gathers its rows from
-token order, and its outputs are scattered back. The dense masked core
-``attention_forward`` is kept as the independent oracle: full attention
-under ``intersect_causal(build_stochastic_mask(...))`` must agree with
+head and never builds an n x n array. A plan holds what a call decides once
+(the token of each extended key row and query slot, the band's validity,
+the chunks of blocks) and runs any range of slots whose ends are block
+boundaries; each kernel runs all of its plan on the calling thread.
+``sa_forward`` genuinely routes through permuted space: each chunk of
+permuted slots gathers its rows from token order, and its outputs are
+scattered back. The dense masked core ``attention_forward`` is kept as the
+independent oracle: full attention under
+``intersect_causal(build_stochastic_mask(...))`` must agree with
 ``sa_forward`` to 1e-12. It takes one head or a stack ``(..., n, d_h)``
 under one shared ``(n, n)`` mask, so the gradient audit evaluates many
 finite-difference bumps in one call; ``attention_backward`` takes one head.
@@ -28,16 +32,15 @@ is carved from one workspace that each thread keeps between calls, up to
 4 MiB: freed scratch goes back to the system and would be faulted in again
 page by page on the next call. Their output is always a fresh array.
 ``dual_path_layer`` takes its three (d, d) projections as a required
-argument and has one front end. It runs each stage once per layer on the
-stack: q and k are projected into the two halves of one array, one
-``rope_apply`` call rotates both as a ``(2h, n, d_h)`` stack, and each
-path's heads join without a copy. The layer uses one extra thread: a
-worker, made on the first call and kept by the process, runs the v
-projection, ``sa_forward`` and the SA gate while the calling thread runs
-the q/k projections with RoPE, ``swa_forward`` and the SWA gate, with a
-join after each pair. The calling thread allocates every large array the
-worker writes (glibc would keep the worker's freed pages in an arena of
-its own). The kernels themselves run on one thread each.
+argument and has one front end. It is data-parallel over rows, on the
+calling thread and one worker thread made on the first call and kept by
+the process: each of its three phases (projections with RoPE, both paths'
+attention, the gated fusion) runs the same code on two halves of the rows,
+[0, cut) here and [cut, n) on the worker, into arrays the calling thread
+allocated (glibc would keep the worker's freed pages in an arena of its
+own). The attention phase runs each half of the chunks of two plans, one
+per path, built once on the calling thread. ``gated_fusion`` runs its rows
+in the same two halves.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -99,6 +102,10 @@ class GateParams:
 
     w_gate_swa: np.ndarray
     w_gate_sa: np.ndarray
+    # (W_swa^T, W_sa^T), C-ordered: a product through a transposed operand
+    # takes a BLAS kernel that depends on the row count at small sizes, so
+    # its row halves would not round as the whole does
+    _transposed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("w_gate_swa", "w_gate_sa"):
@@ -108,6 +115,8 @@ class GateParams:
             object.__setattr__(self, name, w)
         if self.w_gate_swa.shape != self.w_gate_sa.shape:
             raise ValueError("gate matrices must share a shape")
+        object.__setattr__(self, "_transposed", tuple(
+            np.ascontiguousarray(w.T) for w in (self.w_gate_swa, self.w_gate_sa)))
 
     @property
     def d(self) -> int:
@@ -253,154 +262,203 @@ def _workspace(*sizes: int) -> list[np.ndarray]:
     return [ws[a:a + size] for a, size in zip(starts, sizes)]
 
 
-def _windowed_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    w: int,
-    keys: np.ndarray,
-    rows: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Windowed attention of query slots 0..n-1 over extended key rows.
+class _BlockPlan:
+    """The chunk plan of one windowed-attention call: query slots 0..n-1 over
+    extended key rows.
 
     Query slot i sees the w extended key rows i .. i+w-1, one per window
     offset. ``keys`` (n+w-1,) is the token of each extended row, ``n`` (later
     than every token) for a pad, and ``rows`` (n,) the token of each query
     slot, None for slot i = token i. A band cell is valid when its key token
     is at or before its query token; every query's window holds its own
-    token. q, k, v are token-ordered ``(..., n, d_h)``: one head or a head
-    stack, strided views allowed. With ``rows`` None the extended rows are
-    read in place wherever they hold no pad; otherwise each chunk of slots
-    gathers its query and key rows and scatters its outputs back.
+    token. With ``rows`` None the extended rows are read in place wherever
+    they hold no pad; otherwise each chunk of slots gathers its query and key
+    rows and scatters its outputs back.
 
     Rows run in blocks of ``b = max(1, w // 4)``: block [s, s+b) scores its
     key span [s, s+b+w-1) with one matmul, so a call evaluates n*(b+w-1)
-    score cells per head. Chunks of blocks, sized by ``trial_chunks``, run as
-    one batched matmul for the scores and one for the values over strided
-    span views. The softmax runs on each block's w-wide band only; the value
-    product reads the span-wide weights, zero off the band. Every head
-    shares the slots and masks, and gets the result it gets alone. The
-    chunks' scratch comes from ``_workspace``: this thread's kept buffer,
-    or one of the call's own when the plan needs more than
-    ``_SCRATCH_KEEP_BYTES``. Returns a fresh ``(..., n, d_h)`` array, never
-    scratch, whose memory is token-major ``(n, ..., d_h)``; or, when given,
-    ``out``, a ``(..., n, d_h)`` float64 array that a gathering call (``rows``
-    given) fills through row scatters, whatever its layout.
+    score cells per head. Chunks of blocks, sized by ``trial_chunks`` for a
+    stack of ``stack`` heads, run as one batched matmul for the scores and
+    one for the values over strided span views. A plan is built once and
+    read only, so two threads can run disjoint slot ranges of it at once
+    (``run``); every slot's result is the same whatever range it runs in.
     """
-    lead, (n, d_h) = q.shape[:-2], q.shape[-2:]
-    stack, b = math.prod(lead), max(1, w // 4)
-    scale = 1.0 / np.sqrt(d_h)
-    valid = as_strided(keys, (n, w), keys.strides * 2) <= (
-        np.arange(n) if rows is None else rows)[:, None]
-    row_masked = ~valid.all(axis=1)
-    if rows is not None:
-        # pads read the last token; gathers read C-ordered or token-major
-        # inputs, and any other layout is copied once here
-        keys = np.minimum(keys, n - 1)
-        q, k, v = (x if x.flags.c_contiguous or _token_major(x).flags.c_contiguous
-                   else np.ascontiguousarray(x) for x in (q, k, v))
-    full, tail = divmod(n, b)
-    # the blocks whose keys reach before token 0 form chunks of their own, so
-    # that the later ones read their keys in place and need no mask
-    cuts = [0, full] if rows is not None else [0, min(full, -(-(w - 1) // b)), full]
-    # a chunk holds as many blocks' scores and bands as the byte budget allows
-    chunks = [(b * (a + lo), hi - lo, b) for a, z in zip(cuts, cuts[1:])
-              for lo, hi in trial_chunks(z - a, 8 * stack * b * (b + 2 * w - 1))]
-    if tail:
-        chunks.append((full * b, 1, tail))
-    # flat buffers for the scores, the bands, the transposed keys, the key or
-    # value rows and the query rows of the largest chunk; a chunk views
-    # their starts
-    nq_max = max(g * bb for _, g, bb in chunks)
-    nk_max = nq_max + w - 1
-    scores_buf, t_buf, kt_buf, kv_buf, qy_buf = _workspace(*(stack * size for size in (
-        nq_max * (b + w - 1), nq_max * w, d_h * nk_max, nk_max * d_h, nq_max * d_h)))
-    if out is None:
-        out = np.empty((n,) + lead + (d_h,)).transpose(*range(1, len(lead) + 1), 0,
-                                                        len(lead) + 1)
 
-    def part(buf, *shape):
-        """C-ordered ``lead + shape`` view of the start of a flat buffer."""
-        return buf[:stack * math.prod(shape)].reshape(lead + shape)
+    def __init__(self, w: int, keys: np.ndarray, rows: np.ndarray | None, stack: int):
+        n = keys.size - w + 1
+        b = max(1, w // 4)
+        self.n, self.w, self.b, self.rows = n, w, b, rows
+        self.valid = as_strided(keys, (n, w), keys.strides * 2) <= (
+            np.arange(n) if rows is None else rows)[:, None]
+        self.row_masked = ~self.valid.all(axis=1)
+        # pads read the last token
+        self.keys = None if rows is None else np.minimum(keys, n - 1)
+        full, tail = divmod(n, b)
+        # the blocks whose keys reach before token 0 form chunks of their own, so
+        # that the later ones read their keys in place and need no mask
+        cuts = [0, full] if rows is not None else [0, min(full, -(-(w - 1) // b)), full]
+        # a chunk holds as many blocks' scores and bands as the byte budget allows
+        self.chunks = [(b * (a + lo), hi - lo, b) for a, z in zip(cuts, cuts[1:])
+                       for lo, hi in trial_chunks(z - a, 8 * stack * b * (b + 2 * w - 1))]
+        if tail:
+            self.chunks.append((full * b, 1, tail))
 
-    def extended(x, r0, nk, buf):
-        """The chunk's nk extended rows of k or v from r0 on: gathered, or
-        padded before token 0, into buf, or read in place. Gathered rows are
-        head-major C-ordered whatever x's layout, because the product of a
-        one-row block depends on its operands' layout."""
-        if rows is not None:
-            return _gather_rows(x, keys[r0:r0 + nk], buf)
+    def pieces(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
+        """The chunks ``(first slot, blocks, block rows)`` of slots [lo, hi),
+        each a block boundary or n: the plan's chunks, cut at lo and hi."""
+        out = []
+        for r0, g, bb in self.chunks:
+            a, z = max(r0, lo), min(r0 + g * bb, hi)
+            if a < z:
+                out.append((a, (z - a) // bb, bb))
+        return out
+
+    def splits_at(self, cut: int) -> bool:
+        """Whether ``cut`` is a block boundary where no chunk splits off a
+        lone one-row block."""
+        for r0, g, bb in self.chunks:
+            if r0 < cut < r0 + g * bb:
+                blocks, rest = divmod(cut - r0, bb)
+                return rest == 0 and (bb > 1 or 1 < blocks < g - 1)
+        return True
+
+    def extended(self, x: np.ndarray, r0: int, nk: int, buf: np.ndarray) -> np.ndarray:
+        """The nk extended rows of k or v from extended row r0 on: gathered,
+        or padded before token 0, into buf, or read in place. Gathered rows
+        are head-major C-ordered whatever x's layout, because the product of
+        a one-row block depends on its operands' layout."""
+        w = self.w
+        if self.rows is not None:
+            return _gather_rows(x, self.keys[r0:r0 + nk], buf)
         if r0 >= w - 1:
             return x[..., r0 - w + 1:r0 - w + 1 + nk, :]
         buf[..., :w - 1 - r0, :] = 0.0
         buf[..., w - 1 - r0:, :] = x[..., :r0 + nk - w + 1, :]
         return buf
 
-    for r0, g, bb in chunks:
-        nq, nk, span = g * bb, g * bb + w - 1, bb + w - 1
-        scores, t, kt, kv = (part(scores_buf, g, bb, span), part(t_buf, g, bb, w),
-                             part(kt_buf, d_h, nk), part(kv_buf, nk, d_h))
-        if rows is None:
-            qx, y = q[..., r0:r0 + nq, :], out[..., r0:r0 + nq, :]
-        else:
-            qx = y = _gather_rows(q, rows[r0:r0 + nq], part(qy_buf, nq, d_h))
-        # the keys are copied transposed and pre-scaled: a matmul that reads
-        # a transposed operand runs at half speed on these shapes
-        np.multiply(np.swapaxes(extended(k, r0, nk, kv), -1, -2), scale, out=kt)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(qx.reshape(lead + (g, bb, d_h)),
-                      np.swapaxes(_spans(np.swapaxes(kt, -1, -2), g, span, bb), -1, -2),
-                      out=scores)
-        if not np.isfinite(scores).all():
-            raise ValueError("scores contains NaN or Inf entries")
-        band = _band(scores, w)
-        # Two finite scores can differ by more than the largest double, and
-        # exp takes the resulting -inf to the correct 0; weights may underflow.
-        # Masked cells never reach exp as -inf: exp is several times slower
-        # on -inf or underflowing input than on moderate input.
-        with np.errstate(over="ignore", under="ignore"):
-            if row_masked[r0:r0 + nq].any():
-                ok = valid[r0:r0 + nq].reshape(g, bb, w)
-                # masked cells are -inf for the row max only, then exp(0), then 0
-                np.add(band, np.where(ok, 0.0, -np.inf), out=t)
-                t -= t.max(axis=-1, keepdims=True)
-                np.maximum(t, np.where(ok, -np.inf, 0.0), out=t)
-                np.exp(t, out=t)
-                t *= ok
+    def forward(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Every chunk on this thread, into a fresh ``(..., n, d_h)`` array
+        whose memory is token-major ``(n, ..., d_h)``. A gathering plan reads
+        C-ordered or token-major inputs, and any other layout is copied once
+        here."""
+        lead, d_h = q.shape[:-2], q.shape[-1]
+        if self.rows is not None:
+            q, k, v = (x if x.flags.c_contiguous or _token_major(x).flags.c_contiguous
+                       else np.ascontiguousarray(x) for x in (q, k, v))
+        out = np.empty((self.n,) + lead + (d_h,)).transpose(*range(1, len(lead) + 1), 0,
+                                                             len(lead) + 1)
+        return self.run(q, k, v, out, 0, self.n)
+
+    def run(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray,
+            lo: int, hi: int) -> np.ndarray:
+        """Attention of slots [lo, hi) into ``out``; returns out.
+
+        q, k, v are token-ordered ``(..., n, d_h)``: one head or a head stack,
+        strided views allowed, C-ordered or token-major when the plan
+        gathers. ``out`` is a ``(..., n, d_h)`` float64 array that a
+        gathering plan fills through row scatters, whatever its layout. The
+        softmax runs on each block's w-wide band only; the value product
+        reads the span-wide weights, zero off the band. Every head shares the
+        slots and masks, and gets the result it gets alone. The chunks'
+        scratch comes from ``_workspace``: this thread's kept buffer, or one
+        of the call's own when the chunks need more than
+        ``_SCRATCH_KEEP_BYTES``.
+        """
+        w, b, rows, valid, extended = self.w, self.b, self.rows, self.valid, self.extended
+        lead, d_h = q.shape[:-2], q.shape[-1]
+        stack = math.prod(lead)
+        scale = 1.0 / np.sqrt(d_h)
+        chunks = self.pieces(lo, hi)
+        if not chunks:
+            return out
+        # flat buffers for the scores, the bands, the transposed keys, the key or
+        # value rows and the query rows of the largest chunk; a chunk views
+        # their starts
+        nq_max = max(g * bb for _, g, bb in chunks)
+        nk_max = nq_max + w - 1
+        scores_buf, t_buf, kt_buf, kv_buf, qy_buf = _workspace(*(stack * size for size in (
+            nq_max * (b + w - 1), nq_max * w, d_h * nk_max, nk_max * d_h, nq_max * d_h)))
+
+        def part(buf, *shape):
+            """C-ordered ``lead + shape`` view of the start of a flat buffer."""
+            return buf[:stack * math.prod(shape)].reshape(lead + shape)
+
+        for r0, g, bb in chunks:
+            nq, nk, span = g * bb, g * bb + w - 1, bb + w - 1
+            scores, t, kt, kv = (part(scores_buf, g, bb, span), part(t_buf, g, bb, w),
+                                 part(kt_buf, d_h, nk), part(kv_buf, nk, d_h))
+            if rows is None:
+                qx, y = q[..., r0:r0 + nq, :], out[..., r0:r0 + nq, :]
             else:
-                np.subtract(band, band.max(axis=-1, keepdims=True), out=t)
-                np.exp(t, out=t)
-            # the scores buffer becomes the weights, zero off the band
-            scores[...] = 0.0
-            np.divide(t, t.sum(axis=-1, keepdims=True), out=band)
-            # a gathering chunk's outputs overwrite its consumed query rows
-            np.matmul(scores, _spans(extended(v, r0, nk, kv), g, span, bb),
-                      out=y.reshape(lead + (g, bb, d_h)))
-        if rows is not None:
-            out[..., rows[r0:r0 + nq], :] = y
-    return out
+                qx = y = _gather_rows(q, rows[r0:r0 + nq], part(qy_buf, nq, d_h))
+            # the keys are copied transposed and pre-scaled: a matmul that reads
+            # a transposed operand runs at half speed on these shapes
+            np.multiply(np.swapaxes(extended(k, r0, nk, kv), -1, -2), scale, out=kt)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(qx.reshape(lead + (g, bb, d_h)),
+                          np.swapaxes(_spans(np.swapaxes(kt, -1, -2), g, span, bb), -1, -2),
+                          out=scores)
+            if not np.isfinite(scores).all():
+                raise ValueError("scores contains NaN or Inf entries")
+            band = _band(scores, w)
+            # Two finite scores can differ by more than the largest double, and
+            # exp takes the resulting -inf to the correct 0; weights may underflow.
+            # Masked cells never reach exp as -inf: exp is several times slower
+            # on -inf or underflowing input than on moderate input.
+            with np.errstate(over="ignore", under="ignore"):
+                if self.row_masked[r0:r0 + nq].any():
+                    ok = valid[r0:r0 + nq].reshape(g, bb, w)
+                    # masked cells are -inf for the row max only, then exp(0), then 0
+                    np.add(band, np.where(ok, 0.0, -np.inf), out=t)
+                    t -= t.max(axis=-1, keepdims=True)
+                    np.maximum(t, np.where(ok, -np.inf, 0.0), out=t)
+                    np.exp(t, out=t)
+                    t *= ok
+                else:
+                    np.subtract(band, band.max(axis=-1, keepdims=True), out=t)
+                    np.exp(t, out=t)
+                # the scores buffer becomes the weights, zero off the band
+                scores[...] = 0.0
+                np.divide(t, t.sum(axis=-1, keepdims=True), out=band)
+                # a gathering chunk's outputs overwrite its consumed query rows
+                np.matmul(scores, _spans(extended(v, r0, nk, kv), g, span, bb),
+                          out=y.reshape(lead + (g, bb, d_h)))
+            if rows is not None:
+                out[..., rows[r0:r0 + nq], :] = y
+        return out
+
+
+def _swa_plan(n: int, w: int, stack: int) -> _BlockPlan:
+    """The plan of causal sliding-window attention: slot i is token i, and
+    the w-1 extended rows before token 0 are pads."""
+    keys = np.arange(1 - w, n)
+    keys[:w - 1] = n
+    return _BlockPlan(w, keys, None, stack)
+
+
+def _sa_plan(p: Permutation, w: int, convention: Convention, stack: int) -> _BlockPlan:
+    """The plan of stochastic attention: slot s holds token ``p.inverse[s]``,
+    and the extended rows are the window's slots, wrapped for the circular
+    window and pads before slot 0 for the one-sided one."""
+    n = p.n
+    back, fwd = WindowSpec(w, convention).offsets()
+    slots = np.arange(-back, n + fwd)
+    if convention is Convention.SYMMETRIC_CIRCULAR:
+        slots %= n
+    return _BlockPlan(w, np.where(slots < 0, n, p.inverse[slots]), p.inverse, stack)
 
 
 def swa_forward(inp: AttentionInputs, w: int) -> np.ndarray:
     """Causal sliding-window attention: each token sees the previous w tokens
     (itself included). Returns the shape of ``inp.v``, one head or a stack;
-    a stack's memory is token-major ``(n, h, d_h)``."""
-    n = inp.n
-    check_window(n, w)
-    keys = np.arange(1 - w, n)
-    keys[:w - 1] = n
-    return _windowed_attention(inp.q, inp.k, inp.v, w, keys)
+    a stack's memory is token-major ``(n, h, d_h)``. Runs every chunk of its
+    plan on this thread."""
+    check_window(inp.n, w)
+    return _swa_plan(inp.n, w, math.prod(inp.q.shape[:-2])).forward(inp.q, inp.k, inp.v)
 
 
-def sa_forward(
-    inp: AttentionInputs,
-    w: int,
-    p: Permutation,
-    convention: Convention = Convention.SYMMETRIC_CIRCULAR,
-    *,
-    _out: np.ndarray | None = None,
-) -> np.ndarray:
+def sa_forward(inp: AttentionInputs, w: int, p: Permutation,
+               convention: Convention) -> np.ndarray:
     """Stochastic attention: permute rows, run windowed attention in the
     permuted order, un-permute the result.
 
@@ -409,31 +467,24 @@ def sa_forward(
     preserved even though each token's neighborhood is a random subset of
     the sequence.
 
-    Convention notes: the default circular window is the one the stochastic
-    mask is defined with (causality comes only from original positions, and
-    w >= n degenerates to full causal attention for any permutation). The
-    one-sided convention additionally orders permuted slots; it collapses to
-    ``swa_forward`` exactly at the identity permutation.
+    Convention notes: the circular window is the one the stochastic mask is
+    defined with (causality comes only from original positions, and w >= n
+    degenerates to full causal attention for any permutation); ``checks``
+    audits it against that mask. The one-sided convention additionally
+    orders permuted slots; it is the one ``dual_path_layer`` runs, and it
+    collapses to ``swa_forward`` exactly at the identity permutation.
 
     Each chunk of permuted slots gathers its queries and its window's keys
-    and values straight from the token-ordered inputs (the extended key
-    rows: wrapped slots for the circular window, masked pads before slot 0
-    for the one-sided one) and scatters its outputs back to token order, so
-    nothing is permuted whole. Every head shares ``p``; a stack's result is
-    in token-major memory ``(n, h, d_h)``. ``_out`` is private to
-    ``dual_path_layer``, which runs this on its worker thread: the result is
-    written into that caller-allocated array of the result's shape instead.
+    and values straight from the token-ordered inputs and scatters its
+    outputs back to token order, so nothing is permuted whole. Every head
+    shares ``p``; a stack's result is in token-major memory ``(n, h, d_h)``.
+    Runs every chunk of its plan on this thread.
     """
     n = inp.n
     if p.n != n:
         raise ValueError(f"permutation size {p.n} does not match sequence length {n}")
     check_window(n, w)
-    back, fwd = WindowSpec(w, convention).offsets()
-    slots = np.arange(-back, n + fwd)
-    if convention is Convention.SYMMETRIC_CIRCULAR:
-        slots %= n
-    keys = np.where(slots < 0, n, p.inverse[slots])
-    return _windowed_attention(inp.q, inp.k, inp.v, w, keys, p.inverse, _out)
+    return _sa_plan(p, w, convention, math.prod(inp.q.shape[:-2])).forward(inp.q, inp.k, inp.v)
 
 
 @functools.lru_cache(maxsize=8)
@@ -448,6 +499,13 @@ def _rope_table(n: int, d_h: int, base: float) -> np.ndarray:
     np.sin(ang, out=table.imag)
     table.flags.writeable = False
     return table
+
+
+def _rotate(x: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
+    """Rows of ``x`` rotated by the matching rows of a ``_rope_table``, into
+    ``out``: ``(..., rows, d_h)`` float64 arrays whose last axis is
+    unit-stride, read and written as complex pairs in place."""
+    np.multiply(x.view(np.complex128), table, out=out.view(np.complex128))
 
 
 def rope_apply(x: np.ndarray, base: float) -> np.ndarray:
@@ -472,9 +530,9 @@ def rope_apply(x: np.ndarray, base: float) -> np.ndarray:
     table = _rope_table(n, d_h, _check_rope_base(base))
     if x.strides[-1] != x.itemsize:
         x = x.copy()
-    out = np.empty(x.shape[:-1] + (d_h // 2,), dtype=np.complex128)
-    np.multiply(x.view(np.complex128), table, out=out)
-    return out.view(np.float64)
+    out = np.empty(x.shape)
+    _rotate(x, table, out)
+    return out
 
 
 # The layer's one worker thread: (process id, one-thread pool), made on the
@@ -492,34 +550,59 @@ if hasattr(os, "register_at_fork"):
                         after_in_child=_pool_lock.release)
 
 
-def _both(f, f_args, g, g_args):
-    """``(f(*f_args), g(*g_args))``: f runs on the worker thread while this
-    thread runs g, and both are done on return.
+def _halfway(n: int, plans: tuple[_BlockPlan, ...] = ()) -> int:
+    """Where the two halves of a stage meet: rows (and slots) [0, cut) and
+    [cut, n). 0 when the stage runs whole on one thread.
 
-    f runs in a copy of this thread's context, so it sees the caller's
-    ``np.errstate``. g is the half that serial code runs first: when both
-    raise, g's error is the one raised.
+    A half of one row would turn its products into matrix-vector products,
+    which round differently from the whole-array product, so each half gets
+    at least two rows. With ``plans``, the cut is a block boundary of theirs
+    near n/2 that leaves no piece of a chunk as a lone one-row block, whose
+    product rounds differently from the same block beside others.
     """
+    b = plans[0].b if plans else 1
+    mid = n // (2 * b) * b
+    for cut in (mid, mid + b, mid - b):
+        if 2 <= cut <= n - 2 and all(plan.splits_at(cut) for plan in plans):
+            return cut
+    return 0
+
+
+def _halves(fn, n: int, cut: int) -> None:
+    """``fn(0, cut)`` on this thread while the worker thread runs
+    ``fn(cut, n)``; both are done on return. With cut 0, ``fn(0, n)`` runs
+    here alone.
+
+    The worker runs in a copy of this thread's context, so it sees the
+    caller's ``np.errstate``. When both halves raise, this thread's error is
+    the one raised.
+    """
+    if cut == 0:
+        fn(0, n)
+        return
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
             _pool = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="stochattn"))
         pool = _pool[1]
-    done = pool.submit(contextvars.copy_context().run, f, *f_args)
+    done = pool.submit(contextvars.copy_context().run, fn, cut, n)
     try:
-        g_out = g(*g_args)
+        fn(0, cut)
     except BaseException:
         done.exception()
         raise
-    return done.result(), g_out
+    done.result()
 
 
-def _gated(y: np.ndarray, w_gate: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sigmoid(y @ w_gate^T) * y, into ``out`` when given."""
-    gate = sigmoid_in_place(np.matmul(y, w_gate.T, out=out))
-    gate *= y
-    return gate
+def _fuse_rows(y_swa: np.ndarray, y_sa: np.ndarray, g: GateParams, out: np.ndarray,
+               gate: np.ndarray, lo: int, hi: int) -> None:
+    """Rows [lo, hi) of the gated fusion into ``out``, with ``gate`` (n, d)
+    as scratch for the SA term."""
+    for y, w_gate_t, dst in zip((y_swa, y_sa), g._transposed, (out, gate)):
+        sigmoid_in_place(np.matmul(y[lo:hi], w_gate_t, out=dst[lo:hi]))
+        dst[lo:hi] *= y[lo:hi]
+    out[lo:hi] += gate[lo:hi]
 
 
 def gated_fusion(y_swa: np.ndarray, y_sa: np.ndarray, g: GateParams) -> np.ndarray:
@@ -528,9 +611,10 @@ def gated_fusion(y_swa: np.ndarray, y_sa: np.ndarray, g: GateParams) -> np.ndarr
     y = sigmoid(y_swa @ W_swa^T) * y_swa + sigmoid(y_sa @ W_sa^T) * y_sa,
     per token and per dimension. The gates are independent (not a softmax
     split), so both paths can be up- or down-weighted simultaneously; there
-    is no bias term. The two gated terms are computed at the same time: the
-    SWA term on the calling thread, the SA term on the layer's worker thread
-    (see ``dual_path_layer``), into an array this thread allocates.
+    is no bias term. The rows run in two halves, one on this thread and one
+    on the layer's worker thread (see ``dual_path_layer``), each computing
+    its rows' two gated terms and their sum into arrays this thread
+    allocates.
     """
     y_swa = as_matrix(y_swa, "y_swa")
     y_sa = as_matrix(y_sa, "y_sa")
@@ -538,9 +622,9 @@ def gated_fusion(y_swa: np.ndarray, y_sa: np.ndarray, g: GateParams) -> np.ndarr
         raise ValueError(f"path outputs disagree: {y_swa.shape} vs {y_sa.shape}")
     if y_swa.shape[1] != g.d:
         raise ValueError(f"gate width {g.d} does not match output width {y_swa.shape[1]}")
-    out, gated_swa = _both(_gated, (y_sa, g.w_gate_sa, np.empty(y_sa.shape)),
-                           _gated, (y_swa, g.w_gate_swa))
-    out += gated_swa
+    n = y_swa.shape[0]
+    out, gate = np.empty(y_swa.shape), np.empty(y_swa.shape)
+    _halves(lambda lo, hi: _fuse_rows(y_swa, y_sa, g, out, gate, lo, hi), n, _halfway(n))
     return out
 
 
@@ -556,28 +640,27 @@ def dual_path_layer(
     ``projections`` are the three (d, d) matrices (w_q, w_k, w_v), applied
     as ``x @ w``. Rotary embeddings on original positions, then both the
     causal sliding-window path and the stochastic path (one fresh
-    permutation per call, shared across heads), head outputs concatenated
-    per path and the two paths combined by ``gated_fusion``. Every stage
-    runs once on the head stack ``(h, n, d_h)``: q and k are projected into
-    the two halves of one ``(n, 2d)`` array and rotated by one
-    ``rope_apply`` call on its ``(2h, n, d_h)`` stack. There is no output
-    projection, MLP or normalization here: this is an attention-sublayer
-    reference, not a trainable block.
+    permutation per call, shared across heads), head outputs joined per
+    path and the two paths combined as ``gated_fusion`` combines them.
+    Every stage runs on the head stack ``(h, n, d_h)``.
+    There is no output projection, MLP or normalization here: this is an
+    attention-sublayer reference, not a trainable block.
 
-    The layer's independent halves run side by side: this thread runs one,
-    and one worker thread, shared by every layer call of the process, runs
-    the other. There are three phases, each joined before the next starts:
-    this thread projects q and k and rotates them while the worker projects
-    v; this thread runs ``swa_forward`` while the worker runs
-    ``sa_forward``; and ``gated_fusion`` computes its two gates the same
-    way. The permutation is drawn here, before them. The worker allocates no
-    large array: it writes v, the SA output and the SA gate into arrays
-    this thread allocated. glibc gives a second thread an arena of its own,
-    which keeps freed pages, so arrays allocated there would raise the
-    process's memory. The joins drop each intermediate once it is consumed,
-    as serial code does; only v is made beside q and k instead of after
-    RoPE. The output is bit-identical to running the stages one after
-    another.
+    The layer is data-parallel over rows: each of its three phases runs the
+    same code on two halves, rows (or slots) [0, cut) on this thread and
+    [cut, n) on one worker thread shared by every layer call of the
+    process, joined before the next phase starts. This thread draws the
+    permutation and builds one block plan per path first. Then each half
+    projects its rows of q, k and v and rotates q and k from the cached
+    RoPE table; runs its half of the chunks of both plans, SWA in token
+    order and SA in permuted slots scattered back to their tokens; and
+    computes its rows' two gated terms and their sum. Each half checks the
+    rows it made (q, k and v, then both path outputs) for NaN and Inf with
+    the one-line errors of ``as_matrices``. This thread allocates the
+    three large arrays that every phase writes: glibc gives a second thread
+    an arena of its own, which keeps freed pages, so arrays allocated there
+    would raise the process's memory. The output is bit-identical to
+    running every stage whole, one head at a time.
     """
     x = as_matrix(x, "x")
     n, d = x.shape
@@ -594,34 +677,47 @@ def dual_path_layer(
     for name, m in zip(names, (wq, wk, wv)):
         if m.shape != (d, d):
             raise ValueError(f"projection {name} must be ({d}, {d}), got {m.shape}")
+    h, d_h = cfg.h, cfg.d_h
 
     def heads(full):
         """Head-major (full.shape[1] // d_h, n, d_h) view of an (n, *) array."""
-        return full.reshape(n, -1, cfg.d_h).transpose(1, 0, 2)
-
-    def merged(y):
-        """(n, d) view of a kernel's head stack, heads side by side: the
-        kernels return token-major memory."""
-        return y.transpose(1, 0, 2).reshape(n, d)
-
-    def projected_and_rotated():
-        # q and k are the two disjoint halves of one stack. They must never
-        # share a buffer: numpy's matmul computes q @ q.T through BLAS syrk,
-        # which is not bit-identical to the general product of the per-head
-        # route.
-        qk_full = np.empty((n, 2 * d))
-        np.matmul(x, wq, out=qk_full[:, :d])
-        np.matmul(x, wk, out=qk_full[:, d:])
-        return rope_apply(heads(qk_full), cfg.rope_base)
+        return full.reshape(n, -1, d_h).transpose(1, 0, 2)
 
     perm = sample_permutation(n, rng)
-    v = np.empty((n, d))
-    _, qk = _both(np.matmul, (x, wv, v), projected_and_rotated, ())
-    inp = AttentionInputs(qk[:cfg.h], qk[cfg.h:], heads(v))
-    del qk, v
-    y_sa = np.empty((n, d))
-    sa = functools.partial(sa_forward, _out=heads(y_sa))
-    _, y_swa = _both(sa, (inp, cfg.w, perm, Convention.CAUSAL_ONE_SIDED),
-                     swa_forward, (inp, cfg.w))
-    del inp
-    return gated_fusion(merged(y_swa), y_sa, g)
+    plans = (_swa_plan(n, cfg.w, h), _sa_plan(perm, cfg.w, Convention.CAUSAL_ONE_SIDED, h))
+    cut = _halfway(n, plans)
+    table = _rope_table(n, d_h, cfg.rope_base)
+    # Three arrays serve the whole call, each taking a second role once its
+    # first is consumed: the [q | k] projections, then [y_swa | y_sa]; the
+    # rotated (2h, n, d_h) q and k stack, then the SA gates; v, then the
+    # output. q and k must never share a buffer: numpy's matmul computes
+    # q @ q.T through BLAS syrk, which is not bit-identical to the general
+    # product of the per-head route.
+    pair, qk, v = np.empty((n, 2 * d)), np.empty((2 * h, n, d_h)), np.empty((n, d))
+
+    def project(lo, hi):
+        np.matmul(x[lo:hi], wq, out=pair[lo:hi, :d])
+        np.matmul(x[lo:hi], wk, out=pair[lo:hi, d:])
+        np.matmul(x[lo:hi], wv, out=v[lo:hi])
+        _rotate(heads(pair)[:, lo:hi], table[lo:hi], qk[:, lo:hi])
+        for rows, name in ((qk[:h, lo:hi], "q"), (qk[h:, lo:hi], "k"), (v[lo:hi], "v")):
+            as_matrices(rows, name)
+
+    _halves(project, n, cut)
+    # each path's heads side by side, token-major, as the kernels write them
+    y_swa, y_sa = pair[:, :d], pair[:, d:]
+
+    def attend(lo, hi):
+        for plan, y in zip(plans, (y_swa, y_sa)):
+            plan.run(qk[:h], qk[h:], heads(v), heads(y), lo, hi)
+
+    _halves(attend, n, cut)
+    out, gate = v, qk.reshape(2 * n, d)[:n]
+
+    def fuse(lo, hi):
+        as_matrices(y_swa[lo:hi], "y_swa")
+        as_matrices(y_sa[lo:hi], "y_sa")
+        _fuse_rows(y_swa, y_sa, g, out, gate, lo, hi)
+
+    _halves(fuse, n, cut)
+    return out

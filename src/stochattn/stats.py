@@ -121,7 +121,8 @@ def sa_bias_mc(v, ws, trials: int, rng: SeededRng) -> BiasReport:
     w multiplies the exact per-token deviation by (n-2w)/(2(n-w)).
     ``mean_z_sq`` averages z^2 over the components with a positive stderr,
     z = (E_mc[Y_i] - mean(V) - c (V_i - mean(V))) / stderr with the exact
-    c = (n-w)/(w(n-1)); it is about 1 when the model holds.
+    c = (n-w)/(w(n-1)); it is about 1 when the model holds, and None at
+    w = n, where every trial gives the same output.
     """
     v = as_matrix(v, "v")
     if trials < 2:
@@ -147,7 +148,9 @@ def sa_bias_mc(v, ws, trials: int, rng: SeededRng) -> BiasReport:
         token_noise = np.sqrt(comp_var.sum(axis=1) / trials)
         stderrs.append(float(token_noise.mean()))
         comp_se = np.sqrt(comp_var / trials)
-        kept = comp_se > 0.0
+        # at w = n every trial averages all n rows: the output never varies,
+        # and its stderr is rounding noise that no z-score can be taken against
+        kept = (comp_se > 0.0) & (w < n)
         z = (mean_y - v_bar - _bias_slope(n, w) * (v - v_bar))[kept] / comp_se[kept]
         mean_z_sq.append(float(np.mean(z * z)) if z.size else None)
     return BiasReport(n=n, d=d, trials=trials, ws=ws, deviations=deviations,

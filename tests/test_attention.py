@@ -224,7 +224,7 @@ class TestSa:
         rng = SeededRng(12)
         inp = _random_inputs(rng, 8, 2)
         with pytest.raises(ValueError):
-            sa_forward(inp, 3, sample_permutation(9, rng))
+            sa_forward(inp, 3, sample_permutation(9, rng), Convention.SYMMETRIC_CIRCULAR)
 
 
 @st.composite
@@ -313,7 +313,8 @@ class TestBlockedKernels:
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             out = swa_forward(inp, w)
-            out_sa = sa_forward(inp, w, sample_permutation(n, SeededRng(25)))
+            out_sa = sa_forward(inp, w, sample_permutation(n, SeededRng(25)),
+                                Convention.SYMMETRIC_CIRCULAR)
         for y in (out, out_sa):
             np.testing.assert_allclose(y, 1e308, rtol=1e-15)
 
@@ -322,7 +323,7 @@ class TestBlockedKernels:
         with pytest.raises(ValueError):
             swa_forward(inp, 7)
         with pytest.raises(ValueError):
-            sa_forward(inp, 0, Permutation(np.arange(6)))
+            sa_forward(inp, 0, Permutation(np.arange(6)), Convention.SYMMETRIC_CIRCULAR)
 
     def test_peak_memory_is_linear_in_n(self):
         # one dense n x n float64 array at n = 8192 is 512 MB
@@ -494,6 +495,48 @@ class TestScratch:
             assert all(np.array_equal(a, b) for a, b in zip(results[t], serial[t]))
 
 
+class TestBlockPlan:
+    """A plan's two halves, run on the caller's and the worker's thread,
+    give exactly what the one-thread kernel gives."""
+
+    @given(_kernel_case(), st.sampled_from([None, 1, 2, 4]))
+    @example((7, 3, 4, 0), None)    # b = 1: the middle cut would leave a lone one-row block
+    @example((96, 32, 4, 1), 4)     # a single-chunk SA plan
+    @example((65, 64, 1, 8), 4)     # a one-row tail block
+    def test_two_halves_equal_the_one_thread_kernel(self, case, h):
+        n, w, d_h, seed = case
+        rng = np.random.default_rng(seed)
+        shape = (n, d_h) if h is None else (h, n, d_h)
+        inp = AttentionInputs(*(rng.normal(size=shape) for _ in range(3)))
+        perm = sample_permutation(n, SeededRng(seed))
+        stack = h or 1
+        for conv in Convention:
+            plans = (attention._swa_plan(n, w, stack), attention._sa_plan(perm, w, conv, stack))
+            cut = attention._halfway(n, plans)
+            for plan, whole in zip(plans, (swa_forward(inp, w), sa_forward(inp, w, perm, conv))):
+                out = np.empty_like(whole)
+                attention._halves(lambda lo, hi, plan=plan, out=out:
+                                  plan.run(inp.q, inp.k, inp.v, out, lo, hi), n, cut)
+                assert np.array_equal(out, whole)
+
+    def test_the_examples_cover_their_cases(self):
+        n, w = 7, 3
+        plans = (attention._swa_plan(n, w, 1),
+                 attention._sa_plan(sample_permutation(n, SeededRng(0)), w,
+                                    Convention.CAUSAL_ONE_SIDED, 1))
+        # the SWA edge chunk is slots [0, 2): a cut at 3 would leave [2, 3) alone
+        assert plans[0].chunks[:2] == [(0, 2, 1), (2, 5, 1)]
+        assert attention._halfway(n, plans) == 4
+        sa = attention._sa_plan(sample_permutation(96, SeededRng(1)), 32,
+                                Convention.CAUSAL_ONE_SIDED, 4)
+        assert len(sa.chunks) == 1 and 0 < attention._halfway(96, (sa,)) < 96
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fewer_than_four_rows_run_whole(self, n):
+        assert attention._halfway(n) == 0
+        assert attention._halfway(n, (attention._swa_plan(n, 1, 1),)) == 0
+
+
 @st.composite
 def _layer_case(draw):
     """(n, h, d_h, w, projected, seed) with 1 <= w <= n <= 96, h in {1, 2, 4}."""
@@ -596,6 +639,17 @@ class TestGatedFusion:
             warnings.simplefilter("error")
             out = gated_fusion(np.zeros((1, 2)), y_sa, g)
         assert np.array_equal(out, [[1000.0, 0.0]])
+
+    @pytest.mark.parametrize("n,d", [(40, 32), (60, 32), (77, 32), (20, 64), (38, 64), (9, 256)])
+    def test_row_halves_equal_whole_array_products(self, n, d):
+        # through a transposed gate matrix, BLAS picks a kernel by row count
+        # at these sizes, and a half of the rows would round differently
+        rng = np.random.default_rng(n * d)
+        a, b = (rng.normal(size=(n, d)) for _ in range(2))
+        w_swa, w_sa = (rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(2))
+        terms = [numerics.sigmoid_in_place(y @ np.ascontiguousarray(w.T)) * y
+                 for y, w in ((a, w_swa), (b, w_sa))]
+        assert np.array_equal(gated_fusion(a, b, GateParams(w_swa, w_sa)), terms[0] + terms[1])
 
     def test_shape_mismatch(self):
         g = GateParams(np.zeros((2, 2)), np.zeros((2, 2)))
@@ -832,20 +886,37 @@ class TestDualPathLayer:
         assert np.abs(out - oracle).max() <= 1e-12
 
     def test_one_rope_pass_and_one_permutation(self, monkeypatch):
-        # q and k are rotated as one (2h, n, d_h) stack, and both paths share
-        # one permutation draw
-        calls = {"rope_apply": 0, "sample_permutation": 0}
-        for name in calls:
-            def counted(*args, _name=name, _original=getattr(attention, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(attention, name, counted)
+        # the halves rotate each row of the (2h, n, d_h) q/k stack once, and
+        # both paths share one permutation draw
+        rotated, draws = [], []
+        rotate, draw = attention._rotate, attention.sample_permutation
+
+        def counted_rotate(x, table, out):
+            rotated.append(x.shape)
+            rotate(x, table, out)
+
+        def counted_draw(n, rng):
+            draws.append(n)
+            return draw(n, rng)
+
+        monkeypatch.setattr(attention, "_rotate", counted_rotate)
+        monkeypatch.setattr(attention, "sample_permutation", counted_draw)
         cfg = LayerConfig(d=8, h=2, w=3)
         x, projections, gates = _layer_params(np.random.default_rng(35), 20, cfg.d, True)
         for proj in (projections, _identity_projections(cfg.d)):
-            calls.update(rope_apply=0, sample_permutation=0)
+            rotated.clear()
+            draws.clear()
             dual_path_layer(x, cfg, gates, SeededRng(35), proj)
-            assert calls == {"rope_apply": 1, "sample_permutation": 1}
+            assert draws == [20]
+            assert len(rotated) == 2 and all(shape[::2] == (4, 4) for shape in rotated)
+            assert sum(shape[1] for shape in rotated) == 20
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fewer_than_four_rows_equal_the_per_head_loop(self, n):
+        cfg = LayerConfig(d=8, h=2, w=n)
+        x, projections, gates = _layer_params(np.random.default_rng(n), n, cfg.d, True)
+        out = dual_path_layer(x, cfg, gates, SeededRng(n), projections)
+        assert np.array_equal(out, _per_head_layer(x, cfg, gates, SeededRng(n), projections))
 
     def test_config_mismatch_rejected(self):
         gates = GateParams(np.zeros((4, 4)), np.zeros((4, 4)))
@@ -882,26 +953,58 @@ class TestWorkerThread:
     """The layer runs its two halves on the caller's thread and one worker
     thread."""
 
+    @staticmethod
+    def _recorded_phases(monkeypatch):
+        """Wrap ``attention._halves`` so that each phase records, per half,
+        (lo, hi, thread, errstate)."""
+        phases, halves = [], attention._halves
+
+        def recording(fn, n, cut):
+            seen = []
+            phases.append(seen)
+
+            def half(lo, hi):
+                seen.append((lo, hi, threading.current_thread(), np.geterr()))
+                fn(lo, hi)
+
+            halves(half, n, cut)
+
+        monkeypatch.setattr(attention, "_halves", recording)
+        return phases
+
     def test_worker_sees_the_callers_errstate(self, monkeypatch):
-        seen = {}
+        # every phase runs its two halves on two threads, and the worker's
+        # half runs under the caller's errstate
+        phases = self._recorded_phases(monkeypatch)
+        draws = []
+        draw = attention.sample_permutation
 
-        def recorded(name, original):
-            def wrapper(*args, **kwargs):
-                seen[name] = (threading.current_thread(), np.geterr())
-                return original(*args, **kwargs)
-            return wrapper
+        def recorded_draw(n, rng):
+            draws.append((threading.current_thread(), np.geterr()))
+            return draw(n, rng)
 
-        for name in ("sa_forward", "swa_forward", "sample_permutation"):
-            monkeypatch.setattr(attention, name, recorded(name, getattr(attention, name)))
+        monkeypatch.setattr(attention, "sample_permutation", recorded_draw)
         cfg = LayerConfig(d=8, h=2, w=3)
         x, projections, gates = _layer_params(np.random.default_rng(36), 20, cfg.d, True)
         with np.errstate(all="raise"):
             caller = (threading.current_thread(), np.geterr())
             dual_path_layer(x, cfg, gates, SeededRng(36), projections)
-        assert seen["sa_forward"][0] is not caller[0]
-        assert seen["sa_forward"][1] == caller[1]
+        assert len(phases) == 3
+        for seen in phases:
+            assert sorted((lo, hi) for lo, hi, *_ in seen) == [(0, 10), (10, 20)]
+            threads = {lo: thread for lo, _, thread, _ in seen}
+            assert threads[0] is caller[0] and threads[10] is not caller[0]
+            assert all(errstate == caller[1] for *_, errstate in seen)
         # the permutation is drawn once, on the caller's thread
-        assert seen["sample_permutation"] == seen["swa_forward"] == caller
+        assert draws == [caller]
+
+    def test_gated_fusion_runs_on_two_threads(self, monkeypatch):
+        phases = self._recorded_phases(monkeypatch)
+        a, b = (np.random.default_rng(s).normal(size=(9, 4)) for s in (0, 1))
+        gated_fusion(a, b, GateParams(np.eye(4), np.eye(4)))
+        assert len(phases) == 1
+        assert sorted((lo, hi) for lo, hi, *_ in phases[0]) == [(0, 4), (4, 9)]
+        assert len({thread for _, _, thread, _ in phases[0]}) == 2
 
     @pytest.mark.parametrize("projected", [False, True])
     def test_score_overflow_is_a_one_line_value_error(self, projected):
@@ -911,6 +1014,47 @@ class TestWorkerThread:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^scores contains NaN or Inf entries$"):
                 dual_path_layer(x * 1e200, cfg, gates, SeededRng(37), projections)
+
+    @pytest.mark.parametrize("rows", ["caller", "worker"])
+    def test_overflow_in_either_halfs_rows_is_a_one_line_value_error(self, rows):
+        cfg = LayerConfig(d=8, h=2, w=4)
+        x, projections, gates = _layer_params(np.random.default_rng(38), 24, cfg.d, False)
+        x[:12 if rows == "caller" else 12:] *= 1e200
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^scores contains NaN or Inf entries$"):
+                dual_path_layer(x, cfg, gates, SeededRng(38), projections)
+
+    @pytest.mark.parametrize("raising", [(0,), (5,), (0, 5)])
+    def test_either_halfs_error_is_raised(self, raising):
+        done = []
+
+        def fn(lo, hi):
+            if lo in raising:
+                raise ValueError(f"half {lo}")
+            done.append(lo)
+
+        with pytest.raises(ValueError, match=f"^half {raising[0]}$"):
+            attention._halves(fn, 10, 5)
+        # both halves have finished when the error reaches the caller
+        assert sorted(done) == sorted({0, 5} - set(raising))
+
+    @pytest.mark.parametrize("name", ["q", "k", "v", "y_swa", "y_sa"])
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_a_non_finite_half_is_a_one_line_value_error(self, monkeypatch, name, half):
+        # each half checks the rows it made, with the messages of as_matrices
+        check, caller = attention.as_matrices, threading.current_thread()
+
+        def poisoned(x, label):
+            if label == name and (threading.current_thread() is caller) == (half == 0):
+                x = np.full(x.shape, np.inf)
+            return check(x, label)
+
+        monkeypatch.setattr(attention, "as_matrices", poisoned)
+        cfg = LayerConfig(d=8, h=2, w=4)
+        x, projections, gates = _layer_params(np.random.default_rng(39), 24, cfg.d, True)
+        with pytest.raises(ValueError, match=f"^{name} contains NaN or Inf entries$"):
+            dual_path_layer(x, cfg, gates, SeededRng(39), projections)
 
     def test_calls_add_at_most_one_thread(self):
         cfg = LayerConfig(d=8, h=2, w=3)

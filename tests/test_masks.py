@@ -40,7 +40,7 @@ _ONES = np.ones((_N, 4))
 _WINDOWED_ENTRIES = {
     "swa_forward": lambda w: swa_forward(AttentionInputs(_ONES, _ONES, _ONES), w),
     "sa_forward": lambda w: sa_forward(AttentionInputs(_ONES, _ONES, _ONES), w,
-                                       Permutation(np.arange(_N))),
+                                       Permutation(np.arange(_N)), Convention.SYMMETRIC_CIRCULAR),
     "dual_path_layer": lambda w: dual_path_layer(
         _ONES, LayerConfig(d=4, h=2, w=w), GateParams(np.eye(4), np.eye(4)), SeededRng(0),
         (np.eye(4),) * 3),

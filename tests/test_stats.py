@@ -77,7 +77,7 @@ def _loop_sa_bias_mc(v, ws, trials, rng):
         comp_se = np.sqrt(comp_var / trials)
         slope = 0.0 if w == n else (n - w) / (w * (n - 1))
         z = [(mean_y - v_bar - slope * (v - v_bar))[i, j] / comp_se[i, j]
-             for i, j in zip(*np.nonzero(comp_se))]
+             for i, j in zip(*np.nonzero(comp_se)) if w < n]
         mean_z_sq.append(float(np.mean(np.square(z))) if z else None)
     return BiasReport(n=n, d=d, trials=trials, ws=list(ws), deviations=deviations,
                       stderrs=stderrs, mean_z_sq=mean_z_sq)
@@ -243,6 +243,14 @@ class TestBias:
         v = np.asarray(SeededRng(11).normal(size=(16, 3)))
         report = sa_bias_mc(v, [16], 50, SeededRng(12))
         assert report.deviations[0] <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 48, 128])
+    def test_full_window_reports_no_z_score(self, n):
+        # every trial averages the same n rows, so the spread is rounding noise
+        v = np.asarray(SeededRng(n).normal(size=(n, 3)))
+        report = sa_bias_mc(v, [n // 4, n], 4000, SeededRng(n + 1))
+        assert report.mean_z_sq[1] is None
+        assert report.mean_z_sq[0] is not None and report.mean_z_sq[0] <= 1.5
 
     def test_mean_output_matches_closed_form(self):
         # self-inclusion makes E[Y_i] = V_i/w + (w-1)/(w(n-1)) * (sum V - V_i);
