@@ -50,7 +50,6 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -58,6 +57,7 @@ from numpy.lib.stride_tricks import as_strided
 from .masks import Convention, WindowSpec, check_window
 from .numerics import (
     MC_CHUNK_BYTES,
+    Frozen,
     SeededRng,
     as_matrices,
     as_matrix,
@@ -68,24 +68,17 @@ from .numerics import (
 from .permute import Permutation, sample_permutation
 
 
-@dataclass(frozen=True)
-class AttentionInputs:
+class AttentionInputs(Frozen):
     """Query/key/value matrices of one head ``(n, d_h)`` or a head stack
     ``(h, n, d_h)``, rows in original token order."""
 
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
+    __slots__ = ("q", "k", "v")
 
-    def __post_init__(self):
-        q = as_matrices(self.q, "q")
-        k = as_matrices(self.k, "k")
-        v = as_matrices(self.v, "v")
+    def __init__(self, q, k, v):
+        q, k, v = as_matrices(q, "q"), as_matrices(k, "k"), as_matrices(v, "v")
         if not (q.shape == k.shape == v.shape):
             raise ValueError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "v", v)
+        self.q, self.k, self.v = q, k, v
 
     @property
     def n(self) -> int:
@@ -96,27 +89,23 @@ class AttentionInputs:
         return self.q.shape[-1]
 
 
-@dataclass(frozen=True)
-class GateParams:
+class GateParams(Frozen):
     """Weights of the two independent sigmoid gates of the dual-path layer."""
 
-    w_gate_swa: np.ndarray
-    w_gate_sa: np.ndarray
-    # (W_swa^T, W_sa^T), C-ordered: a product through a transposed operand
-    # takes a BLAS kernel that depends on the row count at small sizes, so
-    # its row halves would not round as the whole does
-    _transposed: tuple = field(init=False, repr=False, compare=False)
+    # _transposed is (W_swa^T, W_sa^T), C-ordered: a product through a
+    # transposed operand takes a BLAS kernel that depends on the row count at
+    # small sizes, so its row halves would not round as the whole does
+    __slots__ = ("w_gate_swa", "w_gate_sa", "_transposed")
 
-    def __post_init__(self):
-        for name in ("w_gate_swa", "w_gate_sa"):
-            w = as_matrix(getattr(self, name), name)
+    def __init__(self, w_gate_swa, w_gate_sa):
+        ws = as_matrix(w_gate_swa, "w_gate_swa"), as_matrix(w_gate_sa, "w_gate_sa")
+        for name, w in zip(("w_gate_swa", "w_gate_sa"), ws):
             if w.shape[0] != w.shape[1]:
                 raise ValueError(f"{name} must be square, got {w.shape}")
-            object.__setattr__(self, name, w)
-        if self.w_gate_swa.shape != self.w_gate_sa.shape:
+        if ws[0].shape != ws[1].shape:
             raise ValueError("gate matrices must share a shape")
-        object.__setattr__(self, "_transposed", tuple(
-            np.ascontiguousarray(w.T) for w in (self.w_gate_swa, self.w_gate_sa)))
+        self.w_gate_swa, self.w_gate_sa = ws
+        self._transposed = tuple(np.ascontiguousarray(w.T) for w in ws)
 
     @property
     def d(self) -> int:
@@ -130,22 +119,31 @@ def _check_rope_base(base) -> float:
     return base
 
 
-@dataclass(frozen=True)
-class LayerConfig:
-    """Shape parameters of one dual-path attention sublayer."""
+class LayerConfig(Frozen):
+    """Shape parameters of one dual-path attention sublayer, a hashable value."""
 
-    d: int
-    h: int
-    w: int
-    rope_base: float = 10000.0
+    __slots__ = ("d", "h", "w", "rope_base")
 
-    def __post_init__(self):
-        if self.d < 1 or self.h < 1 or self.d % self.h != 0:
-            raise ValueError(f"model width d={self.d} must be a positive multiple of h={self.h}")
-        if self.d_h % 2 != 0:
+    def __init__(self, d: int, h: int, w: int, rope_base: float = 10000.0):
+        if d < 1 or h < 1 or d % h != 0:
+            raise ValueError(f"model width d={d} must be a positive multiple of h={h}")
+        if d // h % 2 != 0:
             raise ValueError(f"rotary embedding needs an even head width, got "
-                             f"d_h={self.d_h} (d={self.d}, h={self.h})")
-        _check_rope_base(self.rope_base)
+                             f"d_h={d // h} (d={d}, h={h})")
+        _check_rope_base(rope_base)
+        self.d, self.h, self.w, self.rope_base = d, h, w, rope_base
+
+    def _values(self) -> tuple:
+        return self.d, self.h, self.w, self.rope_base
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "LayerConfig(d={!r}, h={!r}, w={!r}, rope_base={!r})".format(*self._values())
 
     @property
     def d_h(self) -> int:
@@ -288,15 +286,18 @@ class _BlockPlan:
         n = keys.size - w + 1
         b = max(1, w // 4)
         self.n, self.w, self.b, self.rows = n, w, b, rows
-        self.valid = as_strided(keys, (n, w), keys.strides * 2) <= (
-            np.arange(n) if rows is None else rows)[:, None]
+        full, tail = divmod(n, b)
+        # without rows the pads are the w-1 extended rows before token 0: the blocks
+        # whose keys reach them form chunks of their own, the only ones with a
+        # mask, so that the later ones read their keys in place
+        reach = -(-(w - 1) // b)
+        m = n if rows is not None else min(n, b * reach)
+        self.valid = as_strided(keys, (m, w), keys.strides * 2) <= (
+            np.arange(m) if rows is None else rows)[:, None]
         self.row_masked = ~self.valid.all(axis=1)
         # pads read the last token
         self.keys = None if rows is None else np.minimum(keys, n - 1)
-        full, tail = divmod(n, b)
-        # the blocks whose keys reach before token 0 form chunks of their own, so
-        # that the later ones read their keys in place and need no mask
-        cuts = [0, full] if rows is not None else [0, min(full, -(-(w - 1) // b)), full]
+        cuts = [0, full] if rows is not None else [0, min(full, reach), full]
         # a chunk holds as many blocks' scores and bands as the byte budget allows
         self.chunks = [(b * (a + lo), hi - lo, b) for a, z in zip(cuts, cuts[1:])
                        for lo, hi in trial_chunks(z - a, 8 * stack * b * (b + 2 * w - 1))]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ class RoutingMode(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverageCurve:
+class CoverageCurve(NamedTuple):
     """Per-layer receptive-field coverage, aggregated over sources and seeds.
 
     ``mean[l]`` is the mean coverage fraction |R_l(i)|/n over all sources i
@@ -378,8 +377,7 @@ def connection_probability_exhaustive(n: int, w: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
+class GraphMetrics(NamedTuple):
     n: int
     mean_degree: float
     clustering: float
@@ -571,8 +569,7 @@ def ring_lattice_clustering(k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     n: int
     w: int
     eigenvalues: np.ndarray
@@ -638,8 +635,7 @@ def permuted_transition_matrix(n: int, w: int, p: Permutation) -> np.ndarray:
     return transition_matrix(build_stochastic_mask(n, spec, p))
 
 
-@dataclass(frozen=True)
-class MixingReport:
+class MixingReport(NamedTuple):
     n: int
     w: int
     depth: int
@@ -687,8 +683,7 @@ def multilayer_mixing(n: int, w: int, depth: int, n_seeds: int,
 SOFTMAX_FLOPS_PER_CELL = 5  # shift, exp, sum-accumulate, divide, mask test
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """Analytic per-layer FLOP counts at one (n, w, d) point.
 
     Attention over C score cells costs 4*C*d + 5*C (2*C*d for scores,
@@ -701,8 +696,8 @@ class CostReport:
     n: int
     w: int
     d: int
-    flops: dict = field(default_factory=dict)
-    attention_flops: dict = field(default_factory=dict)
+    flops: dict
+    attention_flops: dict
     gate_flops: float = 0.0
 
 

@@ -20,7 +20,7 @@ Window conventions:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ class Convention(enum.Enum):
     SYMMETRIC_CIRCULAR = "circular"
 
 
-@dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(NamedTuple):
     """Window size plus the neighborhood convention it is interpreted under."""
 
     w: int

@@ -30,6 +30,22 @@ class FullyMaskedRowError(ValueError):
         super().__init__(f"row {row} is fully masked; every query must see at least one key")
 
 
+class Frozen:
+    """Base of the package's validated value types: ``__init__`` sets each
+    slot once, and setting it again or deleting it raises AttributeError, so
+    what a constructor derives never goes stale."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 def _splitmix64(z: int) -> int:
     """One round of the SplitMix64 finalizer (Steele/Lea/Flood constants)."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK64

@@ -11,26 +11,22 @@ i.e. row ``i`` of the permuted matrix is the token that lands at slot ``i``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .numerics import SeededRng
+from .numerics import Frozen, SeededRng
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A bijection on {0..n-1}, given by its ``forward`` array.
 
     ``forward[i]`` is the slot token i moves to; ``inverse[s]``, derived
     from it, is the token occupying slot s.
     """
 
-    forward: np.ndarray
-    inverse: np.ndarray = field(init=False)
+    __slots__ = ("forward", "inverse")
 
-    def __post_init__(self):
-        fwd = np.asarray(self.forward)
+    def __init__(self, forward):
+        fwd = np.asarray(forward)
         if fwd.ndim != 1 or fwd.dtype.kind not in "iu":
             raise ValueError(f"forward must be a 1-D integer array, got shape {fwd.shape} "
                              f"and dtype {fwd.dtype}")
@@ -45,8 +41,7 @@ class Permutation:
         # n entries in range fill every slot only if none repeats
         if n and inv.min() < 0:
             raise ValueError(bad)
-        object.__setattr__(self, "forward", fwd)
-        object.__setattr__(self, "inverse", inv)
+        self.forward, self.inverse = fwd, inv
 
     @classmethod
     def _of_bijection(cls, forward: np.ndarray) -> Permutation:
@@ -55,8 +50,7 @@ class Permutation:
         p = object.__new__(cls)
         inv = np.empty_like(forward)
         inv[forward] = np.arange(forward.shape[0])
-        object.__setattr__(p, "forward", forward)
-        object.__setattr__(p, "inverse", inv)
+        p.forward, p.inverse = forward, inv
         return p
 
     @property

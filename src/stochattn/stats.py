@@ -23,7 +23,7 @@ The two sampling models are deliberately different and both faithful:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .numerics import SeededRng, as_matrix, sigmoid_in_place, trial_chunks
 from .permute import inverse_rows
 
 
-@dataclass(frozen=True)
-class BiasReport:
+class BiasReport(NamedTuple):
     """Deviation of the mean stochastic output from the value mean, per
     swept window size, and its mean squared z-score against the closed form
     (None where no component has a positive stderr)."""
@@ -48,8 +47,7 @@ class BiasReport:
     mean_z_sq: list
 
 
-@dataclass(frozen=True)
-class VarianceReport:
+class VarianceReport(NamedTuple):
     """Closed-form vs Monte-Carlo variance of the uniform-window sample mean."""
 
     n: int
@@ -64,8 +62,7 @@ class VarianceReport:
     trials: int = 0
 
 
-@dataclass(frozen=True)
-class BVReport:
+class BVReport(NamedTuple):
     """Bias-variance decomposition audit of the gated dual path."""
 
     n: int
@@ -200,9 +197,7 @@ def sa_variance_mc(v, w: int, trials: int, rng: SeededRng) -> VarianceReport:
     sq = (centered**2).sum(axis=1)
     mc_var = float(sq.sum() / (trials - 1))
     mc_stderr = float(sq.std(ddof=1) / math.sqrt(trials))
-    return VarianceReport(n=base.n, w=base.w, d=base.d, sigma_v2=base.sigma_v2,
-                          b_max=base.b_max, exact=base.exact, bound=base.bound,
-                          mc_variance=mc_var, mc_stderr=mc_stderr, trials=trials)
+    return base._replace(mc_variance=mc_var, mc_stderr=mc_stderr, trials=trials)
 
 
 def _causal_uniform_full(v: np.ndarray) -> np.ndarray:

@@ -803,6 +803,39 @@ class TestInputDtypes:
         assert np.array_equal(GateParams(q, k).w_gate_swa, np.eye(2))
 
 
+class TestValueTypes:
+    """The validated value types are immutable, so what their constructors
+    derive (a permutation's inverse, the gates' transposes) never goes
+    stale; configs and window specs are values."""
+
+    @pytest.mark.parametrize("make, names", [
+        (lambda: AttentionInputs(np.eye(2), np.eye(2), np.eye(2)), ["q", "k", "v"]),
+        (lambda: GateParams(np.eye(2), np.eye(2)), ["w_gate_swa", "w_gate_sa", "_transposed"]),
+        (lambda: LayerConfig(d=4, h=2, w=3), ["d", "h", "w", "rope_base"]),
+        (lambda: WindowSpec(3), ["w", "convention"]),
+        (lambda: Permutation(np.array([1, 0])), ["forward", "inverse"]),
+    ], ids=["AttentionInputs", "GateParams", "LayerConfig", "WindowSpec", "Permutation"])
+    def test_assigning_any_attribute_raises(self, make, names):
+        obj = make()
+        for name in names + ["extra"]:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name, None))
+        for name in names:
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+
+    def test_equal_configs_and_specs_are_equal_values(self):
+        for a, b, other in [
+            (LayerConfig(8, 2, 3), LayerConfig(d=8, h=2, w=3, rope_base=10000.0),
+             LayerConfig(8, 2, 3, rope_base=500.0)),
+            (WindowSpec(5), WindowSpec(5, Convention.SYMMETRIC_CIRCULAR),
+             WindowSpec(5, Convention.CAUSAL_ONE_SIDED)),
+        ]:
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+            assert a != other
+            assert repr(a) == repr(b) and type(a).__name__ in repr(a)
+
+
 class _IdentityPermRng(SeededRng):
     """Stream whose permutation draw is always the identity arrangement."""
 

@@ -638,14 +638,17 @@ class TestSpectrum:
         assert eigenvalue_multiset_distance(a, a[::-1]) == 0.0
         assert eigenvalue_multiset_distance(a, a + 1e-3) == pytest.approx(1e-3, rel=1e-6)
 
-    def test_import_leaves_the_assignment_solver_unloaded(self):
+    @pytest.mark.parametrize("module", ["scipy.optimize", "dataclasses"])
+    def test_import_leaves_the_assignment_solver_unloaded(self, module):
         # scipy.optimize is most of a cold import's time and memory; only
-        # eigenvalue_multiset_distance loads it, on its first call
+        # eigenvalue_multiset_distance loads it, on its first call.
+        # dataclasses builds each class's methods with exec, which took about
+        # 1 ms a class and most of a warm import
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import stochattn, stochattn.cli; "
-                "print('scipy.optimize' in sys.modules)")
+                "print(sys.argv[2] in sys.modules)")
         src = str(Path(stochattn.__file__).resolve().parents[1])
-        run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
-                             timeout=120, check=True)
+        run = subprocess.run([sys.executable, "-c", code, src, module], capture_output=True,
+                             text=True, timeout=120, check=True)
         assert run.stdout.strip() == "False"
 
 
