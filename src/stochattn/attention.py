@@ -39,8 +39,7 @@ attention, the gated fusion) runs the same code on two halves of the rows,
 [0, cut) here and [cut, n) on the worker, into arrays the calling thread
 allocated (glibc would keep the worker's freed pages in an arena of its
 own). The attention phase runs each half of the chunks of two plans, one
-per path, built once on the calling thread. ``gated_fusion`` runs its rows
-in the same two halves.
+per path, built once on the calling thread.
 """
 
 from __future__ import annotations
@@ -130,8 +129,7 @@ class LayerConfig(Frozen):
         if d // h % 2 != 0:
             raise ValueError(f"rotary embedding needs an even head width, got "
                              f"d_h={d // h} (d={d}, h={h})")
-        _check_rope_base(rope_base)
-        self.d, self.h, self.w, self.rope_base = d, h, w, rope_base
+        self.d, self.h, self.w, self.rope_base = d, h, w, _check_rope_base(rope_base)
 
     def _values(self) -> tuple:
         return self.d, self.h, self.w, self.rope_base
@@ -551,17 +549,17 @@ if hasattr(os, "register_at_fork"):
                         after_in_child=_pool_lock.release)
 
 
-def _halfway(n: int, plans: tuple[_BlockPlan, ...] = ()) -> int:
+def _halfway(n: int, plans: tuple[_BlockPlan, ...]) -> int:
     """Where the two halves of a stage meet: rows (and slots) [0, cut) and
     [cut, n). 0 when the stage runs whole on one thread.
 
     A half of one row would turn its products into matrix-vector products,
     which round differently from the whole-array product, so each half gets
-    at least two rows. With ``plans``, the cut is a block boundary of theirs
-    near n/2 that leaves no piece of a chunk as a lone one-row block, whose
-    product rounds differently from the same block beside others.
+    at least two rows. The cut is a block boundary of ``plans`` near n/2
+    that leaves no piece of a chunk as a lone one-row block, whose product
+    rounds differently from the same block beside others.
     """
-    b = plans[0].b if plans else 1
+    b = plans[0].b
     mid = n // (2 * b) * b
     for cut in (mid, mid + b, mid - b):
         if 2 <= cut <= n - 2 and all(plan.splits_at(cut) for plan in plans):
@@ -612,10 +610,7 @@ def gated_fusion(y_swa: np.ndarray, y_sa: np.ndarray, g: GateParams) -> np.ndarr
     y = sigmoid(y_swa @ W_swa^T) * y_swa + sigmoid(y_sa @ W_sa^T) * y_sa,
     per token and per dimension. The gates are independent (not a softmax
     split), so both paths can be up- or down-weighted simultaneously; there
-    is no bias term. The rows run in two halves, one on this thread and one
-    on the layer's worker thread (see ``dual_path_layer``), each computing
-    its rows' two gated terms and their sum into arrays this thread
-    allocates.
+    is no bias term. All rows run on the calling thread.
     """
     y_swa = as_matrix(y_swa, "y_swa")
     y_sa = as_matrix(y_sa, "y_sa")
@@ -623,9 +618,8 @@ def gated_fusion(y_swa: np.ndarray, y_sa: np.ndarray, g: GateParams) -> np.ndarr
         raise ValueError(f"path outputs disagree: {y_swa.shape} vs {y_sa.shape}")
     if y_swa.shape[1] != g.d:
         raise ValueError(f"gate width {g.d} does not match output width {y_swa.shape[1]}")
-    n = y_swa.shape[0]
     out, gate = np.empty(y_swa.shape), np.empty(y_swa.shape)
-    _halves(lambda lo, hi: _fuse_rows(y_swa, y_sa, g, out, gate, lo, hi), n, _halfway(n))
+    _fuse_rows(y_swa, y_sa, g, out, gate, 0, y_swa.shape[0])
     return out
 
 

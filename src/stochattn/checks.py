@@ -23,8 +23,6 @@ from .attention import (
 )
 from .graphs import (
     RoutingMode,
-    _clustering,
-    _path_length,
     circulant_spectrum,
     connection_probability_analytic,
     connection_probability_exhaustive,
@@ -33,6 +31,8 @@ from .graphs import (
     cost_model,
     eigenvalue_multiset_distance,
     expansion_lower_bound,
+    graph_clustering,
+    graph_path_length,
     layer_edges,
     layers_to_coverage,
     multilayer_mixing,
@@ -269,14 +269,14 @@ def smallworld(rng: SeededRng, n: int = 512, w: int = 16, seeds: int = 10) -> di
     the permuted window keeps more than half of it while halving the mean
     path length (medians over seeds)."""
     ring = layer_edges(n, w, RoutingMode.SWA, _CIRCULAR, rng)
-    ring_c = _clustering(*ring)
+    ring_c = graph_clustering(*ring)
     formula = ring_lattice_clustering(w // 2)
-    swa_l = _path_length(*ring)
+    swa_l = graph_path_length(*ring)
     cs, ls = [], []
     for s in range(seeds):
         union = layer_edges(n, w, RoutingMode.FUSED, _CIRCULAR, rng.child(0, s))
-        cs.append(_clustering(*union))
-        ls.append(_path_length(*union))
+        cs.append(graph_clustering(*union))
+        ls.append(graph_path_length(*union))
     med_c, med_l = float(np.median(cs)), float(np.median(ls))
     passed = abs(ring_c - formula) < 1e-12 and med_l < swa_l / 2 and med_c > ring_c / 2
     return _result("smallworld", passed,

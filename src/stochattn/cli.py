@@ -27,16 +27,16 @@ from .graphs import (
     _GATHER_BYTES,
     NoConnectedBaselineError,
     RoutingMode,
-    _clustering,
-    _path_length,
-    _smallworld_metrics,
     circulant_spectrum,
     connection_probability_analytic,
     connection_probability_exhaustive,
     cost_model,
+    graph_clustering,
+    graph_path_length,
     layer_edges,
     layer_mask,
     simulate_reachability,
+    smallworld_metrics,
 )
 from .masks import Convention, intersect_causal, mask_to_csv, mask_to_pgm
 from .numerics import MC_CHUNK_BYTES, SeededRng
@@ -318,7 +318,7 @@ def cmd_smallworld(args) -> int:
 
     def metrics(edges, r: SeededRng):
         try:
-            return _smallworld_metrics(*edges, r, args.baselines)
+            return smallworld_metrics(*edges, r, args.baselines)
         except NoConnectedBaselineError as exc:
             raise UsageError(f"{exc}, so the graph is too sparse for a small-world "
                              f"baseline; use a larger --w") from exc
@@ -327,8 +327,8 @@ def cmd_smallworld(args) -> int:
     union_c, union_l = [], []
     for s in range(args.seeds):
         union = graph(RoutingMode.FUSED, rng.child(1, s))
-        union_c.append(_clustering(*union))
-        union_l.append(_path_length(*union))
+        union_c.append(graph_clustering(*union))
+        union_l.append(graph_path_length(*union))
     union_metrics = metrics(graph(RoutingMode.FUSED, rng.child(2, 0)), rng.child(3, 0))
     result = {
         "command": "smallworld", "seed": args.seed, "n": args.n, "w": args.w,

@@ -405,7 +405,8 @@ class NoConnectedBaselineError(RuntimeError):
 
 def _edges(adjacency) -> tuple[int, np.ndarray, np.ndarray]:
     """(n, rows, cols) of the off-diagonal edges of a square symmetric
-    adjacency, sorted by row."""
+    adjacency, sorted by row: the edge list the graph metrics take, from
+    the dense adjacency the tests use as their oracle."""
     adj = np.asarray(adjacency, dtype=bool)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError("adjacency must be square")
@@ -416,7 +417,11 @@ def _edges(adjacency) -> tuple[int, np.ndarray, np.ndarray]:
     return adj.shape[0], rows[off], cols[off]
 
 
-def _clustering(n: int, rows: np.ndarray, cols: np.ndarray) -> float:
+def graph_clustering(n: int, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Global clustering coefficient of the graph with edge list (n, rows,
+    cols), as ``layer_edges`` returns it: closed wedges over all wedges,
+    trace(A^3) / sum_i deg_i (deg_i - 1). trace(A^3) is counted exactly as
+    the sum over edges (i, j) of |N(i) & N(j)|, on packed neighbour rows."""
     packed = _packed_rows(n)
     np.bitwise_or.at(packed, (rows, cols >> 3), np.left_shift(1, cols & 7).astype(np.uint8))
     # each undirected edge counts twice in trace(A^3)
@@ -432,14 +437,16 @@ def _clustering(n: int, rows: np.ndarray, cols: np.ndarray) -> float:
     return closed / wedges2 if wedges2 > 0 else 0.0
 
 
-def graph_clustering(adjacency: np.ndarray) -> float:
-    """Global clustering coefficient: closed wedges over all wedges,
-    trace(A^3) / sum_i deg_i (deg_i - 1). trace(A^3) is counted exactly as
-    the sum over edges (i, j) of |N(i) & N(j)|, on packed neighbour rows."""
-    return _clustering(*_edges(adjacency))
+def graph_path_length(n: int, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Average shortest-path length over all ordered pairs of the graph with
+    edge list (n, rows, cols), rows sorted.
 
-
-def _path_length(n: int, rows: np.ndarray, cols: np.ndarray) -> float:
+    All-sources BFS on packed bitsets: after step k row i holds the nodes
+    within k hops of i, so the distance sum is the exact integer
+    sum_k (n^2 - reached_k). Raises DisconnectedGraphError, naming the first
+    node unreachable from node 0, when the reached count stalls short of n^2,
+    and ValueError for fewer than two nodes.
+    """
     if n < 2:
         raise ValueError(f"graph_path_length needs n >= 2, got n={n}")
     # neighbour lists with the node itself first, so none is empty
@@ -461,18 +468,6 @@ def _path_length(n: int, rows: np.ndarray, cols: np.ndarray) -> float:
             raise DisconnectedGraphError(int(np.argmax(missing)))
         count = grown
     return dist_sum / (n * (n - 1))
-
-
-def graph_path_length(adjacency: np.ndarray) -> float:
-    """Average shortest-path length over all ordered pairs.
-
-    All-sources BFS on packed bitsets: after step k row i holds the nodes
-    within k hops of i, so the distance sum is the exact integer
-    sum_k (n^2 - reached_k). Raises DisconnectedGraphError, naming the first
-    node unreachable from node 0, when the reached count stalls short of n^2,
-    and ValueError for fewer than two nodes.
-    """
-    return _path_length(*_edges(adjacency))
 
 
 def _random_graph_same_edges(n: int, n_edges: int,
@@ -505,27 +500,22 @@ def _first_unreachable(n: int, rows: np.ndarray, cols: np.ndarray,
     return int(np.argmax(missing)) if missing.any() else None
 
 
-def smallworld_metrics(adjacency: np.ndarray, rng: SeededRng,
-                       baselines: int = 10) -> GraphMetrics:
+def smallworld_metrics(n: int, rows: np.ndarray, cols: np.ndarray, rng: SeededRng,
+                       baselines: int) -> GraphMetrics:
     """Clustering, mean path length, and the small-worldness ratio
-    (C/C_rand)/(L/L_rand) against edge-count-matched uniform random graphs.
+    (C/C_rand)/(L/L_rand) of the graph with edge list (n, rows, cols)
+    against edge-count-matched uniform random graphs.
 
     C_rand is the analytic density mean_degree/(n-1); L_rand is averaged
     over ``baselines`` sampled random graphs (disconnected samples are
     redrawn, up to a bounded number of retries; NoConnectedBaselineError
     when they run out). A disconnected graph raises DisconnectedGraphError
-    as ``graph_path_length`` does.
+    as ``graph_path_length`` does. Connectivity, of the graph and then of
+    each baseline draw, is tested in O(n + m) (a draw with an isolated node
+    by its degrees alone), and the baselines are measured before the graph's
+    own all-pairs BFS, so either failure is reported before the expensive
+    work.
     """
-    return _smallworld_metrics(*_edges(adjacency), rng, baselines)
-
-
-def _smallworld_metrics(n: int, rows: np.ndarray, cols: np.ndarray, rng: SeededRng,
-                        baselines: int) -> GraphMetrics:
-    """``smallworld_metrics`` of the graph with edge list (n, rows, cols), as
-    ``_edges`` returns it. Connectivity, of the graph and then of each
-    baseline draw, is tested in O(n + m) (a draw with an isolated node by its
-    degrees alone), and the baselines are measured before the graph's own
-    all-pairs BFS, so either failure is reported before the expensive work."""
     if n < 2:
         raise ValueError(f"smallworld_metrics needs n >= 2, got n={n}")
     node = _first_unreachable(n, rows, cols, np.bincount(rows, minlength=n))
@@ -542,9 +532,9 @@ def _smallworld_metrics(n: int, rows: np.ndarray, cols: np.ndarray, rng: SeededR
         deg = np.bincount(r_rows, minlength=n)
         if deg.min() == 0 or _first_unreachable(n, r_rows, r_cols, deg) is not None:
             continue
-        lengths.append(_path_length(n, r_rows, r_cols))
-    path_length = _path_length(n, rows, cols)
-    clustering = _clustering(n, rows, cols)
+        lengths.append(graph_path_length(n, r_rows, r_cols))
+    path_length = graph_path_length(n, rows, cols)
+    clustering = graph_clustering(n, rows, cols)
     mean_degree = 2.0 * n_edges / n
     path_length_rand = float(np.mean(lengths))
     clustering_rand = mean_degree / (n - 1)

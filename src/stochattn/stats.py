@@ -200,16 +200,9 @@ def sa_variance_mc(v, w: int, trials: int, rng: SeededRng) -> VarianceReport:
     return base._replace(mc_variance=mc_var, mc_stderr=mc_stderr, trials=trials)
 
 
-def _causal_uniform_full(v: np.ndarray) -> np.ndarray:
-    """Uniform full causal attention: row i is the mean of v[0..i]."""
-    n = v.shape[0]
-    csum = np.cumsum(v, axis=0)
-    return csum / np.arange(1, n + 1)[:, None]
-
-
 def _causal_uniform_window(v: np.ndarray, w: int) -> np.ndarray:
     """Uniform causal sliding-window attention: row i is the mean of the
-    last min(i+1, w) rows."""
+    last min(i+1, w) rows; with w = n, uniform full causal attention."""
     n, d = v.shape
     csum = np.vstack([np.zeros((1, d)), np.cumsum(v, axis=0)])
     idx = np.arange(n)
@@ -261,7 +254,7 @@ def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
         raise ValueError(f"gate width {gates.d} does not match value width {d}")
     check_window(n, w)
 
-    y_star = _causal_uniform_full(v)
+    y_star = _causal_uniform_window(v, n)
     y_swa = _causal_uniform_window(v, w)
     b_swa = y_swa - y_star
 

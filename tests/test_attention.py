@@ -533,7 +533,6 @@ class TestBlockPlan:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fewer_than_four_rows_run_whole(self, n):
-        assert attention._halfway(n) == 0
         assert attention._halfway(n, (attention._swa_plan(n, 1, 1),)) == 0
 
 
@@ -609,6 +608,15 @@ class TestRope:
             with pytest.raises(ValueError, match="rotary base") as err:
                 LayerConfig(d=4, h=1, w=2, rope_base=base)
         assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("base", ["100", np.float32(100.0)])
+    def test_layer_config_stores_the_checked_float(self, base):
+        cfg, plain = LayerConfig(8, 2, 4, rope_base=base), LayerConfig(8, 2, 4, rope_base=100.0)
+        assert type(cfg.rope_base) is float and cfg.rope_base == 100.0
+        assert repr(cfg) == repr(plain)
+        x, projections, gates = _layer_params(np.random.default_rng(39), 12, 8, True)
+        want = dual_path_layer(x, plain, gates, SeededRng(39), projections)
+        assert np.array_equal(dual_path_layer(x, cfg, gates, SeededRng(39), projections), want)
 
 
 class TestGatedFusion:
@@ -1030,14 +1038,6 @@ class TestWorkerThread:
             assert all(errstate == caller[1] for *_, errstate in seen)
         # the permutation is drawn once, on the caller's thread
         assert draws == [caller]
-
-    def test_gated_fusion_runs_on_two_threads(self, monkeypatch):
-        phases = self._recorded_phases(monkeypatch)
-        a, b = (np.random.default_rng(s).normal(size=(9, 4)) for s in (0, 1))
-        gated_fusion(a, b, GateParams(np.eye(4), np.eye(4)))
-        assert len(phases) == 1
-        assert sorted((lo, hi) for lo, hi, *_ in phases[0]) == [(0, 4), (4, 9)]
-        assert len({thread for _, _, thread, _ in phases[0]}) == 2
 
     @pytest.mark.parametrize("projected", [False, True])
     def test_score_overflow_is_a_one_line_value_error(self, projected):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import stochattn
-from stochattn import attention, cli, permute
+from stochattn import attention, checks, cli, permute
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -56,3 +56,18 @@ def test_entry_points_exist():
     assert callable(cli.build_parser) and callable(cli.main)
     for name in ("attention", "permute", "LayerConfig", "GateParams", "SeededRng"):
         assert hasattr(stochattn, name), name
+
+
+def test_smallworld_check_calls_the_traced_graph_metrics(monkeypatch):
+    # the tracer counts calls of the public names: the ring graph's and each
+    # seed's union graph's clustering and path length
+    calls = {}
+    for name in ("graph_clustering", "graph_path_length"):
+        def counting(*args, _name=name, _fn=getattr(checks, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(checks, name, counting)
+    seeds = 3
+    checks.smallworld(stochattn.SeededRng(0), n=64, w=8, seeds=seeds)
+    assert calls == {"graph_clustering": 1 + seeds, "graph_path_length": 1 + seeds}

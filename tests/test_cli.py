@@ -307,18 +307,18 @@ class TestSmallworld:
         # the command's JSON against the same report built from dense masks
         from stochattn import (Convention, RoutingMode, SeededRng, graph_clustering,
                                graph_path_length, smallworld_metrics, symmetrize)
-        from stochattn.graphs import layer_mask
+        from stochattn.graphs import _edges, layer_mask
         n, w, seeds, baselines, seed = 64, 8, 2, 2, 4
         assert run(["--seed", seed, "--out", tmp_path, "smallworld", "--n", n, "--w", w,
                     "--seeds", seeds, "--baselines", baselines]) == 0
         rng = SeededRng(seed)
 
         def graph(mode, r):
-            return symmetrize(layer_mask(n, w, mode, Convention.SYMMETRIC_CIRCULAR, r))
+            return _edges(symmetrize(layer_mask(n, w, mode, Convention.SYMMETRIC_CIRCULAR, r)))
 
-        swa = smallworld_metrics(graph(RoutingMode.SWA, rng), rng.child(0, 0), baselines)
+        swa = smallworld_metrics(*graph(RoutingMode.SWA, rng), rng.child(0, 0), baselines)
         unions = [graph(RoutingMode.FUSED, rng.child(1, s)) for s in range(seeds)]
-        sample = smallworld_metrics(graph(RoutingMode.FUSED, rng.child(2, 0)), rng.child(3, 0),
+        sample = smallworld_metrics(*graph(RoutingMode.FUSED, rng.child(2, 0)), rng.child(3, 0),
                                     baselines)
         oracle = {
             "command": "smallworld", "seed": seed, "n": n, "w": w, "seeds": seeds,
@@ -327,8 +327,8 @@ class TestSmallworld:
             "union_sample": {"clustering": sample.clustering,
                              "path_length": sample.path_length,
                              "small_worldness": sample.small_worldness},
-            "union_median_clustering": float(np.median([graph_clustering(u) for u in unions])),
-            "union_median_path_length": float(np.median([graph_path_length(u)
+            "union_median_clustering": float(np.median([graph_clustering(*u) for u in unions])),
+            "union_median_path_length": float(np.median([graph_path_length(*u)
                                                          for u in unions])),
         }
         want = json.dumps(oracle, sort_keys=True, indent=2) + "\n"

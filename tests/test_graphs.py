@@ -360,26 +360,26 @@ class TestGraphRoutesAgainstDense:
 
     @given(_random_graph(connected=True))
     def test_connected_graphs_match(self, adj):
-        assert graph_path_length(adj) == _oracle_path_length(adj)
-        assert graph_clustering(adj) == _oracle_clustering(adj)
+        assert graph_path_length(*_edges(adj)) == _oracle_path_length(adj)
+        assert graph_clustering(*_edges(adj)) == _oracle_clustering(adj)
 
     @given(_random_graph(connected=False))
     @example(np.array([[False, False], [False, False]]))
     def test_disconnected_graphs_name_the_same_node(self, adj):
         n_comp, labels = connected_components(csr_matrix(adj), directed=False)
         if n_comp == 1:
-            assert graph_path_length(adj) == _oracle_path_length(adj)
+            assert graph_path_length(*_edges(adj)) == _oracle_path_length(adj)
             return
         with pytest.raises(DisconnectedGraphError) as err:
-            graph_path_length(adj)
+            graph_path_length(*_edges(adj))
         assert err.value.node == int(np.nonzero(labels != labels[0])[0][0])
 
     def test_union_graphs_match(self):
         for n, w in [(64, 4), (200, 16), (129, 7)]:
             union = symmetrize(layer_mask(n, w, RoutingMode.FUSED,
                                           Convention.SYMMETRIC_CIRCULAR, SeededRng(n)))
-            assert graph_path_length(union) == _oracle_path_length(union)
-            assert graph_clustering(union) == _oracle_clustering(union)
+            assert graph_path_length(*_edges(union)) == _oracle_path_length(union)
+            assert graph_clustering(*_edges(union)) == _oracle_clustering(union)
 
     @pytest.mark.parametrize("gather_bytes", [1, 200, 4096])
     def test_row_blocks_match(self, monkeypatch, gather_bytes):
@@ -392,8 +392,8 @@ class TestGraphRoutesAgainstDense:
             adj = rng.random((n, n)) < density
             adj[np.arange(1, n), rng.integers(np.arange(1, n))] = True    # a spanning tree
             adj = adj | adj.T
-            assert graph_path_length(adj) == _oracle_path_length(adj)
-            assert graph_clustering(adj) == _oracle_clustering(adj)
+            assert graph_path_length(*_edges(adj)) == _oracle_path_length(adj)
+            assert graph_clustering(*_edges(adj)) == _oracle_clustering(adj)
         for mode in RoutingMode:
             fast = _simulate_seed(50, 6, 4, mode, Convention.CAUSAL_ONE_SIDED, SeededRng(26))
             dense = _dense_reachability(50, 6, 4, mode, Convention.CAUSAL_ONE_SIDED,
@@ -412,7 +412,7 @@ class TestGraphRoutesAgainstDense:
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError, match="needs n >= 2"):
-            graph_path_length(np.zeros((1, 1), dtype=bool))
+            graph_path_length(*_edges(np.zeros((1, 1), dtype=bool)))
 
     def test_path_length_memory_is_bounded(self):
         # scipy's float64 distance matrix alone is 128 MB at n = 4096
@@ -421,7 +421,7 @@ class TestGraphRoutesAgainstDense:
                                       SeededRng(23)))
         tracemalloc.start()
         try:
-            length = graph_path_length(union)
+            length = graph_path_length(*_edges(union))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -432,7 +432,7 @@ class TestGraphRoutesAgainstDense:
 class TestSmallWorld:
     def test_complete_graph(self):
         adj = ~np.eye(7, dtype=bool)
-        m = smallworld_metrics(adj, SeededRng(11), baselines=3)
+        m = smallworld_metrics(*_edges(adj), SeededRng(11), baselines=3)
         assert m.clustering == pytest.approx(1.0)
         assert m.path_length == pytest.approx(1.0)
 
@@ -442,14 +442,15 @@ class TestSmallWorld:
         adj = symmetrize(build_window_mask(n, WindowSpec(2 * k + 1,
                                                          Convention.SYMMETRIC_CIRCULAR)))
         np.fill_diagonal(adj, False)
-        assert graph_clustering(adj) == pytest.approx(ring_lattice_clustering(k), abs=1e-12)
+        assert graph_clustering(*_edges(adj)) == pytest.approx(ring_lattice_clustering(k),
+                                                               abs=1e-12)
 
     def test_path_length_oracle_chain(self):
         # path graph 0-1-2-3: ordered distances sum to 20 over 12 pairs
         adj = np.zeros((4, 4), dtype=bool)
         for i in range(3):
             adj[i, i + 1] = adj[i + 1, i] = True
-        assert graph_path_length(adj) == pytest.approx(20 / 12)
+        assert graph_path_length(*_edges(adj)) == pytest.approx(20 / 12)
 
     def test_clustering_oracle_square_with_diagonal(self):
         # 4-cycle plus one chord: 2 triangles, degree sequence [3,2,3,2]
@@ -457,21 +458,21 @@ class TestSmallWorld:
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
         for i, j in edges:
             adj[i, j] = adj[j, i] = True
-        assert graph_clustering(adj) == pytest.approx(12 / 16)
+        assert graph_clustering(*_edges(adj)) == pytest.approx(12 / 16)
 
     def test_disconnected_graph_names_node(self):
         adj = np.zeros((5, 5), dtype=bool)
         adj[0, 1] = adj[1, 0] = True
         adj[2, 3] = adj[3, 2] = True
         with pytest.raises(DisconnectedGraphError) as err:
-            graph_path_length(adj)
+            graph_path_length(*_edges(adj))
         assert err.value.node == 2
 
     def test_asymmetric_rejected(self):
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = True
         with pytest.raises(ValueError, match="symmetric"):
-            graph_clustering(adj)
+            graph_clustering(*_edges(adj))
 
     def test_union_graph_shortcut_regime(self):
         # adding the permuted window keeps clustering comparable while
@@ -486,8 +487,9 @@ class TestSmallWorld:
         union = symmetrize(window | build_stochastic_mask(
             n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR), perm))
         np.fill_diagonal(union, False)
-        c_ring, l_ring = graph_clustering(ring), graph_path_length(ring)
-        c_union, l_union = graph_clustering(union), graph_path_length(union)
+        ring, union = _edges(ring), _edges(union)
+        c_ring, l_ring = graph_clustering(*ring), graph_path_length(*ring)
+        c_union, l_union = graph_clustering(*union), graph_path_length(*union)
         assert l_union < l_ring / 2
         assert c_union > c_ring / 2
 
@@ -515,9 +517,9 @@ class TestSmallWorld:
             adj = adj | adj.T
             np.fill_diagonal(adj, False)
             with pytest.raises(DisconnectedGraphError) as want:
-                graph_path_length(adj)
+                graph_path_length(*_edges(adj))
             with pytest.raises(DisconnectedGraphError) as got:
-                smallworld_metrics(adj, SeededRng(n), baselines=2)
+                smallworld_metrics(*_edges(adj), SeededRng(n), baselines=2)
             assert got.value.node == want.value.node
 
     def test_too_sparse_for_a_connected_baseline(self):
@@ -525,13 +527,13 @@ class TestSmallWorld:
         adj = symmetrize(build_window_mask(64, WindowSpec(2, Convention.SYMMETRIC_CIRCULAR)))
         np.fill_diagonal(adj, False)
         with pytest.raises(NoConnectedBaselineError, match="64 edges"):
-            smallworld_metrics(adj, SeededRng(24), baselines=2)
+            smallworld_metrics(*_edges(adj), SeededRng(24), baselines=2)
 
     def test_smallworldness_fields(self):
         n, w = 128, 10
         adj = symmetrize(build_window_mask(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR)))
         np.fill_diagonal(adj, False)
-        m = smallworld_metrics(adj, SeededRng(13), baselines=5)
+        m = smallworld_metrics(*_edges(adj), SeededRng(13), baselines=5)
         assert m.clustering_rand == pytest.approx(m.mean_degree / (n - 1))
         assert m.path_length_rand > 1.0
         assert m.small_worldness > 0.0
@@ -540,15 +542,15 @@ class TestSmallWorld:
 def _dense_smallworld(rng, n=512, w=16, seeds=10):
     """Oracle: ``checks.smallworld`` on dense masks, the route it replaced."""
     ring = symmetrize(layer_mask(n, w, RoutingMode.SWA, Convention.SYMMETRIC_CIRCULAR, rng))
-    ring_c = graph_clustering(ring)
+    ring_c = graph_clustering(*_edges(ring))
     formula = ring_lattice_clustering(w // 2)
-    swa_l = graph_path_length(ring)
+    swa_l = graph_path_length(*_edges(ring))
     cs, ls = [], []
     for s in range(seeds):
         union = symmetrize(layer_mask(n, w, RoutingMode.FUSED, Convention.SYMMETRIC_CIRCULAR,
                                       rng.child(0, s)))
-        cs.append(graph_clustering(union))
-        ls.append(graph_path_length(union))
+        cs.append(graph_clustering(*_edges(union)))
+        ls.append(graph_path_length(*_edges(union)))
     med_c, med_l = float(np.median(cs)), float(np.median(ls))
     passed = abs(ring_c - formula) < 1e-12 and med_l < swa_l / 2 and med_c > ring_c / 2
     return {"name": "smallworld", "passed": passed,
