@@ -48,7 +48,7 @@ from .masks import (
     build_window_mask,
     intersect_causal,
 )
-from .numerics import SeededRng, trial_chunks
+from .numerics import MC_CHUNK_BYTES, SeededRng, trial_chunks
 from .permute import sample_permutation
 from .stats import fusion_bv_decompose, sa_bias_mc, sa_variance_exact, sa_variance_mc
 
@@ -78,6 +78,11 @@ def equivalence(rng: SeededRng, cases: int = 100, n_min: int = 4, n_max: int = 4
     return _result("equivalence", worst <= 1e-12, {"max_abs_diff": worst, "cases": cases})
 
 
+def _coordinate_bytes(n: int, d_h: int) -> int:
+    """A coordinate's plus and minus (n, max(n, d_h)) float64 arrays, in bytes."""
+    return 2 * 8 * n * max(n, d_h)
+
+
 def _central_differences(inp: AttentionInputs, mask: np.ndarray, upstream: np.ndarray,
                          field: str, h: float) -> np.ndarray:
     """d(sum(attention_forward(inp, mask) * upstream)) / d(field), by central
@@ -89,8 +94,7 @@ def _central_differences(inp: AttentionInputs, mask: np.ndarray, upstream: np.nd
     x = getattr(inp, field)
     flat = x.reshape(-1)
     numeric = np.empty(flat.size)
-    # a coordinate's largest arrays are its plus and minus (n, n) scores
-    for lo, hi in trial_chunks(flat.size, 2 * 8 * inp.n * max(inp.n, inp.d_h)):
+    for lo, hi in trial_chunks(flat.size, _coordinate_bytes(inp.n, inp.d_h)):
         c = hi - lo
         coords = np.arange(lo, hi)
         bumped = np.tile(flat, (2 * c, 1))
@@ -127,6 +131,19 @@ def gradcheck(rng: SeededRng, n: int = 8, d_h: int = 4, instances: int = 10,
             denom = max(float(np.linalg.norm(numeric)), 1e-12)
             worst[label] = max(worst[label], float(np.linalg.norm(analytic - numeric)) / denom)
     return _result("gradcheck", all(err <= 1e-6 for err in worst.values()), worst)
+
+
+def gradcheck_cost(n: int, d_h: int, instances: int) -> tuple[int, int]:
+    """Estimated (bytes, flops) of ``gradcheck``: each instance runs a plus
+    and a minus dense forward of n^2 score cells for each of its 3 n d_h
+    input coordinates, at 4 d_h flops a cell (scores and values). It holds
+    about six n x (n + d_h) float64 arrays (the dense backward's) and six
+    arrays of a chunk of coordinates (at least MC_CHUNK_BYTES) for the
+    stacked forwards: the last chunk's outputs, the bumped inputs, the
+    scores, two softmax work arrays and the outputs."""
+    cells = instances * 6 * n ** 3 * d_h
+    chunk = max(MC_CHUNK_BYTES, _coordinate_bytes(n, d_h))
+    return 6 * 8 * n * (n + d_h) + 6 * chunk, 4 * d_h * cells
 
 
 def connprob(rng: SeededRng, n: int = 128, w: int = 8, trials: int = 20_000) -> dict:
@@ -199,6 +216,14 @@ def spectrum(rng: SeededRng, n: int = 64, w: int = 8, perms: int = 20, mixing_n:
                    {"dft_vs_dense_max_abs": dft_dev, "similarity_max_abs": sim_dev,
                     "median_product_lambda2": mixing.median_product_lambda2,
                     "circulant_lambda2_pow_depth": mixing.circulant_lambda2_pow_depth})
+
+
+def spectrum_cost(n: int, perms: int, depth: int, seeds: int) -> tuple[int, int]:
+    """Estimated (bytes, flops) of ``spectrum`` at n = mixing_n and
+    mixing_seeds = seeds: perms + 1 + seeds dense eigen-solves of about
+    10 n^3 flops, seeds products of depth n x n layers at 2 n^3 each, and
+    about four n x n float64 arrays held at once."""
+    return 4 * 8 * n * n, (10 * (perms + 1 + seeds) + 2 * depth * seeds) * n ** 3
 
 
 def variance(rng: SeededRng, n: int = 64, d: int = 4, w: int = 8, trials: int = 4000,

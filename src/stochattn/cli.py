@@ -22,25 +22,18 @@ import numpy as np
 
 from . import svgplot
 from .attention import GateParams
-from .checks import CHECKS, connprob, connprob_causal, gradcheck, spectrum
-from .graphs import (
-    _GATHER_BYTES,
-    NoConnectedBaselineError,
-    RoutingMode,
-    circulant_spectrum,
-    connection_probability_analytic,
-    connection_probability_exhaustive,
-    cost_model,
-    graph_clustering,
-    graph_path_length,
-    layer_edges,
-    layer_mask,
-    simulate_reachability,
-    smallworld_metrics,
-)
+from .checks import (CHECKS, connprob, connprob_causal, gradcheck, gradcheck_cost, spectrum,
+                     spectrum_cost)
+from .graphs import (NoConnectedBaselineError, RoutingMode, circulant_spectrum,
+                     connection_probability_analytic, connection_probability_cost,
+                     connection_probability_exhaustive, cost_model, graph_clustering,
+                     graph_path_length, layer_edges, layer_mask, layer_mask_cost,
+                     reachability_cost, simulate_reachability, smallworld_cost,
+                     smallworld_metrics)
 from .masks import Convention, intersect_causal, mask_to_csv, mask_to_pgm
-from .numerics import MC_CHUNK_BYTES, SeededRng
-from .stats import fusion_bv_decompose, sa_bias_mc, sa_variance_mc
+from .numerics import SeededRng
+from .stats import (fusion_bv_cost, fusion_bv_decompose, sa_bias_cost, sa_bias_mc,
+                    sa_variance_cost, sa_variance_mc)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,7 +41,7 @@ EXIT_VERIFY_FAILED = 2
 
 # Caps on the bytes one command holds at once and on its elementary
 # operations (flops, score cells x flops per cell, permutation and window
-# entries, 64-bit word ORs), as the command's _<command>_cost estimates them.
+# entries, 64-bit word ORs), as the *_cost estimate beside each routine has it.
 MAX_BYTES = 1 << 28
 MAX_WORK = 10**12
 OUT_DIR_ENV = "STOCHATTN_OUT"
@@ -96,32 +89,35 @@ def _check_cost(command: str, cost: tuple[int, int], lower: str) -> None:
 
 
 def _out_path(args, filename: str) -> Path:
-    base = args.out or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(base)
+    path = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path / filename
 
 
-def _fmt(value: float, precision: int) -> str:
-    return format(value, f".{precision}g")
-
-
-def _write_csv(path: Path, meta: str, header: list[str], rows: list[list], precision: int) -> None:
+def _write_csv(args, filename: str, meta: str, header: list[str], rows: list[list]) -> None:
+    """Write ``filename`` to the output directory, floats at ``--precision``
+    significant digits, and report it."""
+    path = _out_path(args, filename)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# {meta}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(
-                _fmt(x, precision) if isinstance(x, float) else str(x) for x in row))
+                format(x, f".{args.precision}g") if isinstance(x, float) else str(x)
+                for x in row))
             fh.write("\n")
+    print(f"wrote {path}")
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    """Write strict JSON: a NaN or infinite value raises rather than being
-    written as a token that strict parsers reject."""
+def _write_json(args, filename: str, obj: dict, note: str = "") -> None:
+    """Write ``filename`` to the output directory as strict JSON (a NaN or
+    infinite value raises rather than being written as a token that strict
+    parsers reject) and report it, followed by ``note``."""
+    path = _out_path(args, filename)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
         fh.write("\n")
+    print(f"wrote {path}{note}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +128,7 @@ def _write_json(path: Path, obj: dict) -> None:
 def _parse_seeds(raw: str):
     """'N' derives seed indices 0..N-1; 'a,b,c' uses the listed indices."""
     try:
-        if "," in raw:
-            seeds = [int(tok) for tok in raw.split(",") if tok.strip()]
-        else:
-            seeds = int(raw)
+        seeds = [int(tok) for tok in raw.split(",") if tok.strip()] if "," in raw else int(raw)
     except ValueError as exc:
         raise UsageError(f"--seeds must be a count or comma-separated indices: {exc}")
     if (isinstance(seeds, int) and seeds <= 0) or (isinstance(seeds, list) and not seeds):
@@ -143,35 +136,6 @@ def _parse_seeds(raw: str):
     if isinstance(seeds, list) and len(set(seeds)) < len(seeds):
         raise UsageError("--seeds lists a seed index more than once")
     return seeds
-
-
-def _coverage_cost(n: int, w: int, layers: int, seeds: int, modes: list[str],
-                   causal: bool) -> tuple[int, int]:
-    """Estimated (bytes, word ORs) of a coverage run. A curve holds its seeds'
-    (layers + 1) x n float64 fractions once, one seed's int64 counts while
-    that seed runs, and three seeds x (layers + 1) float64 arrays of per-seed
-    means (the last curve's, the new means and their contiguous copy). A
-    seed's simulation holds packed reachability rows of n bits in whole
-    64-bit words: about 5n + 3w of them under the circular convention (the
-    rows, their permuted copy, two wrap-padded OR buffers and the overlap
-    copy of an in-place OR) and four int64 n-arrays (the layer's permutation,
-    its inverse and the index temporaries of drawing and applying them),
-    and two sets of n under the causal one, with three n x 2w (n x w
-    without fused) int64 neighbour tables and two gathers of up to
-    _GATHER_BYTES or one token's neighbour rows. Per seed and layer each row
-    ORs about 2 log2(w) + 4 rows (circular: shifted doublings and gathers),
-    or one row per neighbour (causal); every layer is counted, as a seed
-    need not saturate before the last."""
-    words = -(-n // 64)
-    width = 2 * w if "fused" in modes else w
-    if causal:
-        rows = 2 * n * 8 * words + 3 * n * width * 8 + 2 * max(_GATHER_BYTES, width * 8 * words)
-        per_row = width
-    else:
-        rows = (5 * n + 3 * w) * 8 * words + 4 * n * 8
-        per_row = 2 * w.bit_length() + 4
-    return ((seeds + 1) * (layers + 1) * n * 8 + 3 * seeds * (layers + 1) * 8 + rows,
-            len(modes) * seeds * layers * n * words * per_row)
 
 
 def cmd_coverage(args) -> int:
@@ -187,8 +151,8 @@ def cmd_coverage(args) -> int:
             raise UsageError(f"unknown mode '{m}' (choose from swa,sa,fused)")
     convention = _CONVENTIONS[args.convention]
     n_seeds = seeds if isinstance(seeds, int) else len(seeds)
-    _check_cost("coverage", _coverage_cost(args.n, args.w, args.layers, n_seeds, modes,
-                                           convention is Convention.CAUSAL_ONE_SIDED),
+    _check_cost("coverage", reachability_cost(args.n, args.w, args.layers, n_seeds,
+                                              [_MODES[m] for m in modes], convention),
                 "--layers, --seeds or --n")
     mode_stream = {"swa": 0, "sa": 1, "fused": 2}
     rng = SeededRng(args.seed)
@@ -204,10 +168,8 @@ def cmd_coverage(args) -> int:
         chart[m] = (curve.layers.astype(float), curve.mean)
     meta = (f"stochattn coverage seed={args.seed} n={args.n} w={args.w} "
             f"layers={args.layers} seeds={args.seeds} convention={args.convention}")
-    csv_path = _out_path(args, "coverage.csv")
-    _write_csv(csv_path, meta, ["layer", "mode", "mean_coverage", "min", "median", "max"],
-               rows, args.precision)
-    print(f"wrote {csv_path}")
+    _write_csv(args, "coverage.csv", meta,
+               ["layer", "mode", "mean_coverage", "min", "median", "max"], rows)
     if args.format == "svg":
         svg_path = _out_path(args, "coverage.svg")
         svgplot.line_chart(chart, f"coverage vs depth (n={args.n}, w={args.w})",
@@ -219,26 +181,6 @@ def cmd_coverage(args) -> int:
 # ---------------------------------------------------------------------------
 # connprob
 # ---------------------------------------------------------------------------
-
-
-def _connprob_cost(n: int, w: int, trials: int, causal: bool) -> tuple[int, int]:
-    """Estimated (bytes, entries) of a Monte-Carlo connprob run. Trials run in
-    chunks of t, as many as fit MC_CHUNK_BYTES at the bytes of a trial's
-    largest array (at least one). Non-causal, a chunk holds t x n int64
-    permutations three times (the last chunk's, the tiled identity and its
-    shuffle), after the check's enumeration of the 720 orders of 6 tokens
-    left about 100 KiB of tuples in the interpreter's free list. Causal, a
-    chunk holds the permutations and their inverses about eight times, the
-    t x n x w int64 window tokens and two t x n x w boolean comparisons (the
-    last chunk's and its own); the run also holds the n x w int64 window
-    table and two floats a trial (the densities and their deviations). The
-    work is the permutation entries and, causal, the window entries of every
-    trial."""
-    if not causal:
-        t = max(1, MC_CHUNK_BYTES // (n * 8))
-        return t * 8 * (3 * n + 5) + 100 * 1024, trials * n
-    t = max(1, MC_CHUNK_BYTES // (n * w * 8))
-    return n * w * 8 + 16 * trials + t * n * (10 * w + 64), trials * n * w
 
 
 def cmd_connprob(args) -> int:
@@ -259,7 +201,8 @@ def cmd_connprob(args) -> int:
         result.update(trials=math.factorial(args.n), estimate=est, stderr=0.0)
         passed = abs(est - analytic) < 1e-15
     else:
-        _check_cost("connprob", _connprob_cost(args.n, args.w, args.trials, args.causal),
+        _check_cost("connprob",
+                    connection_probability_cost(args.n, args.w, args.trials, args.causal),
                     "--n, --w or --trials")
         check, keys = ((connprob_causal, ("estimate", "stderr")) if args.causal
                        else (connprob, ("mc_estimate", "mc_stderr")))
@@ -268,9 +211,8 @@ def cmd_connprob(args) -> int:
                       stderr=report["measured"][keys[1]])
         passed = report["passed"]
     result["passed"] = bool(passed)
-    path = _out_path(args, "connprob.json")
-    _write_json(path, result)
-    print(f"wrote {path} (estimate={result['estimate']:.6g}, analytic={analytic:.6g})")
+    _write_json(args, "connprob.json", result,
+                f" (estimate={result['estimate']:.6g}, analytic={analytic:.6g})")
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -279,37 +221,11 @@ def cmd_connprob(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _smallworld_cost(n: int, w: int, seeds: int, baselines: int) -> tuple[int, int]:
-    """Estimated (bytes, word ORs) of a smallworld run. Building a union
-    graph holds about ten copies of its n x 2w int64 neighbour table (the
-    table, token and neighbour columns, both directions' edge keys and their
-    deduplication). A graph has at most n w undirected edges, e, kept as
-    int64 rows and columns of both directions; about 21 int64 words per edge
-    are held at once while a baseline is measured (the last union graph,
-    the measured graph, the baseline's draw, its pair arithmetic, sort and
-    neighbour lists). The estimate adds the two phases. The draw is numpy's
-    ``choice`` without replacement, which holds all n(n - 1)/2 pairs as
-    int64 once e is over a 50th of them, else about four words per edge.
-    Path lengths hold two sets of n packed rows of n bits and two arrays of
-    up to _GATHER_BYTES (gathered rows and their ORs), clustering one set
-    and three (two gathers and their AND). The work is the path-length
-    BFS's word ORs: n(2w + 1) rows a step, about n / w steps on the ring and
-    2 log2(n) on each union and baseline graph."""
-    words = -(-n // 64)
-    pairs = n * (n - 1) // 2
-    edges = min(pairs, n * w)
-    draw = 8 * (pairs + edges) if edges > pairs // 50 else 32 * edges
-    gather = max(_GATHER_BYTES, (2 * w + 1) * 8 * words)
-    est_bytes = 8 * (20 * n * w + 21 * edges) + draw + 2 * n * 8 * words + 3 * gather
-    steps = -(-n // w) + 2 * (seeds + 1 + baselines) * n.bit_length()
-    return est_bytes, steps * n * (2 * w + 1) * words
-
-
 def cmd_smallworld(args) -> int:
     _check_positive(n=args.n, w=args.w, seeds=args.seeds, baselines=args.baselines)
     if args.w < 2:
         raise UsageError("--w must be at least 2: a one-token window has no edges")
-    _check_cost("smallworld", _smallworld_cost(args.n, args.w, args.seeds, args.baselines),
+    _check_cost("smallworld", smallworld_cost(args.n, args.w, args.seeds, args.baselines),
                 "--n, --w, --seeds or --baselines")
     rng = SeededRng(args.seed)
 
@@ -330,21 +246,16 @@ def cmd_smallworld(args) -> int:
         union_c.append(graph_clustering(*union))
         union_l.append(graph_path_length(*union))
     union_metrics = metrics(graph(RoutingMode.FUSED, rng.child(2, 0)), rng.child(3, 0))
+    fields = ("clustering", "path_length", "small_worldness")
     result = {
         "command": "smallworld", "seed": args.seed, "n": args.n, "w": args.w,
         "seeds": args.seeds,
-        "swa": {"clustering": swa_metrics.clustering,
-                "path_length": swa_metrics.path_length,
-                "small_worldness": swa_metrics.small_worldness},
-        "union_sample": {"clustering": union_metrics.clustering,
-                         "path_length": union_metrics.path_length,
-                         "small_worldness": union_metrics.small_worldness},
+        "swa": {f: getattr(swa_metrics, f) for f in fields},
+        "union_sample": {f: getattr(union_metrics, f) for f in fields},
         "union_median_clustering": float(np.median(union_c)),
         "union_median_path_length": float(np.median(union_l)),
     }
-    path = _out_path(args, "smallworld.json")
-    _write_json(path, result)
-    print(f"wrote {path}")
+    _write_json(args, "smallworld.json", result)
     return EXIT_OK
 
 
@@ -353,18 +264,11 @@ def cmd_smallworld(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _spectrum_cost(n: int, perms: int, depth: int, seeds: int) -> tuple[int, int]:
-    """Estimated (bytes, flops) of a spectrum run: perms + 1 + seeds dense
-    eigen-solves of about 10 n^3 flops, seeds products of depth n x n layers
-    at 2 n^3 each, and about four n x n float64 arrays held at once."""
-    return 4 * 8 * n * n, (10 * (perms + 1 + seeds) + 2 * depth * seeds) * n ** 3
-
-
 def cmd_spectrum(args) -> int:
     _check_positive(n=args.n, w=args.w, perms=args.perms, depth=args.depth, seeds=args.seeds)
     if args.n < 2:
         raise UsageError("--n must be at least 2: the spectrum needs a second eigenvalue")
-    _check_cost("spectrum", _spectrum_cost(args.n, args.perms, args.depth, args.seeds),
+    _check_cost("spectrum", spectrum_cost(args.n, args.perms, args.depth, args.seeds),
                 "--n, --perms, --seeds or --depth")
     measured = spectrum(SeededRng(args.seed), n=args.n, w=args.w, perms=args.perms,
                         mixing_n=args.n, depth=args.depth, mixing_seeds=args.seeds)["measured"]
@@ -379,25 +283,13 @@ def cmd_spectrum(args) -> int:
             "circulant_lambda2_pow_depth": measured["circulant_lambda2_pow_depth"],
         },
     }
-    path = _out_path(args, "spectrum.json")
-    _write_json(path, result)
-    print(f"wrote {path}")
+    _write_json(args, "spectrum.json", result)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # maskviz
 # ---------------------------------------------------------------------------
-
-
-def _maskviz_cost(n: int, svg: bool) -> tuple[int, int]:
-    """Estimated (bytes, cell visits) of a maskviz run: at most four n x n
-    boolean masks at once (the window, the permuted window, the causal
-    filter and its result; a written copy comes after), about 64 bytes a
-    token of permutation and band index arrays, for SVG about 300 bytes of
-    text a cell (its element, the joined document and its copy), and about
-    eight passes over the n^2 cells."""
-    return 4 * n * n + 64 * n + (300 * n * n if svg else 0), 8 * n * n
 
 
 def cmd_maskviz(args) -> int:
@@ -407,14 +299,14 @@ def cmd_maskviz(args) -> int:
         raise UsageError("image output is capped at n <= 512")
     if args.format == "svg" and args.n > 128:
         raise UsageError("svg mask output is capped at n <= 128")
-    _check_cost("maskviz", _maskviz_cost(args.n, args.format == "svg"), "--n")
+    _check_cost("maskviz", layer_mask_cost(args.n, args.format == "svg"), "--n")
+    meta = f"stochattn maskviz kind={args.kind} seed={args.seed} n={args.n}"
     if args.kind == "full":
         mask = intersect_causal(np.ones((args.n, args.n), dtype=bool))
     else:
         mask = layer_mask(args.n, args.w, _MASK_KINDS[args.kind],
                           _CONVENTIONS[args.convention], SeededRng(args.seed))
-    meta = (f"stochattn maskviz kind={args.kind} seed={args.seed} n={args.n} "
-            f"w={args.w} convention={args.convention}")
+        meta += f" w={args.w} convention={args.convention}"
     path = _out_path(args, f"mask_{args.kind}.{args.format}")
     if args.format == "pgm":
         mask_to_pgm(mask, path, meta)
@@ -455,9 +347,7 @@ def cmd_cost(args) -> int:
             chart[mode][0].append(float(n))
             chart[mode][1].append(float(flops))
     meta = f"stochattn cost seed={args.seed} w={args.w} d={args.d} lengths={args.lengths}"
-    csv_path = _out_path(args, "cost.csv")
-    _write_csv(csv_path, meta, ["n", "mode", "flops", "doubling_ratio"], rows, args.precision)
-    print(f"wrote {csv_path}")
+    _write_csv(args, "cost.csv", meta, ["n", "mode", "flops", "doubling_ratio"], rows)
     if args.format == "svg":
         svg_path = _out_path(args, "cost.svg")
         svgplot.line_chart(chart, f"per-layer flops (w={args.w}, d={args.d})",
@@ -471,33 +361,17 @@ def cmd_cost(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gradcheck_cost(n: int, d_h: int, instances: int) -> tuple[int, int]:
-    """Estimated (bytes, flops) of a gradcheck run: each instance runs a plus
-    and a minus dense forward of n^2 score cells for each of its 3 n d_h
-    input coordinates, at 4 d_h flops a cell (scores and values). It holds
-    about six n x (n + d_h) float64 arrays (the dense backward's) and, for
-    the forwards, stacked over as many coordinates as fit MC_CHUNK_BYTES at
-    16 n max(n, d_h) bytes a coordinate (at least one), about six arrays of
-    a chunk's size: the last chunk's outputs, the bumped inputs, the scores,
-    two softmax work arrays and the outputs."""
-    cells = instances * 6 * n ** 3 * d_h
-    chunk = max(MC_CHUNK_BYTES, 16 * n * max(n, d_h))
-    return 6 * 8 * n * (n + d_h) + 6 * chunk, 4 * d_h * cells
-
-
 def cmd_gradcheck(args) -> int:
     _check_positive(n=args.n, dh=args.dh, instances=args.instances)
     if args.n < 2:
         raise UsageError("--n must be at least 2: the audited window spans two tokens")
-    _check_cost("gradcheck", _gradcheck_cost(args.n, args.dh, args.instances),
+    _check_cost("gradcheck", gradcheck_cost(args.n, args.dh, args.instances),
                 "--n, --dh or --instances")
     report = gradcheck(SeededRng(args.seed), n=args.n, d_h=args.dh, instances=args.instances,
                        perturb=args.perturb_backward)
     result = dict(report["measured"], passed=report["passed"], command="gradcheck",
                   seed=args.seed, n=args.n, d_h=args.dh, instances=args.instances)
-    path = _out_path(args, "gradcheck.json")
-    _write_json(path, result)
-    print(f"wrote {path} (passed={result['passed']})")
+    _write_json(args, "gradcheck.json", result, f" (passed={result['passed']})")
     return EXIT_OK if result["passed"] else EXIT_VERIFY_FAILED
 
 
@@ -506,69 +380,33 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _stats_cost(stat: str, n: int, w: int, d: int, trials: int) -> tuple[int, int]:
-    """Estimated (bytes, entries) of a stats run. Trials run in chunks of as
-    many as fit MC_CHUNK_BYTES at a trial's bytes below (at least one); a
-    chunk holds about eight arrays of that size. With V the bytes of the
-    n x d float64 values:
-    - bias: seven V-sized arrays (the values, two running sums, the final
-      moments) and (n + 2w) d float64 window sums a trial, about ten
-      passes over each window's (n + w) d sums;
-    - variance: three V-sized arrays, the (trials, d) float64 sample means
-      five times (the samples, shifted, centred, squared, per-trial sums),
-      and max(n, w d) entries a trial, about 2n + 4wd of them touched;
-    - bvdecomp: about sixteen V-sized arrays (the values, reference outputs,
-      gates and biases), the right-hand batch of (trials - anchor) / 2 samples
-      twice (the batch and its variance's copy), the two d x d float64 gate
-      matrices with a finite check, and n w d gathered values a trial, about
-      n w (2d + 4) entries a trial and 4 n d^2 flops of gate products."""
-    value = n * d * 8
-    if stat == "bias":
-        per_trial, held, work = (n + 2 * w) * d * 8, 7 * value, 10 * trials * (2 * n + 3 * w) * d
-    elif stat == "variance":
-        per_trial = max(n, w * d) * 8
-        held = 3 * value + 5 * trials * d * 8
-        work = trials * (2 * n + 4 * w * d)
-    else:
-        n_rhs = (trials - max(50, trials // 10)) // 2
-        per_trial = n * w * d * 8
-        held = (2 * n_rhs + 16) * value + 17 * d * d
-        work = trials * n * w * (2 * d + 4) + 4 * n * d * d
-    return held + 8 * max(MC_CHUNK_BYTES, per_trial), work
-
-
 def cmd_stats(args) -> int:
     _check_positive(n=args.n, w=args.w, d=args.d, trials=args.trials)
     if args.stat == "bvdecomp" and args.trials < 100:
         raise UsageError("--trials must be at least 100 for bvdecomp's pilot and audit batches")
     if args.trials < 2:
         raise UsageError("--trials must be at least 2 to estimate a standard error")
-    _check_cost(f"stats {args.stat}", _stats_cost(args.stat, args.n, args.w, args.d, args.trials),
+    cost = {"bias": sa_bias_cost, "variance": sa_variance_cost, "bvdecomp": fusion_bv_cost}
+    _check_cost(f"stats {args.stat}", cost[args.stat](args.n, args.w, args.d, args.trials),
                 "--n, --w, --d or --trials")
     rng = SeededRng(args.seed)
     v = rng.child(7, 0).uniform(-1.0, 1.0, size=(args.n, args.d))
     if args.stat == "bias":
         report = sa_bias_mc(v, [args.w, 2 * args.w] if 2 * args.w <= args.n else [args.w],
                             args.trials, rng)
-        result = {"ws": report.ws, "deviations": report.deviations,
-                  "stderrs": report.stderrs, "trials": report.trials}
+        fields = ("ws", "deviations", "stderrs")
     elif args.stat == "variance":
         report = sa_variance_mc(v, args.w, args.trials, rng)
-        result = {"exact": report.exact, "mc_variance": report.mc_variance,
-                  "mc_stderr": report.mc_stderr, "bound": report.bound,
-                  "sigma_v2": report.sigma_v2, "trials": report.trials}
+        fields = ("exact", "mc_variance", "mc_stderr", "bound", "sigma_v2")
     else:
         gates = GateParams(np.zeros((args.d, args.d)), np.zeros((args.d, args.d)))
         report = fusion_bv_decompose(v, gates, args.w, args.trials, rng)
-        result = {"mse": report.mse, "bias_sq": report.bias_sq,
-                  "variance_term": report.variance_term, "residual": report.residual,
-                  "combined_stderr": report.combined_stderr,
-                  "dim_variance_ratio": report.dim_variance_ratio, "trials": report.trials}
+        fields = ("mse", "bias_sq", "variance_term", "residual", "combined_stderr",
+                  "dim_variance_ratio")
+    result = {f: getattr(report, f) for f in (*fields, "trials")}
     result.update(command=f"stats-{args.stat}", seed=args.seed, n=args.n,
                   w=args.w, d=args.d)
-    path = _out_path(args, f"stats_{args.stat}.json")
-    _write_json(path, result)
-    print(f"wrote {path}")
+    _write_json(args, f"stats_{args.stat}.json", result)
     return EXIT_OK
 
 
@@ -597,11 +435,9 @@ def cmd_verify(args) -> int:
     all_passed = all(r["passed"] for r in results)
     result = {"command": "verify", "seed": args.seed, "only": args.only,
               "checks": results, "all_passed": all_passed}
-    path = _out_path(args, "verify.json")
-    _write_json(path, result)
     for r in results:
         print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}")
-    print(f"wrote {path}")
+    _write_json(args, "verify.json", result)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .masks import (Convention, WindowSpec, build_stochastic_mask, build_window_mask,
                     check_window, intersect_causal, window_neighbours)
-from .numerics import SeededRng, trial_chunks
+from .numerics import SeededRng, chunk_trials, trial_chunks
 from .permute import Permutation, inverse_rows, sample_permutation
 
 
@@ -142,6 +142,16 @@ def layer_mask(n: int, w: int, mode: RoutingMode, convention: Convention,
     if mode is RoutingMode.SA:
         return stoch
     return window | stoch
+
+
+def layer_mask_cost(n: int, svg: bool) -> tuple[int, int]:
+    """Estimated (bytes, cell visits) of drawing a ``layer_mask`` or the full
+    causal mask and writing it: at most four n x n boolean masks at once (the
+    window, the permuted window, the causal filter and its result; a written
+    copy comes after), about 64 bytes a token of permutation and band index
+    arrays, for an SVG image about 300 bytes of text a cell (its element, the
+    joined document and its copy), and about eight passes over the n^2 cells."""
+    return 4 * n * n + 64 * n + (300 * n * n if svg else 0), 8 * n * n
 
 
 def _layer_neighbours(n: int, w: int, mode: RoutingMode, convention: Convention,
@@ -273,6 +283,36 @@ def simulate_reachability(
     )
 
 
+def reachability_cost(n: int, w: int, layers: int, seeds: int, modes,
+                      convention: Convention) -> tuple[int, int]:
+    """Estimated (bytes, word ORs) of ``simulate_reachability`` over ``seeds``
+    seeds for each mode in ``modes``. A curve holds its seeds'
+    (layers + 1) x n float64 fractions once, one seed's int64 counts while
+    that seed runs, and three seeds x (layers + 1) float64 arrays of per-seed
+    means (the last curve's, the new means and their contiguous copy). A
+    seed's simulation holds packed reachability rows of n bits in whole
+    64-bit words: about 5n + 3w of them under the circular convention (the
+    rows, their permuted copy, two wrap-padded OR buffers and the overlap
+    copy of an in-place OR) and four int64 n-arrays (the layer's permutation,
+    its inverse and the index temporaries of drawing and applying them),
+    and two sets of n under the causal one, with three n x 2w (n x w
+    without FUSED) int64 neighbour tables and two gathers of up to
+    _GATHER_BYTES or one token's neighbour rows. Per seed and layer each row
+    ORs about 2 log2(w) + 4 rows (circular: shifted doublings and gathers),
+    or one row per neighbour (causal); every layer is counted, as a seed
+    need not saturate before the last."""
+    words = -(-n // 64)
+    width = 2 * w if RoutingMode.FUSED in modes else w
+    if convention is Convention.CAUSAL_ONE_SIDED:
+        rows = 2 * n * 8 * words + 3 * n * width * 8 + 2 * max(_GATHER_BYTES, width * 8 * words)
+        per_row = width
+    else:
+        rows = (5 * n + 3 * w) * 8 * words + 4 * n * 8
+        per_row = 2 * w.bit_length() + 4
+    return ((seeds + 1) * (layers + 1) * n * 8 + 3 * seeds * (layers + 1) * 8 + rows,
+            len(modes) * seeds * layers * n * words * per_row)
+
+
 def layers_to_coverage(curve: CoverageCurve, threshold: float) -> int | None:
     """First layer whose mean coverage reaches ``threshold``; None if never."""
     if not 0.0 < threshold <= 1.0:
@@ -285,12 +325,8 @@ def per_seed_layers_to_coverage(curve: CoverageCurve, threshold: float) -> np.nd
     """Per-seed first layer reaching ``threshold`` mean coverage (inf if never)."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    out = np.full(curve.n_seeds, np.inf)
-    for s in range(curve.n_seeds):
-        hit = np.nonzero(curve.seed_mean[s] >= threshold)[0]
-        if hit.size:
-            out[s] = hit[0]
-    return out
+    hit = curve.seed_mean >= threshold
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), np.inf)
 
 
 def expansion_lower_bound(r: int, n: int, w: int) -> float:
@@ -322,6 +358,11 @@ def _circular_hits(a, b, n: int, back: int, fwd: int):
     return (off <= fwd) | (off >= n - back)
 
 
+def _connprob_trial_bytes(n: int, w: int, causal: bool) -> int:
+    """A trial's int64 permutation, or causal, n x w window tokens, in bytes."""
+    return n * w * 8 if causal else n * 8
+
+
 def connection_probability_mc(
     n: int, w: int, trials: int, causal: bool = False, *, rng: SeededRng,
 ) -> tuple[float, float]:
@@ -337,10 +378,11 @@ def connection_probability_mc(
     if n < 2:
         raise ValueError(f"a token pair needs n >= 2, got n={n}")
     spec = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR)
+    per_trial = _connprob_trial_bytes(n, w, causal)
     if not causal:
         back, fwd = spec.offsets()
         hits = 0
-        for lo, hi in trial_chunks(trials, n * 8):
+        for lo, hi in trial_chunks(trials, per_trial):
             p = rng.permutations(hi - lo, n)
             hits += int(np.count_nonzero(_circular_hits(p[:, 0], p[:, 1], n, back, fwd)))
         est = hits / trials
@@ -349,7 +391,7 @@ def connection_probability_mc(
     slots = window_neighbours(n, spec)
     densities = np.empty(trials)
     off_cells = n * (n - 1)
-    for lo, hi in trial_chunks(trials, n * w * 8):
+    for lo, hi in trial_chunks(trials, per_trial):
         # the mask's ones are the (slot a, window slot) pairs whose slot holds
         # a token no later than slot a's; the n diagonal ones are a itself
         tok = inverse_rows(rng.permutations(hi - lo, n))
@@ -358,6 +400,23 @@ def connection_probability_mc(
     est = float(densities.mean())
     stderr = float(densities.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return est, stderr
+
+
+def connection_probability_cost(n: int, w: int, trials: int, causal: bool) -> tuple[int, int]:
+    """Estimated (bytes, entries) of ``connection_probability_mc``, trials
+    running in chunks of t. Non-causal, a chunk holds t x n int64
+    permutations three times (the last chunk's, the tiled identity and its
+    shuffle), after the check's enumeration of the 720 orders of 6 tokens
+    left about 100 KiB of tuples in the interpreter's free list. Causal, a
+    chunk holds the permutations and their inverses about eight times, the
+    t x n x w int64 window tokens and two t x n x w boolean comparisons (the
+    last chunk's and its own); the run also holds the n x w int64 window
+    table and two floats a trial (the densities and their deviations). The
+    work is the permutation entries and, causal, the window entries."""
+    t = chunk_trials(_connprob_trial_bytes(n, w, causal))
+    if not causal:
+        return t * 8 * (3 * n + 5) + 100 * 1024, trials * n
+    return n * w * 8 + 16 * trials + t * n * (10 * w + 64), trials * n * w
 
 
 def connection_probability_exhaustive(n: int, w: int) -> float:
@@ -544,6 +603,33 @@ def smallworld_metrics(n: int, rows: np.ndarray, cols: np.ndarray, rng: SeededRn
         clustering_rand=clustering_rand, path_length_rand=path_length_rand,
         small_worldness=sigma,
     )
+
+
+def smallworld_cost(n: int, w: int, seeds: int, baselines: int) -> tuple[int, int]:
+    """Estimated (bytes, word ORs) of ``smallworld_metrics`` on the ring and a
+    union graph, and of the path lengths and clustering of ``seeds`` more
+    union graphs. Building a union graph holds about ten copies of its n x 2w
+    int64 neighbour table (the table, token and neighbour columns, both
+    directions' edge keys and their deduplication). A graph has at most n w
+    undirected edges, e, kept as int64 rows and columns of both directions;
+    about 21 int64 words per edge are held at once while a baseline is
+    measured (the last union graph, the measured graph, the baseline's draw,
+    its pair arithmetic, sort and neighbour lists). The estimate adds the two
+    phases. The draw is numpy's ``choice`` without replacement, which holds
+    all n(n - 1)/2 pairs as int64 once e is over a 50th of them, else about
+    four words per edge. Path lengths hold two sets of n packed rows of n bits
+    and two arrays of up to _GATHER_BYTES (gathered rows and their ORs),
+    clustering one set and three (two gathers and their AND). The work is the
+    path-length BFS's word ORs: n(2w + 1) rows a step, about n / w steps on
+    the ring and 2 log2(n) on each union and baseline graph."""
+    words = -(-n // 64)
+    pairs = n * (n - 1) // 2
+    edges = min(pairs, n * w)
+    draw = 8 * (pairs + edges) if edges > pairs // 50 else 32 * edges
+    gather = max(_GATHER_BYTES, (2 * w + 1) * 8 * words)
+    est_bytes = 8 * (20 * n * w + 21 * edges) + draw + 2 * n * 8 * words + 3 * gather
+    steps = -(-n // w) + 2 * (seeds + 1 + baselines) * n.bit_length()
+    return est_bytes, steps * n * (2 * w + 1) * words
 
 
 def ring_lattice_clustering(k: int) -> float:

@@ -106,11 +106,16 @@ class SeededRng:
         return self._gen.choice(n, size=size, replace=replace)
 
 
+def chunk_trials(bytes_per_trial: int) -> int:
+    """Trials in a chunk of ``trial_chunks``: as many as fit ``MC_CHUNK_BYTES``
+    at ``bytes_per_trial``, at least one."""
+    return max(1, MC_CHUNK_BYTES // bytes_per_trial)
+
+
 def trial_chunks(trials: int, bytes_per_trial: int):
     """Consecutive ``(lo, hi)`` bounds covering ``range(trials)``, each chunk
-    as many trials as fit ``MC_CHUNK_BYTES`` at ``bytes_per_trial`` (at
-    least one)."""
-    step = max(1, MC_CHUNK_BYTES // bytes_per_trial)
+    ``chunk_trials(bytes_per_trial)`` trials long (the last may be shorter)."""
+    step = chunk_trials(bytes_per_trial)
     for lo in range(0, trials, step):
         yield lo, min(lo + step, trials)
 

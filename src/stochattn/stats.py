@@ -29,7 +29,7 @@ import numpy as np
 
 from .attention import GateParams
 from .masks import Convention, WindowSpec, check_window, window_neighbours
-from .numerics import SeededRng, as_matrix, sigmoid_in_place, trial_chunks
+from .numerics import MC_CHUNK_BYTES, SeededRng, as_matrix, sigmoid_in_place, trial_chunks
 from .permute import inverse_rows
 
 
@@ -107,6 +107,11 @@ def _bias_slope(n: int, w: int) -> float:
     return 0.0 if w == n else (n - w) / (w * (n - 1))
 
 
+def _bias_trial_bytes(n: int, w: int, d: int) -> int:
+    """Bytes of a trial's (n + w) x d float64 window sums in ``sa_bias_mc``."""
+    return (n + w) * d * 8
+
+
 def sa_bias_mc(v, ws, trials: int, rng: SeededRng) -> BiasReport:
     """Average the uniform-attention stochastic output over fresh
     permutations, for each window size in the sequence ``ws``, and report
@@ -133,7 +138,7 @@ def sa_bias_mc(v, ws, trials: int, rng: SeededRng) -> BiasReport:
         w_rng = rng.child(wi, 0)
         total = np.zeros((n, d))
         total_sq = np.zeros((n, d))
-        for lo, hi in trial_chunks(trials, (n + w) * d * 8):
+        for lo, hi in trial_chunks(trials, _bias_trial_bytes(n, w, d)):
             y = _uniform_sa_outputs(v, w_rng.permutations(hi - lo, n), w)
             _add_in_order(total, y)
             _add_in_order(total_sq, y * y)
@@ -154,6 +159,16 @@ def sa_bias_mc(v, ws, trials: int, rng: SeededRng) -> BiasReport:
                       stderrs=stderrs, mean_z_sq=mean_z_sq)
 
 
+def sa_bias_cost(n: int, w: int, d: int, trials: int) -> tuple[int, int]:
+    """Estimated (bytes, entries) of ``sa_bias_mc`` on n x d float64 values V
+    at the windows w and 2w: seven V-sized arrays (the values, two running
+    sums, the final moments) and about eight arrays of a chunk of trials
+    (at least MC_CHUNK_BYTES) at the window 2w's bytes a trial, and about
+    ten passes over each window's (n + w) d sums a trial."""
+    per_trial = _bias_trial_bytes(n, 2 * w, d)
+    return 7 * n * d * 8 + 8 * max(MC_CHUNK_BYTES, per_trial), 10 * trials * (2 * n + 3 * w) * d
+
+
 def sa_variance_exact(v, w: int) -> VarianceReport:
     """Closed-form variance of the mean of a uniform size-w row sample:
     (1/w) * (n-w)/(n-1) * sigma_V^2, with the coarse bound 4*B^2/w."""
@@ -167,6 +182,11 @@ def sa_variance_exact(v, w: int) -> VarianceReport:
     bound = 4.0 * b_max**2 / w
     return VarianceReport(n=n, w=w, d=d, sigma_v2=sigma_v2, b_max=b_max,
                           exact=exact, bound=bound)
+
+
+def _variance_trial_bytes(n: int, w: int, d: int) -> int:
+    """A trial's int64 permutation or w x d float64 window values, in bytes."""
+    return max(n, w * d) * 8
 
 
 def sa_variance_mc(v, w: int, trials: int, rng: SeededRng) -> VarianceReport:
@@ -185,7 +205,7 @@ def sa_variance_mc(v, w: int, trials: int, rng: SeededRng) -> VarianceReport:
     back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
     slot_window = np.arange(-back, fwd + 1) % n     # row 0 of window_neighbours
     ys = np.empty((trials, d))
-    for lo, hi in trial_chunks(trials, max(n, w * d) * 8):
+    for lo, hi in trial_chunks(trials, _variance_trial_bytes(n, w, d)):
         token_of_slot = rng.permutations(hi - lo, n)
         # the subset is what matters; sort so summation order is canonical
         subsets = np.sort(token_of_slot[:, slot_window], axis=1)
@@ -198,6 +218,17 @@ def sa_variance_mc(v, w: int, trials: int, rng: SeededRng) -> VarianceReport:
     mc_var = float(sq.sum() / (trials - 1))
     mc_stderr = float(sq.std(ddof=1) / math.sqrt(trials))
     return base._replace(mc_variance=mc_var, mc_stderr=mc_stderr, trials=trials)
+
+
+def sa_variance_cost(n: int, w: int, d: int, trials: int) -> tuple[int, int]:
+    """Estimated (bytes, entries) of ``sa_variance_mc`` on n x d float64
+    values V: three V-sized arrays, the (trials, d) float64 sample means five
+    times (the samples, shifted, centred, squared, per-trial sums) and about
+    eight arrays of a chunk of trials (at least MC_CHUNK_BYTES), and
+    max(n, w d) entries a trial, about 2n + 4wd of them touched."""
+    held = 3 * n * d * 8 + 5 * trials * d * 8
+    return (held + 8 * max(MC_CHUNK_BYTES, _variance_trial_bytes(n, w, d)),
+            trials * (2 * n + 4 * w * d))
 
 
 def _causal_uniform_window(v: np.ndarray, w: int) -> np.ndarray:
@@ -225,6 +256,13 @@ def _causal_uniform_sa_samples(v: np.ndarray, w: int, rng: SeededRng,
     kept = keys <= np.arange(n)[:, None]
     gathered = np.take(v, keys, axis=0) * kept[..., None]
     return gathered.sum(axis=2) / kept.sum(axis=2, keepdims=True)
+
+
+def _bv_plan(n: int, w: int, d: int, trials: int) -> tuple[int, int, int, int]:
+    """A sample's n x w x d float64 bytes and the anchor, rhs and lhs batch trials."""
+    n_anchor = max(50, trials // 10)
+    n_rhs = (trials - n_anchor) // 2
+    return n * w * d * 8, n_anchor, n_rhs, trials - n_anchor - n_rhs
 
 
 def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
@@ -258,13 +296,9 @@ def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
     y_swa = _causal_uniform_window(v, w)
     b_swa = y_swa - y_star
 
-    n_anchor = max(50, trials // 10)
-    n_rhs = (trials - n_anchor) // 2
-    n_lhs = trials - n_anchor - n_rhs
-
+    sample_bytes, n_anchor, n_rhs, n_lhs = _bv_plan(n, w, d, trials)
     anchor_rng, rhs_rng, lhs_rng = rng.child(0, 0), rng.child(1, 0), rng.child(2, 0)
 
-    sample_bytes = n * w * d * 8
     anchor = np.zeros((n, d))
     for lo, hi in trial_chunks(n_anchor, sample_bytes):
         _add_in_order(anchor, _causal_uniform_sa_samples(v, w, anchor_rng, hi - lo))
@@ -312,3 +346,17 @@ def fusion_bv_decompose(v, gates: GateParams, w: int, trials: int,
         combined_stderr=math.sqrt(mse_stderr**2 + rhs_stderr**2),
         dim_variance_ratio=dim_ratio,
     )
+
+
+def fusion_bv_cost(n: int, w: int, d: int, trials: int) -> tuple[int, int]:
+    """Estimated (bytes, entries) of ``fusion_bv_decompose`` on n x d float64
+    values V: about sixteen V-sized arrays (the values, reference outputs,
+    gates and biases), the right-hand batch twice (the batch and its
+    variance's copy), the two d x d float64 gate matrices with a finite
+    check and about eight arrays of a chunk of samples (at least
+    MC_CHUNK_BYTES); n w d gathered values a sample, about n w (2d + 4)
+    entries a sample and 4 n d^2 flops of gate products."""
+    sample_bytes, _, n_rhs, _ = _bv_plan(n, w, d, trials)
+    held = (2 * n_rhs + 16) * n * d * 8 + 17 * d * d
+    return (held + 8 * max(MC_CHUNK_BYTES, sample_bytes),
+            trials * n * w * (2 * d + 4) + 4 * n * d * d)

@@ -114,17 +114,58 @@ class TestExitCodes:
         assert run(["--out", tmp_path, *args]) == 1
 
     def test_spectrum_cost_estimates(self):
-        from stochattn.cli import MAX_BYTES, _spectrum_cost
-        assert _spectrum_cost(256, 20, 3, 20) == (2 * 2**20, 530 * 256**3)
-        assert _spectrum_cost(8192, 1, 1, 1)[0] > MAX_BYTES
+        from stochattn.checks import spectrum_cost
+        from stochattn.cli import MAX_BYTES
+        assert spectrum_cost(256, 20, 3, 20) == (2 * 2**20, 530 * 256**3)
+        assert spectrum_cost(8192, 1, 1, 1)[0] > MAX_BYTES
 
     def test_gradcheck_cost_estimates(self):
-        from stochattn.cli import MAX_BYTES, MAX_WORK, MC_CHUNK_BYTES, _gradcheck_cost
+        from stochattn.checks import gradcheck_cost
+        from stochattn.cli import MAX_BYTES, MAX_WORK
+        from stochattn.numerics import MC_CHUNK_BYTES
         # 20 instances x 6 n^3 d_h score cells at n = 8, d_h = 4; 4 d_h flops a
         # cell; six n x (n + d_h) arrays plus six of a 1 MiB forward chunk
-        assert _gradcheck_cost(8, 4, 20) == (48 * 8 * 12 + 6 * MC_CHUNK_BYTES, 16 * 245_760)
-        assert _gradcheck_cost(4096, 1, 1)[0] > MAX_BYTES
-        assert _gradcheck_cost(128, 64, 1)[1] < MAX_WORK < _gradcheck_cost(256, 64, 1)[1]
+        assert gradcheck_cost(8, 4, 20) == (48 * 8 * 12 + 6 * MC_CHUNK_BYTES, 16 * 245_760)
+        assert gradcheck_cost(4096, 1, 1)[0] > MAX_BYTES
+        assert gradcheck_cost(128, 64, 1)[1] < MAX_WORK < gradcheck_cost(256, 64, 1)[1]
+
+    @pytest.mark.parametrize("case", ["connprob", "connprob-causal", "bias", "variance",
+                                      "bvdecomp", "gradcheck"])
+    def test_estimates_read_their_routines_chunking(self, monkeypatch, case):
+        # each routine sizes its trial chunks by the definition its *_cost
+        # estimate reads, so the two cannot drift apart
+        from stochattn import checks, graphs, numerics, stats
+        from stochattn.attention import GateParams
+        n, w, d, trials = 12, 4, 7, 120
+        rng = numerics.SeededRng(3)
+        v = rng.uniform(-1.0, 1.0, size=(n, d))
+        sample, *batches = stats._bv_plan(n, w, d, trials)
+        module, routine, expected = {
+            "connprob": (graphs, lambda: graphs.connection_probability_mc(n, w, trials, rng=rng),
+                         [(trials, graphs._connprob_trial_bytes(n, w, False))]),
+            "connprob-causal": (
+                graphs, lambda: graphs.connection_probability_mc(n, w, trials, True, rng=rng),
+                [(trials, graphs._connprob_trial_bytes(n, w, True))]),
+            "bias": (stats, lambda: stats.sa_bias_mc(v, [w, 2 * w], trials, rng),
+                     [(trials, stats._bias_trial_bytes(n, x, d)) for x in (w, 2 * w)]),
+            "variance": (stats, lambda: stats.sa_variance_mc(v, w, trials, rng),
+                         [(trials, stats._variance_trial_bytes(n, w, d))]),
+            "bvdecomp": (stats, lambda: stats.fusion_bv_decompose(
+                v, GateParams(np.zeros((d, d)), np.zeros((d, d))), w, trials, rng),
+                [(count, sample) for count in batches]),
+            # q, k and v: n x d coordinates each, d > n
+            "gradcheck": (checks, lambda: checks.gradcheck(rng, n=5, d_h=d, instances=1),
+                          3 * [(5 * d, checks._coordinate_bytes(5, d))]),
+        }[case]
+        calls = []
+
+        def recording(count, bytes_per_trial):
+            calls.append((count, bytes_per_trial))
+            return numerics.trial_chunks(count, bytes_per_trial)
+
+        monkeypatch.setattr(module, "trial_chunks", recording)
+        routine()
+        assert calls == expected
 
     @pytest.mark.parametrize("args", [
         # the commands' defaults
@@ -185,6 +226,12 @@ class TestExitCodes:
         pytest.param(["stats", "variance", "--n", 50000, "--w", 50000, "--trials", 3],
                      id="stats-variance-n50000-w50000"),
         ["stats", "bvdecomp", "--n", 64, "--w", 4, "--d", 1, "--trials", 100000],
+        # the causal neighbour tables and gathers: peak 14.5 MiB, estimate 18.4 MiB
+        ["coverage", "--n", 4096, "--w", 64, "--layers", 3, "--seeds", 2,
+         "--convention", "causal", "--modes", "sa"],
+        # the non-causal permutation chunks: peak 22.9 MiB, estimate 23.0 MiB;
+        # w = n, as three trials pass the 3-stderr check only at p = 1
+        ["connprob", "--n", 1_000_000, "--w", 1_000_000, "--trials", 3],
     ], ids=lambda args: "-".join(map(str, args[:3])))
     def test_estimate_bounds_the_traced_peak(self, tmp_path, monkeypatch, args):
         import tracemalloc
@@ -393,6 +440,14 @@ class TestMaskviz:
         body = (tmp_path / "mask_full.pgm").read_bytes().split(b"255\n", 1)[1]
         pix = np.frombuffer(body, dtype=np.uint8).reshape(n, n)
         assert np.array_equal(pix == 255, np.tril(np.ones((n, n), dtype=bool)))
+
+    @pytest.mark.parametrize("fmt,line", [("pgm", 1), ("csv", 0)])
+    def test_full_mask_metadata_records_no_window(self, tmp_path, fmt, line):
+        # the full mask ignores --w and --convention; the seed stays as provenance
+        assert run(["--seed", 3, "--format", fmt, "--out", tmp_path, "maskviz",
+                    "--kind", "full", "--n", 4]) == 0
+        header = (tmp_path / f"mask_full.{fmt}").read_bytes().split(b"\n")[line]
+        assert header == b"# stochattn maskviz kind=full seed=3 n=4"
 
     def test_stochastic_mask_reaches_off_band(self, tmp_path):
         assert run(["--seed", 6, "--out", tmp_path, "maskviz", "--kind", "sa",
