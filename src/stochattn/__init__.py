@@ -54,6 +54,7 @@ from .masks import (
     mask_to_csv,
     mask_to_pgm,
     symmetrize,
+    window_keys,
     window_neighbours,
 )
 from .numerics import FullyMaskedRowError, SeededRng, derive_seed, masked_row_softmax

@@ -4,12 +4,12 @@ rotary embeddings on original positions (row p at position p), gated
 SA+SWA fusion, and an analytic backward pass for the masked core.
 
 ``swa_forward`` and ``sa_forward`` share one banded windowed-attention core,
-a block plan (``_BlockPlan``): the keys are extended by the window's w-1
-offsets (wrapped slots for the circular window, masked pads before slot 0
-for the one-sided one), rows run in blocks of b = max(1, w // 4) slots, and
-each block scores its span of b+w-1 extended keys with one matmul and
-softmaxes only its w-wide band. A call evaluates n*(b+w-1) score cells per
-head and never builds an n x n array. A plan holds what a call decides once
+a block plan (``_BlockPlan``) over the extended slots of ``masks.window_keys``
+(wrapped for the circular window, masked pads before slot 0 for the
+one-sided one): rows run in blocks of b = max(1, w // 4) slots, and each
+block scores its span of b+w-1 extended keys with one matmul and softmaxes
+only its w-wide band. A call evaluates n*(b+w-1) score cells per head and
+never builds an n x n array. A plan holds what a call decides once
 (the token of each extended key row and query slot, the band's validity,
 the chunks of blocks) and runs any range of slots whose ends are block
 boundaries; each kernel runs all of its plan on the calling thread.
@@ -53,7 +53,7 @@ import threading
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .masks import Convention, WindowSpec, check_window
+from .masks import Convention, WindowSpec, check_window, window_keys
 from .numerics import (
     MC_CHUNK_BYTES,
     Frozen,
@@ -430,21 +430,14 @@ class _BlockPlan:
 def _swa_plan(n: int, w: int, stack: int) -> _BlockPlan:
     """The plan of causal sliding-window attention: slot i is token i, and
     the w-1 extended rows before token 0 are pads."""
-    keys = np.arange(1 - w, n)
-    keys[:w - 1] = n
-    return _BlockPlan(w, keys, None, stack)
+    return _BlockPlan(w, window_keys(n, WindowSpec(w, Convention.CAUSAL_ONE_SIDED)), None, stack)
 
 
 def _sa_plan(p: Permutation, w: int, convention: Convention, stack: int) -> _BlockPlan:
     """The plan of stochastic attention: slot s holds token ``p.inverse[s]``,
     and the extended rows are the window's slots, wrapped for the circular
     window and pads before slot 0 for the one-sided one."""
-    n = p.n
-    back, fwd = WindowSpec(w, convention).offsets()
-    slots = np.arange(-back, n + fwd)
-    if convention is Convention.SYMMETRIC_CIRCULAR:
-        slots %= n
-    return _BlockPlan(w, np.where(slots < 0, n, p.inverse[slots]), p.inverse, stack)
+    return _BlockPlan(w, window_keys(p.n, WindowSpec(w, convention), p.inverse), p.inverse, stack)
 
 
 def swa_forward(inp: AttentionInputs, w: int) -> np.ndarray:

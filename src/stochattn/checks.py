@@ -148,11 +148,13 @@ def gradcheck_cost(n: int, d_h: int, instances: int) -> tuple[int, int]:
 
 def connprob(rng: SeededRng, n: int = 128, w: int = 8, trials: int = 20_000) -> dict:
     """A token pair shares a window with probability (w-1)/(n-1): exactly 2/5
-    by enumeration at n=6, w=3, and within 3 stderr by Monte Carlo."""
+    by enumeration at n=6, w=3, and within 3 stderr by Monte Carlo (the
+    analytic stderr when a run draws no hit, whose own stderr is 0)."""
     exact = connection_probability_exhaustive(6, 3)
     est, stderr = connection_probability_mc(n, w, trials, causal=False, rng=rng)
     analytic = connection_probability_analytic(n, w)
-    return _result("connprob", exact == 2 / 5 and abs(est - analytic) <= 3 * stderr,
+    gate = 3 * (stderr if stderr > 0.0 else np.sqrt(analytic * (1.0 - analytic) / trials))
+    return _result("connprob", exact == 2 / 5 and abs(est - analytic) <= gate,
                    {"exhaustive_n6_w3": exact, "mc_estimate": est, "mc_stderr": stderr,
                     "analytic": analytic})
 

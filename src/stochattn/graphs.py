@@ -4,12 +4,12 @@ the induced random walks, and an analytic FLOP cost model.
 
 Reachability and path lengths are exact multi-source BFS over packed
 bitsets (one bit per token, one row per source). Under the circular
-convention the permuted-window structure lets each layer be propagated with
-O(log w) shifted ORs; the causal convention ORs the rows of each token's
-``masks.window_neighbours`` entries, and arbitrary graphs those of each
-node's neighbour list. Small-world graphs are edge lists built from the
-same neighbour tables. No route builds an n x n array; dense masks serve as
-test oracles and for mask images.
+convention each layer gathers the rows of its ``masks.window_keys`` table
+once and propagates with O(log w) shifted ORs; the causal convention ORs the
+rows of each token's ``masks.window_neighbours`` entries, and arbitrary
+graphs those of each node's neighbour list. Small-world graphs are edge
+lists built from the same neighbour tables. No route builds an n x n array;
+dense masks serve as test oracles and for mask images.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .masks import (Convention, WindowSpec, build_stochastic_mask, build_window_mask,
-                    check_window, intersect_causal, window_neighbours)
+                    check_window, intersect_causal, window_keys, window_neighbours)
 from .numerics import SeededRng, chunk_trials, trial_chunks
 from .permute import Permutation, inverse_rows, sample_permutation
 
@@ -109,14 +109,12 @@ def _or_neighbours(reached: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
         lo = hi
 
 
-def _window_or_circular(s: np.ndarray, back: int, fwd: int) -> np.ndarray:
-    """Row p of the result is the OR of rows (p-back .. p+fwd) mod n.
-
-    Row q of the wrap-padded buffer is row (q-back) mod n; after the
-    doublings it holds the OR of buffer rows q .. q+width-1."""
+def _window_or(s: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Row p: the OR of rows ``keys[p .. p+w-1]`` of s, for the n = s.shape[0]
+    slots of a ``window_keys`` table, gathered once and ORed in place."""
     n = s.shape[0]
-    width = back + fwd + 1
-    buf = np.concatenate([s[n - back:], s, s[:fwd]])
+    width = keys.size - n + 1
+    buf = np.take(s, keys, axis=0)
     covered = 1
     while covered < width:
         step = min(covered, width - covered)
@@ -196,14 +194,14 @@ def _simulate_seed(n: int, w: int, layers: int, mode: RoutingMode, convention: C
                    rng: SeededRng) -> np.ndarray:
     """(layers + 1, n) reached counts of one seed, row l after l layers.
 
-    A circular layer ORs each row's window in O(log w) shifted ORs, of the
-    rows in slot order for SA (a permutation drawn from ``rng``); a causal
-    layer ORs the rows of each token's ``_layer_neighbours``. Row i can reach
-    every token (circular) or tokens 0..i (causal); the run stops once every
-    row holds all it can, which every later layer keeps, and fills the
-    remaining rows with that count."""
+    A circular layer ORs the rows of each slot's ``window_keys`` in O(log w)
+    shifted ORs, of the permuted table for SA (a permutation drawn from
+    ``rng``); a causal layer ORs the rows of each token's
+    ``_layer_neighbours``. Row i can reach every token (circular) or tokens
+    0..i (causal); the run stops once every row holds all it can, which
+    every later layer keeps, and fills the remaining rows with that count."""
     circular = convention is Convention.SYMMETRIC_CIRCULAR
-    back, fwd = WindowSpec(w, convention).offsets()
+    local = window_keys(n, WindowSpec(w)) if circular else None
     full = np.full(n, n) if circular else np.arange(1, n + 1)
     reached = _pack_identity(n)
     counts = np.empty((layers + 1, n), dtype=np.int64)
@@ -215,12 +213,12 @@ def _simulate_seed(n: int, w: int, layers: int, mode: RoutingMode, convention: C
             _or_neighbours(reached, np.arange(0, table.size + 1, table.shape[1]), table.ravel(),
                            step)
         elif mode is RoutingMode.SWA:
-            step = _window_or_circular(reached, back, fwd)
+            step = _window_or(reached, local)
         else:
             perm = sample_permutation(n, rng)
-            step = _window_or_circular(reached[perm.inverse], back, fwd)[perm.forward]
+            step = _window_or(reached, window_keys(n, WindowSpec(w), perm.inverse))[perm.forward]
             if mode is RoutingMode.FUSED:
-                step |= _window_or_circular(reached, back, fwd)
+                step |= _window_or(reached, local)
         reached = step
         counts[ell] = _popcount_rows(reached)
         if np.array_equal(counts[ell], full):
@@ -292,10 +290,10 @@ def reachability_cost(n: int, w: int, layers: int, seeds: int, modes,
     means (the last curve's, the new means and their contiguous copy). A
     seed's simulation holds packed reachability rows of n bits in whole
     64-bit words: about 5n + 3w of them under the circular convention (the
-    rows, their permuted copy, two wrap-padded OR buffers and the overlap
-    copy of an in-place OR) and four int64 n-arrays (the layer's permutation,
-    its inverse and the index temporaries of drawing and applying them),
-    and two sets of n under the causal one, with three n x 2w (n x w
+    rows, the next rows, two gathered OR buffers of n + w - 1 rows and the
+    overlap copy of an in-place OR) and four int64 arrays of about n (the
+    layer's permutation, its inverse and two window-key tables), and two
+    sets of n under the causal one, with three n x 2w (n x w
     without FUSED) int64 neighbour tables and two gathers of up to
     _GATHER_BYTES or one token's neighbour rows. Per seed and layer each row
     ORs about 2 log2(w) + 4 rows (circular: shifted doublings and gathers),
@@ -359,7 +357,7 @@ def _circular_hits(a, b, n: int, back: int, fwd: int):
 
 
 def _connprob_trial_bytes(n: int, w: int, causal: bool) -> int:
-    """A trial's int64 permutation, or causal, n x w window tokens, in bytes."""
+    """A trial's int64 permutation, or causal, n x w window entries at 8 bytes each."""
     return n * w * 8 if causal else n * 8
 
 
@@ -388,14 +386,14 @@ def connection_probability_mc(
         est = hits / trials
         stderr = math.sqrt(est * (1.0 - est) / trials)
         return est, stderr
-    slots = window_neighbours(n, spec)
     densities = np.empty(trials)
     off_cells = n * (n - 1)
     for lo, hi in trial_chunks(trials, per_trial):
         # the mask's ones are the (slot a, window slot) pairs whose slot holds
         # a token no later than slot a's; the n diagonal ones are a itself
         tok = inverse_rows(rng.permutations(hi - lo, n))
-        kept = np.take(tok, slots, axis=1) <= tok[:, :, None]
+        keys = np.lib.stride_tricks.sliding_window_view(window_keys(n, spec, tok), w, axis=1)
+        kept = keys <= tok[:, :, None]
         densities[lo:hi] = (np.count_nonzero(kept, axis=(1, 2)) - n) / off_cells
     est = float(densities.mean())
     stderr = float(densities.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -409,10 +407,10 @@ def connection_probability_cost(n: int, w: int, trials: int, causal: bool) -> tu
     shuffle), after the check's enumeration of the 720 orders of 6 tokens
     left about 100 KiB of tuples in the interpreter's free list. Causal, a
     chunk holds the permutations and their inverses about eight times, the
-    t x n x w int64 window tokens and two t x n x w boolean comparisons (the
-    last chunk's and its own); the run also holds the n x w int64 window
-    table and two floats a trial (the densities and their deviations). The
-    work is the permutation entries and, causal, the window entries."""
+    t x (n+w-1) int64 window keys and two t x n x w boolean comparisons (the
+    last chunk's and its own), and the run two floats a trial (the densities
+    and their deviations), with (n + t n) w int64 entries to spare. The work
+    is the permutation entries and, causal, the window entries."""
     t = chunk_trials(_connprob_trial_bytes(n, w, causal))
     if not causal:
         return t * 8 * (3 * n + 5) + 100 * 1024, trials * n

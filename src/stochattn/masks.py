@@ -1,9 +1,9 @@
-"""Who attends to whom: the window-neighbour table and dense binary masks.
+"""Who attends to whom: the window-key table and dense binary masks.
 
-``window_neighbours`` lists each token's window as an (n, w) table in
-O(n*w). Dense (n, n) boolean masks, True where query row i may attend to key
-column j, are the test oracle of the table and of the attention kernels, the
-input of spectra, and what mask images draw.
+``window_keys`` is the one banded table that every windowed route reads.
+Dense (n, n) boolean masks, True where query row i may attend to key column
+j, are its independent test oracle, the input of spectra, and what mask
+images draw.
 
 Window conventions:
 
@@ -52,23 +52,30 @@ def check_window(n: int, w: int) -> None:
         raise ValueError(f"window size must satisfy 1 <= w <= n, got w={w}, n={n}")
 
 
+def window_keys(n: int, spec: WindowSpec, inverse=None) -> np.ndarray:
+    """(..., n+w-1) table of the token at each extended slot; slot s's window
+    is entries s..s+w-1. ``inverse`` is the token at each slot (identity when
+    None) or a ``(..., n)`` batch. Circular slots wrap mod n; one-sided slots
+    before 0 hold the pad n, later than any token, so keys <= i drops them."""
+    check_window(n, spec.w)
+    tokens = np.arange(n) if inverse is None else np.asarray(inverse)
+    if tokens.shape[-1] != n:
+        raise ValueError(f"permutation size {tokens.shape[-1]} does not match n={n}")
+    back, fwd = spec.offsets()
+    head = (np.full(tokens.shape[:-1] + (back,), n, dtype=tokens.dtype)
+            if spec.convention is Convention.CAUSAL_ONE_SIDED else tokens[..., n - back:])
+    return np.concatenate([head, tokens, tokens[..., :fwd]], axis=-1)
+
+
 def window_neighbours(n: int, spec: WindowSpec, p: Permutation | None = None) -> np.ndarray:
-    """(n, w) table: row i lists the tokens in the window of slot ``p.forward[i]``
-    (slot i when ``p`` is None), one per offset -back..fwd. Circular offsets
-    wrap mod n; one-sided offsets before slot 0 repeat token i. Scattered, the
+    """(n, w) table: row i is the ``window_keys`` window of slot ``p.forward[i]``
+    (slot i when ``p`` is None), each pad replaced by token i. Scattered, the
     rows are those of ``build_window_mask`` or ``build_stochastic_mask``.
     Causality on original tokens is the caller's: keep the entries <= i."""
-    check_window(n, spec.w)
-    if p is not None and p.n != n:
-        raise ValueError(f"permutation size {p.n} does not match n={n}")
-    back, fwd = spec.offsets()
+    keys = window_keys(n, spec, None if p is None else p.inverse)
     slot = np.arange(n) if p is None else p.forward
-    slots = slot[:, None] + np.arange(-back, fwd + 1)
-    if spec.convention is Convention.CAUSAL_ONE_SIDED:
-        slots = np.where(slots >= 0, slots, slot[:, None])
-    else:
-        slots %= n
-    return slots if p is None else p.inverse[slots]
+    table = keys[slot[:, None] + np.arange(spec.w)]
+    return np.where(table < n, table, np.arange(n)[:, None])
 
 
 def build_window_mask(n: int, spec: WindowSpec) -> np.ndarray:

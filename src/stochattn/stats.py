@@ -4,8 +4,9 @@ without-replacement variance law, and the bias-variance decomposition of the
 gated dual path.
 
 Everything here runs in the uniform-attention regime (weights equal to one
-over the row degree), where the closed forms are exact. Windows are read
-through cumulative sums or ``masks.window_neighbours``, never an n x n mask.
+over the row degree), where the closed forms are exact. Every sampler reads
+its windows from ``masks.window_keys``, through cumulative sums along the
+extended slots or gathers, never from an n x n mask.
 Trials are drawn and evaluated one chunk at a time, as many as fit
 ``numerics.MC_CHUNK_BYTES``: a chunk's permutations are the next draws of
 the same stream a one-by-one loop would make, and running sums add the
@@ -26,9 +27,10 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import GateParams
-from .masks import Convention, WindowSpec, check_window, window_neighbours
+from .masks import Convention, WindowSpec, check_window, window_keys
 from .numerics import MC_CHUNK_BYTES, SeededRng, as_matrix, sigmoid_in_place, trial_chunks
 from .permute import inverse_rows
 
@@ -90,12 +92,10 @@ def _uniform_sa_outputs(v: np.ndarray, forward: np.ndarray, w: int) -> np.ndarra
     """Uniform-attention stochastic output under each row of ``forward``, a
     (trials, n) batch of permutations: entry (t, i) is the mean of v over
     token i's circular window in trial t's permuted order (self included),
-    read off one cumulative sum along the slots."""
-    trials, n = forward.shape
-    d = v.shape[1]
-    back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
-    vp = np.take(v, inverse_rows(forward), axis=0)
-    ext = np.concatenate([vp[:, n - back:], vp, vp[:, :fwd]], axis=1)
+    read off one cumulative sum along the extended slots."""
+    (trials, n), d = forward.shape, v.shape[1]
+    keys = window_keys(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR), inverse_rows(forward))
+    ext = np.take(v, keys, axis=0)
     csum = np.zeros((trials, n + w, d))
     np.cumsum(ext, axis=1, out=csum[:, 1:])
     slot_means = (csum[:, w:] - csum[:, :-w]) / w
@@ -202,8 +202,7 @@ def sa_variance_mc(v, w: int, trials: int, rng: SeededRng) -> VarianceReport:
         raise ValueError("trials must be >= 2 to estimate a standard error")
     v = as_matrix(v, "v")
     n, d = v.shape
-    back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
-    slot_window = np.arange(-back, fwd + 1) % n     # row 0 of window_neighbours
+    slot_window = window_keys(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR))[:w]
     ys = np.empty((trials, d))
     for lo, hi in trial_chunks(trials, _variance_trial_bytes(n, w, d)):
         token_of_slot = rng.permutations(hi - lo, n)
@@ -249,10 +248,9 @@ def _causal_uniform_sa_samples(v: np.ndarray, w: int, rng: SeededRng,
     window in trial t's permuted order that are <= i."""
     n = v.shape[0]
     forward = rng.permutations(trials, n)
-    # the identity table lists slot windows; a token's window is its slot's
-    table = window_neighbours(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR))
-    slots = np.take(table, forward, axis=0) + n * np.arange(trials)[:, None, None]
-    keys = np.take(inverse_rows(forward), slots)
+    table = window_keys(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR), inverse_rows(forward))
+    # a token's window is its slot's
+    keys = sliding_window_view(table, w, axis=1)[np.arange(trials)[:, None], forward]
     kept = keys <= np.arange(n)[:, None]
     gathered = np.take(v, keys, axis=0) * kept[..., None]
     return gathered.sum(axis=2) / kept.sum(axis=2, keepdims=True)

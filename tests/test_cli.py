@@ -237,6 +237,9 @@ class TestExitCodes:
         import tracemalloc
 
         from stochattn import cli
+        # an untraced run first, so that imports and caches made on a command's
+        # first call count toward no peak, whichever test ran before this one
+        assert run(["--out", tmp_path, *args]) == 0
         costs = []
         guard = cli._check_cost
 
@@ -399,6 +402,20 @@ class TestConnprob:
         data = json.loads((tmp_path / "connprob.json").read_text())
         assert data["analytic"] == pytest.approx(7 / 63)
         assert abs(data["estimate"] - data["analytic"]) <= 3 * data["stderr"]
+
+    def test_run_without_a_hit_passes(self, tmp_path):
+        # three trials at p = 1.5e-5 draw no hit, so the estimate's stderr is 0
+        assert run(["--out", tmp_path, "connprob", "--n", 1_000_000, "--w", 16,
+                    "--trials", 3]) == 0
+        data = json.loads((tmp_path / "connprob.json").read_text())
+        assert data["estimate"] == 0.0 and data["stderr"] == 0.0
+
+    def test_no_hit_at_verify_sizes_fails(self, monkeypatch):
+        # verify's 20000 trials expect about 1100 hits, so none is a failure
+        from stochattn import checks
+        from stochattn.numerics import SeededRng
+        monkeypatch.setattr(checks, "connection_probability_mc", lambda *a, **k: (0.0, 0.0))
+        assert checks.connprob(SeededRng(0))["passed"] is False
 
     def test_exhaustive_exact(self, tmp_path):
         assert run(["--out", tmp_path, "connprob", "--n", 6, "--w", 3,

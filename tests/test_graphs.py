@@ -43,6 +43,7 @@ from stochattn import (
     smallworld_metrics,
     symmetrize,
     transition_matrix,
+    window_keys,
     window_neighbours,
 )
 from stochattn import checks, graphs, masks, numerics
@@ -52,7 +53,7 @@ from stochattn.graphs import (
     _edges,
     _popcount_rows,
     _simulate_seed,
-    _window_or_circular,
+    _window_or,
     layer_edges,
     layer_mask,
 )
@@ -142,7 +143,7 @@ class TestReachability:
         n, w, words, seed = case
         rows = np.asarray(SeededRng(seed).integers(0, 256, size=(n, 8 * words)), dtype=np.uint8)
         back, fwd = WindowSpec(w).offsets()
-        assert np.array_equal(_window_or_circular(rows, back, fwd),
+        assert np.array_equal(_window_or(rows, window_keys(n, WindowSpec(w))),
                               _roll_window_or_circular(rows, back, fwd))
 
     def test_propagation_stops_at_saturation(self, monkeypatch):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stochattn import (
     AttentionInputs,
@@ -29,6 +30,7 @@ from stochattn import (
     simulate_reachability,
     swa_forward,
     symmetrize,
+    window_keys,
     window_neighbours,
 )
 from stochattn.permute import Permutation
@@ -44,6 +46,7 @@ _WINDOWED_ENTRIES = {
     "dual_path_layer": lambda w: dual_path_layer(
         _ONES, LayerConfig(d=4, h=2, w=w), GateParams(np.eye(4), np.eye(4)), SeededRng(0),
         (np.eye(4),) * 3),
+    "window_keys": lambda w: window_keys(_N, WindowSpec(w)),
     "window_neighbours": lambda w: window_neighbours(_N, WindowSpec(w)),
     "build_window_mask": lambda w: build_window_mask(_N, WindowSpec(w)),
     "simulate_reachability": lambda w: simulate_reachability(
@@ -159,12 +162,14 @@ class TestStochasticMask:
 class TestWindowNeighbours:
     def test_scattered_rows_match_dense_masks(self):
         # every n <= 25 and w <= n, both conventions, the identity against the
-        # window mask and a random permutation against the stochastic mask
+        # window mask and a random permutation against the stochastic mask:
+        # the neighbour table by token, the key table by slot
         rng = SeededRng(30)
         for n in range(1, 26):
             rows = np.arange(n)[:, None]
             for w in range(1, n + 1):
                 p = sample_permutation(n, rng)
+                batch = np.stack([sample_permutation(n, rng).inverse for _ in range(3)])
                 for conv in Convention:
                     spec = WindowSpec(w, conv)
                     for perm, dense in ((None, build_window_mask(n, spec)),
@@ -176,6 +181,19 @@ class TestWindowNeighbours:
                         scattered = np.zeros((n, n), dtype=bool)
                         scattered[rows, table] = True
                         assert np.array_equal(scattered, dense), (n, w, conv, perm is None)
+
+                        slot_tokens = np.arange(n) if perm is None else perm.inverse
+                        keys = window_keys(n, spec, None if perm is None else perm.inverse)
+                        assert keys.shape == (n + w - 1,)
+                        pads = w - 1 if conv is Convention.CAUSAL_ONE_SIDED else 0
+                        assert np.array_equal(keys[:pads], np.full(pads, n))
+                        # column n collects the pads; every window holds its own token
+                        scattered = np.zeros((n, n + 1), dtype=bool)
+                        scattered[slot_tokens[:, None], sliding_window_view(keys, w)] = True
+                        assert np.array_equal(scattered[:, :n], dense), (n, w, conv, perm is None)
+                    # a batch of inverses gives one table a row
+                    assert np.array_equal(window_keys(n, spec, batch),
+                                          np.stack([window_keys(n, spec, inv) for inv in batch]))
 
     def test_one_token_per_offset(self):
         causal = WindowSpec(3, Convention.CAUSAL_ONE_SIDED)
@@ -190,6 +208,17 @@ class TestWindowNeighbours:
         p = Permutation(np.array([2, 0, 4, 1, 3]))
         assert window_neighbours(5, causal, p).tolist() == [
             [1, 3, 0], [1, 1, 1], [0, 4, 2], [3, 1, 3], [3, 0, 4]]
+
+    def test_window_keys_pad_with_n(self):
+        causal = WindowSpec(3, Convention.CAUSAL_ONE_SIDED)
+        circular = WindowSpec(3, Convention.SYMMETRIC_CIRCULAR)
+        # slot s's window is entries s..s+2; slots before 0 hold n = 5, later
+        # than every token, so a causal filter keys <= token drops them
+        assert window_keys(5, causal).tolist() == [5, 5, 0, 1, 2, 3, 4]
+        assert window_keys(5, circular).tolist() == [4, 0, 1, 2, 3, 4, 0]
+        inverse = Permutation(np.array([2, 0, 4, 1, 3])).inverse
+        assert window_keys(5, causal, inverse).tolist() == [5, 5, 1, 3, 0, 4, 2]
+        assert window_keys(5, circular, inverse).tolist() == [2, 1, 3, 0, 4, 2, 1]
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
