@@ -32,7 +32,6 @@ from .graphs import (
     connection_probability_mc,
     connectome_depth_prediction,
     cost_model,
-    eigenvalue_multiset_distance,
     expansion_lower_bound,
     graph_clustering,
     graph_path_length,

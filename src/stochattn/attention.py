@@ -22,8 +22,8 @@ independent oracle: full attention under
 under one shared ``(n, n)`` mask, so the gradient audit evaluates many
 finite-difference bumps in one call; ``attention_backward`` takes one head.
 
-The windowed kernels, ``rope_apply`` and ``permute_rows`` take one head
-``(n, d_h)`` or a head stack ``(h, n, d_h)``. A stack runs in one pass, with
+The windowed kernels and ``rope_apply`` take one head ``(n, d_h)`` or a
+head stack ``(h, n, d_h)``. A stack runs in one pass, with
 each chunk's validity mask built once for all heads and one batched matmul
 for its scores and one for its values; every head's result is bit-identical
 to running it alone. The kernels return a stack in token-major memory.

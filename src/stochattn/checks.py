@@ -29,7 +29,6 @@ from .graphs import (
     connection_probability_mc,
     connectome_depth_prediction,
     cost_model,
-    eigenvalue_multiset_distance,
     expansion_lower_bound,
     graph_clustering,
     graph_path_length,
@@ -197,20 +196,33 @@ def coverage(rng: SeededRng, n: int = 1024, w: int = 32, seeds: int = 40,
                     "n": n, "w": w, "seeds": seeds})
 
 
+def _eigen_residual(walk: np.ndarray, vectors: np.ndarray, eigenvalues: np.ndarray) -> float:
+    """max |walk @ vectors - vectors diag(eigenvalues)|: 0 when each column j
+    of ``vectors`` is an eigenvector of ``walk`` with eigenvalue
+    ``eigenvalues[j]``."""
+    residual = walk @ vectors
+    residual -= vectors * eigenvalues
+    return float(np.abs(residual).max())
+
+
 def spectrum(rng: SeededRng, n: int = 64, w: int = 8, perms: int = 20, mixing_n: int = 128,
              depth: int = 3, mixing_seeds: int = 10) -> dict:
-    """The circulant window's DFT spectrum matches its dense eigenvalues, every
-    permuted window has the same spectrum (to 1e-9), and ``depth`` stochastic
-    layers mix faster than as many circulant ones."""
-    report = circulant_spectrum(n, w)
-    dense = np.linalg.eigvals(
-        build_window_mask(n, WindowSpec(w, _CIRCULAR)).astype(np.float64) / w)
-    dft_dev = eigenvalue_multiset_distance(report.eigenvalues, dense)
+    """The circulant window's DFT eigenpairs (``circulant_spectrum``'s
+    eigenvalues with the columns f_j[k] = exp(2 pi i jk/n)) are eigenpairs of
+    the dense window walk, and the same columns read at each token's slot,
+    F[p.forward], are those of every permuted walk (residuals <= 1e-9; the
+    columns are independent, so this pins the whole spectrum). ``depth``
+    stochastic layers mix faster than as many circulant ones."""
+    eigenvalues = circulant_spectrum(n, w).eigenvalues
+    k = np.arange(n)
+    dft = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)
+    dft_dev = _eigen_residual(build_window_mask(n, WindowSpec(w, _CIRCULAR)) / w, dft,
+                              eigenvalues)
     sim_dev = 0.0
     for s in range(perms):
         perm = sample_permutation(n, rng.child(0, s))
-        eigs = np.linalg.eigvals(permuted_transition_matrix(n, w, perm))
-        sim_dev = max(sim_dev, eigenvalue_multiset_distance(eigs, report.eigenvalues))
+        sim_dev = max(sim_dev, _eigen_residual(permuted_transition_matrix(n, w, perm),
+                                               dft[perm.forward], eigenvalues))
     mixing = multilayer_mixing(mixing_n, w, depth, mixing_seeds, rng.child(1, 0))
     passed = (dft_dev <= 1e-9 and sim_dev <= 1e-9
               and mixing.median_product_lambda2 < mixing.circulant_lambda2_pow_depth)
@@ -222,10 +234,15 @@ def spectrum(rng: SeededRng, n: int = 64, w: int = 8, perms: int = 20, mixing_n:
 
 def spectrum_cost(n: int, perms: int, depth: int, seeds: int) -> tuple[int, int]:
     """Estimated (bytes, flops) of ``spectrum`` at n = mixing_n and
-    mixing_seeds = seeds: perms + 1 + seeds dense eigen-solves of about
-    10 n^3 flops, seeds products of depth n x n layers at 2 n^3 each, and
-    about four n x n float64 arrays held at once."""
-    return 4 * 8 * n * n, (10 * (perms + 1 + seeds) + 2 * depth * seeds) * n ** 3
+    mixing_seeds = seeds. At a permuted walk's residual it holds nine n x n
+    arrays' worth of 8-byte entries: the complex DFT columns F (two), their
+    copy F[p.forward] (two), the float64 walk (one), the complex copy of it
+    that the mixed-type product makes (two) and the product (two). The
+    estimate adds a tenth for the boolean masks that build the walk; the
+    mixing part holds about four float64 ones. The flops are perms + 1
+    complex products of about 8 n^3, seeds dense eigen-solves of about
+    10 n^3 and seeds products of depth n x n layers at 2 n^3 each."""
+    return 10 * 8 * n * n, (8 * (perms + 1) + 10 * seeds + 2 * depth * seeds) * n ** 3
 
 
 def variance(rng: SeededRng, n: int = 64, d: int = 4, w: int = 8, trials: int = 4000,

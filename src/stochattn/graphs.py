@@ -357,8 +357,9 @@ def _circular_hits(a, b, n: int, back: int, fwd: int):
 
 
 def _connprob_trial_bytes(n: int, w: int, causal: bool) -> int:
-    """A trial's int64 permutation, or causal, n x w window entries at 8 bytes each."""
-    return n * w * 8 if causal else n * 8
+    """A trial's largest array: its int64 permutation, or causal, its n x w
+    boolean window comparisons when they are larger."""
+    return n * max(w, 8) if causal else n * 8
 
 
 def connection_probability_mc(
@@ -406,15 +407,18 @@ def connection_probability_cost(n: int, w: int, trials: int, causal: bool) -> tu
     permutations three times (the last chunk's, the tiled identity and its
     shuffle), after the check's enumeration of the 720 orders of 6 tokens
     left about 100 KiB of tuples in the interpreter's free list. Causal, a
-    chunk holds the permutations and their inverses about eight times, the
-    t x (n+w-1) int64 window keys and two t x n x w boolean comparisons (the
-    last chunk's and its own), and the run two floats a trial (the densities
-    and their deviations), with (n + t n) w int64 entries to spare. The work
-    is the permutation entries and, causal, the window entries."""
+    chunk holds two t x n x w boolean comparisons (the last chunk's and its
+    own, read through a sliding view of the window keys), about six t x n
+    int64 arrays (the last chunk's and its own tokens and window keys, the
+    draw and the identity that ``inverse_rows`` scatters) with 2 t w int64
+    entries of key padding, and the run two floats a trial (the densities
+    and their deviations), plus 256 KiB for the comparison's and the
+    count's ufunc buffers. The work is the permutation entries and, causal,
+    the window entries."""
     t = chunk_trials(_connprob_trial_bytes(n, w, causal))
     if not causal:
         return t * 8 * (3 * n + 5) + 100 * 1024, trials * n
-    return n * w * 8 + 16 * trials + t * n * (10 * w + 64), trials * n * w
+    return 16 * trials + t * (2 * n * w + 8 * (6 * n + 2 * w)) + 256 * 1024, trials * n * w
 
 
 def connection_probability_exhaustive(n: int, w: int) -> float:
@@ -542,19 +546,17 @@ def _random_graph_same_edges(n: int, n_edges: int,
     return rows[order], cols[order]
 
 
-def _first_unreachable(n: int, rows: np.ndarray, cols: np.ndarray,
-                       deg: np.ndarray) -> int | None:
+def _first_unreachable(n: int, rows: np.ndarray, cols: np.ndarray) -> int | None:
     """The first node unreachable from node 0 of the graph with both
-    directions of its edges in (rows, cols), sorted by row, and node degrees
-    ``deg``; None if the graph is connected. One BFS, O(n + m)."""
-    # imported here, not with the module: every program imports graphs
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import breadth_first_order
-    indptr = np.concatenate([[0], np.cumsum(deg)])
-    graph = csr_array((np.ones(cols.size), cols, indptr), shape=(n, n))
-    missing = np.ones(n, dtype=bool)
-    missing[breadth_first_order(graph, 0, return_predecessors=False)] = False
-    return int(np.argmax(missing)) if missing.any() else None
+    directions of its edges in (rows, cols); None if the graph is connected.
+    A level-synchronous BFS over the edge list, O(n + m) a level."""
+    seen = np.arange(n) == 0
+    while True:
+        # the unseen ends of the edges leaving the seen nodes: the next level
+        level = cols[seen[rows] & ~seen[cols]]
+        if level.size == 0:
+            return None if seen.all() else int(np.argmin(seen))
+        seen[level] = True
 
 
 def smallworld_metrics(n: int, rows: np.ndarray, cols: np.ndarray, rng: SeededRng,
@@ -568,14 +570,14 @@ def smallworld_metrics(n: int, rows: np.ndarray, cols: np.ndarray, rng: SeededRn
     redrawn, up to a bounded number of retries; NoConnectedBaselineError
     when they run out). A disconnected graph raises DisconnectedGraphError
     as ``graph_path_length`` does. Connectivity, of the graph and then of
-    each baseline draw, is tested in O(n + m) (a draw with an isolated node
-    by its degrees alone), and the baselines are measured before the graph's
-    own all-pairs BFS, so either failure is reported before the expensive
-    work.
+    each baseline draw, is tested by one BFS at O(n + m) a level (a draw
+    with an isolated node by its degrees alone), and the baselines are
+    measured before the graph's own all-pairs BFS, so either failure is
+    reported before the expensive work.
     """
     if n < 2:
         raise ValueError(f"smallworld_metrics needs n >= 2, got n={n}")
-    node = _first_unreachable(n, rows, cols, np.bincount(rows, minlength=n))
+    node = _first_unreachable(n, rows, cols)
     if node is not None:
         raise DisconnectedGraphError(node)
     n_edges = rows.size // 2
@@ -586,8 +588,8 @@ def smallworld_metrics(n: int, rows: np.ndarray, cols: np.ndarray, rng: SeededRn
             raise NoConnectedBaselineError(n, n_edges, attempts)
         attempts += 1
         r_rows, r_cols = _random_graph_same_edges(n, n_edges, rng)
-        deg = np.bincount(r_rows, minlength=n)
-        if deg.min() == 0 or _first_unreachable(n, r_rows, r_cols, deg) is not None:
+        if (np.bincount(r_rows, minlength=n).min() == 0
+                or _first_unreachable(n, r_rows, r_cols) is not None):
             continue
         lengths.append(graph_path_length(n, r_rows, r_cols))
     path_length = graph_path_length(n, rows, cols)
@@ -650,31 +652,6 @@ class SpectrumReport(NamedTuple):
     lambda2: float
 
 
-def _sorted_desc(eigs: np.ndarray) -> np.ndarray:
-    order = np.lexsort((eigs.imag, eigs.real))[::-1]
-    return eigs[order]
-
-
-def eigenvalue_multiset_distance(a, b) -> float:
-    """Largest matched distance between two eigenvalue multisets under the
-    optimal pairing.
-
-    Lexicographic sorting of complex spectra is unstable when conjugate
-    pairs share real parts to rounding error, so multiset equality is
-    checked through a minimum-cost assignment instead.
-    """
-    # imported here, not with the module: it alone would make up most of the
-    # package's import time and memory
-    from scipy.optimize import linear_sum_assignment
-    a = np.asarray(a, dtype=np.complex128).ravel()
-    b = np.asarray(b, dtype=np.complex128).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"multisets differ in size: {a.shape} vs {b.shape}")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
-
-
 def _second_modulus(eigs: np.ndarray) -> float:
     mods = np.sort(np.abs(eigs))[::-1]
     return float(mods[1])
@@ -682,14 +659,16 @@ def _second_modulus(eigs: np.ndarray) -> float:
 
 def circulant_spectrum(n: int, w: int) -> SpectrumReport:
     """Eigenvalues of the uniform-attention circular-window transition matrix
-    via the circulant DFT formula: lambda_j = (1/w) sum_delta exp(-2*pi*i*j*delta/n)."""
+    W by the circulant DFT formula, lambda_j = (1/w) sum_delta
+    exp(2*pi*i*j*delta/n) over the window's offsets delta, in DFT order:
+    eigenvalues[j] belongs to the eigenvector f_j[k] = exp(2*pi*i*j*k/n),
+    W f_j = lambda_j f_j (Gray, "Toeplitz and Circulant Matrices", 2006)."""
     back, fwd = WindowSpec(w, Convention.SYMMETRIC_CIRCULAR).offsets()
     deltas = np.arange(-back, fwd + 1)
     j = np.arange(n)
-    phases = np.exp(-2j * np.pi * np.outer(j, deltas) / n)
+    phases = np.exp(2j * np.pi * np.outer(j, deltas) / n)
     eigs = phases.sum(axis=1) / w
-    return SpectrumReport(n=n, w=w, eigenvalues=_sorted_desc(eigs),
-                          lambda2=_second_modulus(eigs))
+    return SpectrumReport(n=n, w=w, eigenvalues=eigs, lambda2=_second_modulus(eigs))
 
 
 def transition_matrix(mask: np.ndarray) -> np.ndarray:
@@ -763,7 +742,8 @@ class CostReport(NamedTuple):
     Attention over C score cells costs 4*C*d + 5*C (2*C*d for scores,
     2*C*d for the value combination, 5 per cell for the masked softmax);
     full attention has C = n^2, windowed and stochastic attention C = n*w
-    (index permutation is free), and the fused dual path pays both windowed
+    (score cells only: the permutation's gathers and scatters are not
+    counted), and the fused dual path pays both windowed
     paths plus 4*n*d^2 + 5*n*d for the two sigmoid gates and the combine.
     """
 

@@ -63,6 +63,7 @@ class TestExitCodes:
         ["stats", "variance", "--n", 16, "--w", 4, "--trials", 2_000_000_000],
         ["stats", "bvdecomp", "--n", 8192, "--w", 16, "--trials", 10000],
         ["smallworld", "--n", 8192, "--w", 8192],
+        # refused by work, 100 000 default trials x n w = 6.7e12; it would hold 130 MiB
         ["connprob", "--causal", "--n", 8192, "--w", 8192],
         ["--format", "csv", "maskviz", "--n", 8192],
         ["stats", "bias", "--d", 10**400],
@@ -116,7 +117,9 @@ class TestExitCodes:
     def test_spectrum_cost_estimates(self):
         from stochattn.checks import spectrum_cost
         from stochattn.cli import MAX_BYTES
-        assert spectrum_cost(256, 20, 3, 20) == (2 * 2**20, 530 * 256**3)
+        # ten n x n arrays of 8 bytes; 21 complex products at 8 n^3, 20
+        # eigen-solves at 10 n^3 and 20 three-layer products at 2 n^3 a layer
+        assert spectrum_cost(256, 20, 3, 20) == (5 * 2**20, 488 * 256**3)
         assert spectrum_cost(8192, 1, 1, 1)[0] > MAX_BYTES
 
     def test_gradcheck_cost_estimates(self):
@@ -211,8 +214,8 @@ class TestExitCodes:
 
     # One size a command: its estimate is at least 16 MiB (gradcheck's 6 MiB:
     # a 16 MiB gradcheck, n = 342, runs about 6 s) and it runs in seconds.
-    # tracemalloc sees numpy's arrays but not LAPACK's workspace or scipy's
-    # assignment solver, whose buffers the estimates leave out.
+    # tracemalloc sees numpy's arrays but not LAPACK's workspace, whose
+    # buffers the estimates leave out.
     @pytest.mark.parametrize("args", [
         ["coverage"],
         ["connprob", "--causal", "--n", 2048, "--w", 1024, "--trials", 5],

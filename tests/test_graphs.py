@@ -28,7 +28,6 @@ from stochattn import (
     connection_probability_mc,
     connectome_depth_prediction,
     cost_model,
-    eigenvalue_multiset_distance,
     expansion_lower_bound,
     graph_clustering,
     graph_path_length,
@@ -51,6 +50,7 @@ from stochattn.graphs import (
     DisconnectedGraphError,
     NoConnectedBaselineError,
     _edges,
+    _first_unreachable,
     _popcount_rows,
     _simulate_seed,
     _window_or,
@@ -369,11 +369,28 @@ class TestGraphRoutesAgainstDense:
     def test_disconnected_graphs_name_the_same_node(self, adj):
         n_comp, labels = connected_components(csr_matrix(adj), directed=False)
         if n_comp == 1:
+            assert _first_unreachable(*_edges(adj)) is None
             assert graph_path_length(*_edges(adj)) == _oracle_path_length(adj)
             return
+        node = int(np.nonzero(labels != labels[0])[0][0])
+        assert _first_unreachable(*_edges(adj)) == node
         with pytest.raises(DisconnectedGraphError) as err:
             graph_path_length(*_edges(adj))
-        assert err.value.node == int(np.nonzero(labels != labels[0])[0][0])
+        assert err.value.node == node
+
+    def test_first_unreachable_walks_a_long_ring(self):
+        # a ring of 1001 nodes takes 500 BFS levels; cut twice, it loses the
+        # arc 301..700
+        n = 1001
+        ring = [(i, (i + 1) % n) for i in range(n)]
+
+        def edges(pairs):
+            a, b = np.array(pairs).T
+            return n, np.concatenate([a, b]), np.concatenate([b, a])
+
+        assert _first_unreachable(*edges(ring)) is None
+        assert _first_unreachable(*edges(ring[:500] + ring[501:])) is None
+        assert _first_unreachable(*edges([e for e in ring if e[0] not in (300, 700)])) == 301
 
     def test_union_graphs_match(self):
         for n, w in [(64, 4), (200, 16), (129, 7)]:
@@ -600,6 +617,12 @@ class TestLayerEdges:
         assert checks.smallworld(SeededRng(0).child(_SMALLWORLD_POSITION, 0))["passed"]
 
 
+def _dft(n):
+    """The DFT columns f_j[k] = exp(2 pi i jk/n), built as the spectrum check builds them."""
+    k = np.arange(n)
+    return np.exp(2j * np.pi * (np.outer(k, k) % n) / n)
+
+
 class TestSpectrum:
     def test_n4_w3_closed_values(self):
         report = circulant_spectrum(4, 3)
@@ -616,18 +639,32 @@ class TestSpectrum:
     @pytest.mark.parametrize("n,w", [(32, 5), (32, 8), (48, 7)])
     def test_dft_matches_dense_eigensolver(self, n, w):
         report = circulant_spectrum(n, w)
-        dense = np.linalg.eigvals(
-            build_window_mask(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR))
-            .astype(float) / w)
-        assert eigenvalue_multiset_distance(report.eigenvalues, dense) <= 1e-9
+        walk = build_window_mask(n, WindowSpec(w, Convention.SYMMETRIC_CIRCULAR)) / w
+        assert checks._eigen_residual(walk, _dft(n), report.eigenvalues) <= 1e-12
+        # the pairs' eigenvalues are the dense eigensolver's, in some order
+        dense = np.linalg.eigvals(walk)
+        gaps = np.abs(dense[:, None] - report.eigenvalues[None, :])
+        assert gaps.min(axis=0).max() <= 1e-9 and gaps.min(axis=1).max() <= 1e-9
 
     def test_permutation_similarity_preserves_spectrum(self):
         rng = SeededRng(14)
         report = circulant_spectrum(32, 6)
         for _ in range(5):
             perm = sample_permutation(32, rng)
-            eigs = np.linalg.eigvals(permuted_transition_matrix(32, 6, perm))
-            assert eigenvalue_multiset_distance(eigs, report.eigenvalues) <= 1e-9
+            walk = permuted_transition_matrix(32, 6, perm)
+            assert checks._eigen_residual(walk, _dft(32)[perm.forward],
+                                          report.eigenvalues) <= 1e-12
+
+    def test_wrong_permutation_columns_are_no_eigenvectors(self):
+        # the negative control: the DFT columns read at the slots of another
+        # draw's tokens do not diagonalise the walk
+        rng = SeededRng(15)
+        report = circulant_spectrum(32, 6)
+        for _ in range(5):
+            perm, other = sample_permutation(32, rng), sample_permutation(32, rng)
+            walk = permuted_transition_matrix(32, 6, perm)
+            for slots in (other.forward, perm.inverse):
+                assert checks._eigen_residual(walk, _dft(32)[slots], report.eigenvalues) >= 0.1
 
     def test_transition_matrix_rows_normalized(self):
         mask = build_window_mask(12, WindowSpec(5, Convention.SYMMETRIC_CIRCULAR))
@@ -636,23 +673,21 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             transition_matrix(np.zeros((3, 3)))
 
-    def test_multiset_distance_detects_perturbation(self):
-        a = np.array([1.0 + 0j, 0.5j, -0.5j])
-        assert eigenvalue_multiset_distance(a, a[::-1]) == 0.0
-        assert eigenvalue_multiset_distance(a, a + 1e-3) == pytest.approx(1e-3, rel=1e-6)
-
-    @pytest.mark.parametrize("module", ["scipy.optimize", "dataclasses"])
-    def test_import_leaves_the_assignment_solver_unloaded(self, module):
-        # scipy.optimize is most of a cold import's time and memory; only
-        # eigenvalue_multiset_distance loads it, on its first call.
-        # dataclasses builds each class's methods with exec, which took about
-        # 1 ms a class and most of a warm import
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import stochattn, stochattn.cli; "
-                "print(sys.argv[2] in sys.modules)")
+    def test_programs_leave_scipy_and_dataclasses_unloaded(self, tmp_path):
+        # scipy is the tests' oracle only: no command loads it, so a cold run
+        # pays for numpy alone. dataclasses builds each class's methods with
+        # exec, which took about 1 ms a class and most of a warm import
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import stochattn.cli; "
+                "print('dataclasses' in sys.modules); "
+                "codes = [stochattn.cli.main(['--out', sys.argv[2], *args]) for args in "
+                "(['verify'], ['smallworld', '--n', '64', '--w', '4', '--seeds', '2', "
+                "'--baselines', '2'])]; "
+                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         src = str(Path(stochattn.__file__).resolve().parents[1])
-        run = subprocess.run([sys.executable, "-c", code, src, module], capture_output=True,
-                             text=True, timeout=120, check=True)
-        assert run.stdout.strip() == "False"
+        run = subprocess.run([sys.executable, "-c", code, src, str(tmp_path)],
+                             capture_output=True, text=True, timeout=300, check=True)
+        assert run.stdout.splitlines()[0] == "False"
+        assert run.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 class _IdentityPermRng(SeededRng):
