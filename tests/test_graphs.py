@@ -673,12 +673,23 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             transition_matrix(np.zeros((3, 3)))
 
-    def test_programs_leave_scipy_and_dataclasses_unloaded(self, tmp_path):
+    @pytest.mark.parametrize("module", ["scipy.optimize", "dataclasses"])
+    def test_import_leaves_the_assignment_solver_unloaded(self, module):
+        # scipy.optimize, the assignment solver an earlier spectrum check
+        # used, is most of a cold import's time and memory. dataclasses builds
+        # each class's methods with exec, which took about 1 ms a class and
+        # most of a warm import
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import stochattn, stochattn.cli; "
+                "print(sys.argv[2] in sys.modules)")
+        src = str(Path(stochattn.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", code, src, module], capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "False"
+
+    def test_commands_leave_scipy_unloaded(self, tmp_path):
         # scipy is the tests' oracle only: no command loads it, so a cold run
-        # pays for numpy alone. dataclasses builds each class's methods with
-        # exec, which took about 1 ms a class and most of a warm import
+        # pays for numpy alone
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import stochattn.cli; "
-                "print('dataclasses' in sys.modules); "
                 "codes = [stochattn.cli.main(['--out', sys.argv[2], *args]) for args in "
                 "(['verify'], ['smallworld', '--n', '64', '--w', '4', '--seeds', '2', "
                 "'--baselines', '2'])]; "
@@ -686,7 +697,6 @@ class TestSpectrum:
         src = str(Path(stochattn.__file__).resolve().parents[1])
         run = subprocess.run([sys.executable, "-c", code, src, str(tmp_path)],
                              capture_output=True, text=True, timeout=300, check=True)
-        assert run.stdout.splitlines()[0] == "False"
         assert run.stdout.splitlines()[-1] == "[0, 0] []"
 
 
