@@ -201,6 +201,9 @@ def cmd_connprob(args) -> int:
         result.update(trials=math.factorial(args.n), estimate=est, stderr=0.0)
         passed = abs(est - analytic) < 1e-15
     else:
+        if not args.causal and args.n * (args.n - 1) > np.iinfo(np.int64).max:
+            raise UsageError("--n is too large: the non-causal estimate draws one of the "
+                             "n(n-1) ordered slot pairs as an int64, so n(n-1) must be < 2**63")
         _check_cost("connprob",
                     connection_probability_cost(args.n, args.w, args.trials, args.causal),
                     "--n, --w or --trials")

@@ -356,10 +356,19 @@ def _circular_hits(a, b, n: int, back: int, fwd: int):
     return (off <= fwd) | (off >= n - back)
 
 
+def _slot_pairs(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered pairs (a, b) of distinct slots that draws k in
+    [0, n(n-1)) index: a = k // (n-1), and b is the r = k % (n-1)-th slot
+    other than a. Each pair has exactly one k."""
+    a, b = np.divmod(k, n - 1)
+    b += b >= a
+    return a, b
+
+
 def _connprob_trial_bytes(n: int, w: int, causal: bool) -> int:
-    """A trial's largest array: its int64 permutation, or causal, its n x w
+    """A trial's largest array: its int64 pair draw, or causal, its n x w
     boolean window comparisons when they are larger."""
-    return n * max(w, 8) if causal else n * 8
+    return n * max(w, 8) if causal else 8
 
 
 def connection_probability_mc(
@@ -367,10 +376,15 @@ def connection_probability_mc(
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of the stochastic-window connection probability.
 
-    Non-causal: the indicator that a fixed pair shares a window, averaged
-    over fresh permutations. Causal: the mean off-diagonal density of the
-    causally intersected stochastic mask, counted in O(n*w) per trial with
-    no mask built. Returns (estimate, stderr).
+    Non-causal: the indicator that tokens 0 and 1 share a window, averaged
+    over trials. The indicator reads only the two tokens' slots, so a trial
+    draws that pair alone: one ``integers`` draw k, uniform on the n(n-1)
+    ordered pairs of distinct slots (``_slot_pairs``). That is the law of
+    (p[0], p[1]) under a uniform permutation p, as each pair is completed by
+    the same (n-2)! orders of the other tokens. n(n-1) must fit an int64.
+    Causal: the mean off-diagonal density of the causally intersected
+    stochastic mask, counted in O(n*w) per trial with no mask built.
+    Returns (estimate, stderr).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -382,8 +396,8 @@ def connection_probability_mc(
         back, fwd = spec.offsets()
         hits = 0
         for lo, hi in trial_chunks(trials, per_trial):
-            p = rng.permutations(hi - lo, n)
-            hits += int(np.count_nonzero(_circular_hits(p[:, 0], p[:, 1], n, back, fwd)))
+            a, b = _slot_pairs(rng.integers(0, n * (n - 1), size=hi - lo), n)
+            hits += int(np.count_nonzero(_circular_hits(a, b, n, back, fwd)))
         est = hits / trials
         stderr = math.sqrt(est * (1.0 - est) / trials)
         return est, stderr
@@ -403,21 +417,24 @@ def connection_probability_mc(
 
 def connection_probability_cost(n: int, w: int, trials: int, causal: bool) -> tuple[int, int]:
     """Estimated (bytes, entries) of ``connection_probability_mc``, trials
-    running in chunks of t. Non-causal, a chunk holds t x n int64
-    permutations three times (the last chunk's, the tiled identity and its
-    shuffle), after the check's enumeration of the 720 orders of 6 tokens
-    left about 100 KiB of tuples in the interpreter's free list. Causal, a
-    chunk holds two t x n x w boolean comparisons (the last chunk's and its
-    own, read through a sliding view of the window keys), about six t x n
-    int64 arrays (the last chunk's and its own tokens and window keys, the
-    draw and the identity that ``inverse_rows`` scatters) with 2 t w int64
-    entries of key padding, and the run two floats a trial (the densities
-    and their deviations), plus 256 KiB for the comparison's and the
-    count's ufunc buffers. The work is the permutation entries and, causal,
-    the window entries."""
+    running in chunks of t. Non-causal, a trial draws one ordered pair of
+    distinct slots, uniform as the slots of tokens 0 and 1 under a uniform
+    permutation are, so no array grows with n: a chunk holds at most five
+    t-long int64 arrays (its draw, its pair and the last chunk's pair) and
+    three booleans (the two window tests and their OR), after the check's
+    enumeration of the 720 orders of 6 tokens left about 100 KiB of tuples
+    in the interpreter's free list. Causal, a chunk holds two t x n x w boolean comparisons (the
+    last chunk's and its own, read through a sliding view of the window
+    keys), about six t x n int64 arrays (the last chunk's and its own tokens
+    and window keys, the draw and the identity that ``inverse_rows``
+    scatters) with 2 t w int64 entries of key padding, and the run two
+    floats a trial (the densities and their deviations), plus 256 KiB for
+    the comparison's and the count's ufunc buffers. The work is, non-causal,
+    five int64 entries a trial (the draw, the pair and the pair's offset),
+    and causal, the permutation and window entries."""
     t = chunk_trials(_connprob_trial_bytes(n, w, causal))
     if not causal:
-        return t * 8 * (3 * n + 5) + 100 * 1024, trials * n
+        return t * (5 * 8 + 3) + 100 * 1024, 5 * trials
     return 16 * trials + t * (2 * n * w + 8 * (6 * n + 2 * w)) + 256 * 1024, trials * n * w
 
 
@@ -548,29 +565,42 @@ def _random_graph_same_edges(n: int, n_edges: int,
 
 def _first_unreachable(n: int, rows: np.ndarray, cols: np.ndarray) -> int | None:
     """The first node unreachable from node 0 of the graph with both
-    directions of its edges in (rows, cols); None if the graph is connected.
-    A level-synchronous BFS over the edge list, O(n + m) a level."""
+    directions of its edges in (rows, cols), rows sorted; None if the graph
+    is connected. A frontier BFS: each level reads only its nodes' edges,
+    found by the rows' offsets, so every edge is read once, O(n + m) in
+    total."""
+    offsets = np.searchsorted(rows, np.arange(n + 1))
     seen = np.arange(n) == 0
-    while True:
-        # the unseen ends of the edges leaving the seen nodes: the next level
-        level = cols[seen[rows] & ~seen[cols]]
-        if level.size == 0:
-            return None if seen.all() else int(np.argmin(seen))
-        seen[level] = True
+    slot = np.empty(n, dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        lo = offsets[frontier]
+        counts = offsets[frontier + 1] - lo
+        # the frontier's edge ranges lo..lo+count, laid end to end
+        edges = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        ends = cols[edges]
+        ends = ends[~seen[ends]]
+        # a node reached by several edges enters the next level once: the
+        # last of its copies keeps the slot it writes
+        at = np.arange(ends.size)
+        slot[ends] = at
+        frontier = ends[slot[ends] == at]
+        seen[frontier] = True
+    return None if seen.all() else int(np.argmin(seen))
 
 
 def smallworld_metrics(n: int, rows: np.ndarray, cols: np.ndarray, rng: SeededRng,
                        baselines: int) -> GraphMetrics:
     """Clustering, mean path length, and the small-worldness ratio
-    (C/C_rand)/(L/L_rand) of the graph with edge list (n, rows, cols)
-    against edge-count-matched uniform random graphs.
+    (C/C_rand)/(L/L_rand) of the graph with edge list (n, rows, cols),
+    rows sorted, against edge-count-matched uniform random graphs.
 
     C_rand is the analytic density mean_degree/(n-1); L_rand is averaged
     over ``baselines`` sampled random graphs (disconnected samples are
     redrawn, up to a bounded number of retries; NoConnectedBaselineError
     when they run out). A disconnected graph raises DisconnectedGraphError
     as ``graph_path_length`` does. Connectivity, of the graph and then of
-    each baseline draw, is tested by one BFS at O(n + m) a level (a draw
+    each baseline draw, is tested by one BFS in O(n + m) (a draw
     with an isolated node by its degrees alone), and the baselines are
     measured before the graph's own all-pairs BFS, so either failure is
     reported before the expensive work.

@@ -99,8 +99,10 @@ class SeededRng:
 
     def permutations(self, trials: int, n: int) -> np.ndarray:
         """(trials, n) array whose rows are what ``trials`` successive
-        ``permutation(n)`` calls return; the stream ends in the same state."""
-        return self._gen.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)
+        ``permutation(n)`` calls return; the stream ends in the same state.
+        The tiled identity rows are shuffled in place."""
+        rows = np.tile(np.arange(n), (trials, 1))
+        return self._gen.permuted(rows, axis=1, out=rows)
 
     def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)

@@ -65,6 +65,9 @@ class TestExitCodes:
         ["smallworld", "--n", 8192, "--w", 8192],
         # refused by work, 100 000 default trials x n w = 6.7e12; it would hold 130 MiB
         ["connprob", "--causal", "--n", 8192, "--w", 8192],
+        # the pair draw indexes n(n - 1) pairs by one int64; 10**19 is past int64 itself
+        ["connprob", "--n", 10**12],
+        ["connprob", "--n", 10**19],
         ["--format", "csv", "maskviz", "--n", 8192],
         ["stats", "bias", "--d", 10**400],
     ], ids=["connprob-n1", "exhaustive-n9", "gradcheck-n1", "bvdecomp-trials50",
@@ -77,7 +80,8 @@ class TestExitCodes:
             "gradcheck-n-bytes", "gradcheck-instances-flops", "bias-d-values-bytes",
             "bvdecomp-d-gates-bytes", "variance-trials-samples-bytes",
             "bvdecomp-n-batch-bytes", "smallworld-table-bytes", "connprob-causal-table-bytes",
-            "maskviz-csv-n-bytes", "bias-d-past-float-range"])
+            "connprob-n-pairs-past-int64", "connprob-n-past-int64", "maskviz-csv-n-bytes",
+            "bias-d-past-float-range"])
     def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, args):
         assert run(["--out", tmp_path, *args]) == 1
         err = capsys.readouterr().err
@@ -87,7 +91,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("entry,args", [
         ("simulate_reachability", ["coverage", "--n", 100000]),
         ("simulate_reachability", ["coverage", "--n", 64, "--w", 8, "--layers", 10**6]),
-        ("connprob", ["connprob", "--n", 256, "--trials", 10**10]),
+        # five entries a trial, so 5e12
+        ("connprob", ["connprob", "--n", 256, "--trials", 10**12]),
         ("connprob_causal", ["connprob", "--causal", "--n", 8192, "--w", 8192]),
         ("layer_edges", ["smallworld", "--n", 8192, "--w", 8192]),
         ("layer_edges", ["smallworld", "--n", 8192, "--w", 128]),
@@ -213,7 +218,8 @@ class TestExitCodes:
         assert est_bytes < cli.MAX_BYTES and est_work < cli.MAX_WORK / 100
 
     # One size a command: its estimate is at least 16 MiB (gradcheck's 6 MiB:
-    # a 16 MiB gradcheck, n = 342, runs about 6 s) and it runs in seconds.
+    # a 16 MiB gradcheck, n = 342, runs about 6 s; non-causal connprob's
+    # 5.5 MiB, its largest at any size) and it runs in seconds.
     # tracemalloc sees numpy's arrays but not LAPACK's workspace, whose
     # buffers the estimates leave out.
     @pytest.mark.parametrize("args", [
@@ -232,9 +238,9 @@ class TestExitCodes:
         # the causal neighbour tables and gathers: peak 14.5 MiB, estimate 18.4 MiB
         ["coverage", "--n", 4096, "--w", 64, "--layers", 3, "--seeds", 2,
          "--convention", "causal", "--modes", "sa"],
-        # the non-causal permutation chunks: peak 22.9 MiB, estimate 23.0 MiB;
-        # w = n, as three trials pass the 3-stderr check only at p = 1
-        ["connprob", "--n", 1_000_000, "--w", 1_000_000, "--trials", 3],
+        # the non-causal pair draws, nothing of which grows with n, over three
+        # chunks: peak 5.2 MiB, estimate 5.5 MiB; w = n, so the check passes
+        ["connprob", "--n", 1_000_000, "--w", 1_000_000, "--trials", 300_000],
     ], ids=lambda args: "-".join(map(str, args[:3])))
     def test_estimate_bounds_the_traced_peak(self, tmp_path, monkeypatch, args):
         import tracemalloc

@@ -1,9 +1,12 @@
 """Reachability growth, connection probability, small-world structure,
 spectra, cost model."""
 
+import itertools
+import math
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,6 +56,7 @@ from stochattn.graphs import (
     _first_unreachable,
     _popcount_rows,
     _simulate_seed,
+    _slot_pairs,
     _window_or,
     layer_edges,
     layer_mask,
@@ -77,13 +81,14 @@ def _roll_window_or_circular(s, back, fwd):
 
 
 def _loop_connection_probability_mc(n, w, trials, causal, rng):
-    """Oracle: ``connection_probability_mc`` drawing one permutation per trial."""
+    """Oracle: ``connection_probability_mc`` one trial at a time, drawing
+    one slot pair (non-causal) or one permutation (causal) per trial."""
     back, fwd = WindowSpec(w).offsets()
     if not causal:
         hits = 0
         for _ in range(trials):
-            p = rng.permutation(n)
-            off = (int(p[1]) - int(p[0])) % n
+            a, r = divmod(int(rng.integers(0, n * (n - 1))), n - 1)
+            off = (r + (r >= a) - a) % n
             hits += off <= fwd or off >= n - back
         est = hits / trials
         return est, float(np.sqrt(est * (1.0 - est) / trials))
@@ -259,6 +264,29 @@ class TestConnectionProbability:
         assert est == 1.0
         assert stderr == 0.0
 
+    @pytest.mark.parametrize("w,expected", [(1, 0.0), (40, 1.0)])
+    def test_degenerate_windows_pass_the_check(self, w, expected):
+        # w = 1 never shares a window and w = n always does: the estimate
+        # is exact, its stderr 0, and the check's gate holds with no slack
+        report = checks.connprob(SeededRng(w), n=40, w=w, trials=500)
+        assert report["passed"] is True
+        assert (report["measured"]["mc_estimate"], report["measured"]["mc_stderr"]) == (
+            expected, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_each_draw_names_one_ordered_pair_of_distinct_slots(self, n):
+        a, b = _slot_pairs(np.arange(n * (n - 1)), n)
+        assert sorted(zip(a.tolist(), b.tolist())) == [
+            (i, j) for i in range(n) for j in range(n) if i != j]
+
+    def test_permutation_puts_tokens_0_and_1_on_each_slot_pair_equally(self):
+        # the law the pair draw replaces: over all n! orders, (p[0], p[1])
+        # takes each ordered pair of distinct slots (n - 2)! times
+        n = 5
+        counts = Counter(p[:2] for p in itertools.permutations(range(n)))
+        assert counts == {(i, j): math.factorial(n - 2)
+                          for i in range(n) for j in range(n) if i != j}
+
     def test_mc_within_three_stderr(self):
         n, w = 64, 8
         est, stderr = connection_probability_mc(n, w, 10_000, rng=SeededRng(9))
@@ -386,7 +414,9 @@ class TestGraphRoutesAgainstDense:
 
         def edges(pairs):
             a, b = np.array(pairs).T
-            return n, np.concatenate([a, b]), np.concatenate([b, a])
+            rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
+            order = np.argsort(rows, kind="stable")
+            return n, rows[order], cols[order]
 
         assert _first_unreachable(*edges(ring)) is None
         assert _first_unreachable(*edges(ring[:500] + ring[501:])) is None
