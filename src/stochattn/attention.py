@@ -267,9 +267,12 @@ class _BlockPlan:
     than every token) for a pad, and ``rows`` (n,) the token of each query
     slot, None for slot i = token i. A band cell is valid when its key token
     is at or before its query token; every query's window holds its own
-    token. With ``rows`` None the extended rows are read in place wherever
-    they hold no pad; otherwise each chunk of slots gathers its query and key
-    rows and scatters its outputs back.
+    token. ``keys`` is kept with each pad clipped to the last token, which
+    the band's validity drops; a pad cell is still scored, so its overflow is
+    rejected, as every masked cell's is. Without ``rows``, a span past the
+    pads is read in place; every other chunk gathers its key rows through
+    ``keys``, and with ``rows`` also its query rows, scattering its outputs
+    back.
 
     Rows run in blocks of ``b = max(1, w // 4)``: block [s, s+b) scores its
     key span [s, s+b+w-1) with one matmul, so a call evaluates n*(b+w-1)
@@ -293,8 +296,7 @@ class _BlockPlan:
         self.valid = as_strided(keys, (m, w), keys.strides * 2) <= (
             np.arange(m) if rows is None else rows)[:, None]
         self.row_masked = ~self.valid.all(axis=1)
-        # pads read the last token
-        self.keys = None if rows is None else np.minimum(keys, n - 1)
+        self.keys = np.minimum(keys, n - 1)
         cuts = [0, full] if rows is not None else [0, min(full, reach), full]
         # a chunk holds as many blocks' scores and bands as the byte budget allows
         self.chunks = [(b * (a + lo), hi - lo, b) for a, z in zip(cuts, cuts[1:])
@@ -322,18 +324,13 @@ class _BlockPlan:
         return True
 
     def extended(self, x: np.ndarray, r0: int, nk: int, buf: np.ndarray) -> np.ndarray:
-        """The nk extended rows of k or v from extended row r0 on: gathered,
-        or padded before token 0, into buf, or read in place. Gathered rows
-        are head-major C-ordered whatever x's layout, because the product of
-        a one-row block depends on its operands' layout."""
-        w = self.w
-        if self.rows is not None:
-            return _gather_rows(x, self.keys[r0:r0 + nk], buf)
-        if r0 >= w - 1:
-            return x[..., r0 - w + 1:r0 - w + 1 + nk, :]
-        buf[..., :w - 1 - r0, :] = 0.0
-        buf[..., w - 1 - r0:, :] = x[..., :r0 + nk - w + 1, :]
-        return buf
+        """The nk extended rows of k or v from extended row r0 on: in place past
+        the pads of a plan without ``rows``, else gathered through ``keys`` into
+        buf, head-major C-ordered whatever x's layout, because the product of a
+        one-row block depends on its operands' layout."""
+        if self.rows is None and r0 >= self.w - 1:
+            return x[..., r0 - self.w + 1:r0 - self.w + 1 + nk, :]
+        return _gather_rows(x, self.keys[r0:r0 + nk], buf)
 
     def forward(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Every chunk on this thread, into a fresh ``(..., n, d_h)`` array
@@ -353,9 +350,9 @@ class _BlockPlan:
         """Attention of slots [lo, hi) into ``out``; returns out.
 
         q, k, v are token-ordered ``(..., n, d_h)``: one head or a head stack,
-        strided views allowed, C-ordered or token-major when the plan
-        gathers. ``out`` is a ``(..., n, d_h)`` float64 array that a
-        gathering plan fills through row scatters, whatever its layout. The
+        strided views allowed; a gather from one that is neither C-ordered
+        nor token-major copies it whole first, as ``np.take`` does. ``out`` is
+        a ``(..., n, d_h)`` float64 array that a gathering plan fills through row scatters, whatever its layout. The
         softmax runs on each block's w-wide band only; the value product
         reads the span-wide weights, zero off the band. Every head shares the
         slots and masks, and gets the result it gets alone. The chunks'
@@ -463,8 +460,10 @@ def sa_forward(inp: AttentionInputs, w: int, p: Permutation,
     defined with (causality comes only from original positions, and w >= n
     degenerates to full causal attention for any permutation); ``checks``
     audits it against that mask. The one-sided convention additionally
-    orders permuted slots; it is the one ``dual_path_layer`` runs, and it
-    collapses to ``swa_forward`` exactly at the identity permutation.
+    orders permuted slots; it is the one ``dual_path_layer`` runs. At the
+    identity permutation it is ``swa_forward`` bit for bit, except at w <= 3
+    where SWA's plan runs a lone one-row block (its last row at n = w), which
+    rounds apart from the same row in this plan by at most about 1e-14.
 
     Each chunk of permuted slots gathers its queries and its window's keys
     and values straight from the token-ordered inputs and scatters its

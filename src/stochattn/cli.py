@@ -46,8 +46,6 @@ MAX_BYTES = 1 << 28
 MAX_WORK = 10**12
 OUT_DIR_ENV = "STOCHATTN_OUT"
 
-_CONVENTIONS = {"causal": Convention.CAUSAL_ONE_SIDED, "circular": Convention.SYMMETRIC_CIRCULAR}
-_MODES = {"swa": RoutingMode.SWA, "sa": RoutingMode.SA, "fused": RoutingMode.FUSED}
 _MASK_KINDS = {"swa": RoutingMode.SWA, "sa": RoutingMode.SA, "union": RoutingMode.FUSED}
 # the formats each command writes, its default first; the others write JSON only
 _FORMATS = {"maskviz": ("pgm", "csv", "svg"), "coverage": ("csv", "svg"), "cost": ("csv", "svg")}
@@ -143,24 +141,24 @@ def cmd_coverage(args) -> int:
     seeds = _parse_seeds(args.seeds)
     if args.layers < 0:
         raise UsageError("--layers must be >= 0")
+    known = [mode.value for mode in RoutingMode]
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes:
-        raise UsageError("--modes names no mode (choose from swa,sa,fused)")
+        raise UsageError(f"--modes names no mode (choose from {','.join(known)})")
     for m in modes:
-        if m not in _MODES:
-            raise UsageError(f"unknown mode '{m}' (choose from swa,sa,fused)")
-    convention = _CONVENTIONS[args.convention]
+        if m not in known:
+            raise UsageError(f"unknown mode '{m}' (choose from {','.join(known)})")
+    convention = Convention(args.convention)
     n_seeds = seeds if isinstance(seeds, int) else len(seeds)
     _check_cost("coverage", reachability_cost(args.n, args.w, args.layers, n_seeds,
-                                              [_MODES[m] for m in modes], convention),
+                                              [RoutingMode(m) for m in modes], convention),
                 "--layers, --seeds or --n")
-    mode_stream = {"swa": 0, "sa": 1, "fused": 2}
     rng = SeededRng(args.seed)
     rows = []
     chart = {}
     for m in modes:
-        curve = simulate_reachability(args.n, args.w, args.layers, _MODES[m],
-                                      convention, rng.child(mode_stream[m], 0),
+        curve = simulate_reachability(args.n, args.w, args.layers, RoutingMode(m),
+                                      convention, rng.child(known.index(m), 0),
                                       n_seeds=seeds)
         for ell in range(args.layers + 1):
             rows.append([int(ell), m, float(curve.mean[ell]), float(curve.lo[ell]),
@@ -308,7 +306,7 @@ def cmd_maskviz(args) -> int:
         mask = intersect_causal(np.ones((args.n, args.n), dtype=bool))
     else:
         mask = layer_mask(args.n, args.w, _MASK_KINDS[args.kind],
-                          _CONVENTIONS[args.convention], SeededRng(args.seed))
+                          Convention(args.convention), SeededRng(args.seed))
         meta += f" w={args.w} convention={args.convention}"
     path = _out_path(args, f"mask_{args.kind}.{args.format}")
     if args.format == "pgm":
@@ -479,7 +477,7 @@ def build_parser() -> _Parser:
     p.add_argument("--modes", type=str, default="swa,sa")
     p.add_argument("--seeds", type=str, default="20",
                    help="count N (indices 0..N-1) or explicit comma list of indices")
-    p.add_argument("--convention", choices=list(_CONVENTIONS), default="circular")
+    p.add_argument("--convention", choices=[c.value for c in Convention], default="circular")
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("connprob", help="pairwise connection probability")
@@ -510,7 +508,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=["full", *_MASK_KINDS], default="sa")
     p.add_argument("--n", type=int, default=27)
     p.add_argument("--w", type=int, default=8)
-    p.add_argument("--convention", choices=list(_CONVENTIONS), default="causal")
+    p.add_argument("--convention", choices=[c.value for c in Convention], default="causal")
     p.set_defaults(func=cmd_maskviz)
 
     p = sub.add_parser("cost", help="analytic flop counts vs sequence length")

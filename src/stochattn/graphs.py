@@ -528,8 +528,7 @@ def graph_path_length(n: int, rows: np.ndarray, cols: np.ndarray) -> float:
     if n < 2:
         raise ValueError(f"graph_path_length needs n >= 2, got n={n}")
     # neighbour lists with the node itself first, so none is empty
-    deg = np.bincount(rows, minlength=n)
-    first = np.cumsum(deg) - deg
+    first = np.searchsorted(rows, np.arange(n))
     indices = np.insert(cols, first, np.arange(n))
     indptr = np.append(first + np.arange(n), indices.size)
     reached = _pack_identity(n)
@@ -549,16 +548,18 @@ def graph_path_length(n: int, rows: np.ndarray, cols: np.ndarray) -> float:
 
 
 def _random_graph_same_edges(n: int, n_edges: int,
-                             rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
+                             rng: SeededRng) -> tuple[np.ndarray, np.ndarray] | None:
     """Edges (rows, cols, sorted by row) of a uniform random graph with
     ``n_edges`` edges: ``n_edges`` distinct indices into the row-major list
-    of the n(n-1)/2 pairs i < j."""
+    of the n(n-1)/2 pairs i < j. None, before any sort, if a node is isolated."""
     sel = rng.choice(n * (n - 1) // 2, size=n_edges, replace=False)
     i = np.arange(n)
     starts = i * (n - 1) - i * (i - 1) // 2          # first pair index of row i
     iu = np.searchsorted(starts, sel, side="right") - 1
     ju = iu + 1 + (sel - starts[iu])
     rows, cols = np.concatenate([iu, ju]), np.concatenate([ju, iu])
+    if np.bincount(rows, minlength=n).min() == 0:
+        return None
     order = np.argsort(rows, kind="stable")
     return rows[order], cols[order]
 
@@ -617,11 +618,10 @@ def smallworld_metrics(n: int, rows: np.ndarray, cols: np.ndarray, rng: SeededRn
         if attempts > 20 * baselines:
             raise NoConnectedBaselineError(n, n_edges, attempts)
         attempts += 1
-        r_rows, r_cols = _random_graph_same_edges(n, n_edges, rng)
-        if (np.bincount(r_rows, minlength=n).min() == 0
-                or _first_unreachable(n, r_rows, r_cols) is not None):
+        edges = _random_graph_same_edges(n, n_edges, rng)
+        if edges is None or _first_unreachable(n, *edges) is not None:
             continue
-        lengths.append(graph_path_length(n, r_rows, r_cols))
+        lengths.append(graph_path_length(n, *edges))
     path_length = graph_path_length(n, rows, cols)
     clustering = graph_clustering(n, rows, cols)
     mean_degree = 2.0 * n_edges / n

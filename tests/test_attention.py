@@ -166,6 +166,18 @@ class TestSwa:
         oracle = attention_forward(inp, mask)
         assert np.abs(swa_forward(inp, 5) - oracle).max() <= 1e-12
 
+    @pytest.mark.parametrize("n, w", [(16, 5), (40, 12), (20, 20)])
+    def test_pads_read_the_last_token_and_drop_it(self, n, w):
+        # a pad gathers the last token's rows; changing them moves no earlier row
+        inp = _random_inputs(SeededRng(n + w), n, 4)
+        k, v = inp.k.copy(), inp.v.copy()
+        k[-1] *= 50.0
+        v[-1] += 1e6
+        out = swa_forward(inp, w)
+        bumped = swa_forward(AttentionInputs(inp.q, k, v), w)
+        assert np.array_equal(bumped[:-1], out[:-1])
+        assert not np.array_equal(bumped[-1], out[-1])
+
 
 class TestSa:
     def test_identity_permutation_is_swa_bit_for_bit(self):
@@ -173,6 +185,24 @@ class TestSa:
         inp = _random_inputs(rng, 14, 4)
         out = sa_forward(inp, 4, Permutation(np.arange(14)), Convention.CAUSAL_ONE_SIDED)
         assert np.array_equal(out, swa_forward(inp, 4))
+
+    @pytest.mark.parametrize("n, w, h", [(40, 8, None), (40, 8, 4), (97, 16, None),
+                                         (97, 16, 2), (300, 64, 4), (65, 9, 3)])
+    def test_identity_permutation_is_swa_bit_for_bit_past_the_window(self, n, w, h):
+        # n > w and w >= 8: every block of both plans has at least two rows
+        shape = (n, 6) if h is None else (h, n, 6)
+        inp = AttentionInputs(*np.random.default_rng(n + w).normal(size=(3,) + shape))
+        out = sa_forward(inp, w, Permutation(np.arange(n)), Convention.CAUSAL_ONE_SIDED)
+        assert np.array_equal(out, swa_forward(inp, w))
+
+    @pytest.mark.parametrize("h", [None, 3])
+    def test_identity_permutation_at_n_equal_w_3_is_swa_to_rounding(self, h):
+        # SWA's cut after the pads leaves its last row a lone one-row block,
+        # which rounds differently from that row beside the others in SA's plan
+        shape = (3, 5) if h is None else (h, 3, 5)
+        inp = AttentionInputs(*np.random.default_rng(3).normal(size=(3,) + shape))
+        out = sa_forward(inp, 3, Permutation(np.arange(3)), Convention.CAUSAL_ONE_SIDED)
+        assert np.abs(out - swa_forward(inp, 3)).max() <= 1e-14
 
     def test_window_covering_sequence_is_full_causal(self):
         # circular windows cover every slot at w = n, so only the original
@@ -271,14 +301,21 @@ class TestBlockedKernels:
                 sa_forward(inp, w, perm, conv)
 
     def test_score_overflow_is_a_one_line_value_error(self):
-        # q.k of 1e200 entries overflows; no warning or NaN output escapes
+        # q.k of 1e200 entries overflows; no warning or NaN output escapes.
+        # In pad, only q[0].k[-1] overflows: a masked cell, still scored
+        # because the one-sided pads of early queries read the last token
         rng = np.random.default_rng(23)
         n, w = 20, 8
         q, k, v = (rng.normal(size=(n, 4)) for _ in range(3))
         inp = AttentionInputs(q * 1e200, k * 1e200, v)
+        pad_q, pad_k = (np.where(np.arange(4) == 0, 0.0, x) for x in (q, k))
+        pad_q[0, 0] = pad_k[-1, 0] = 1e200
+        pad = AttentionInputs(pad_q, pad_k, v)
         perm = sample_permutation(n, SeededRng(23))
         kernels = [lambda: swa_forward(inp, w)]
         kernels += [lambda conv=conv: sa_forward(inp, w, perm, conv) for conv in Convention]
+        kernels += [lambda: swa_forward(pad, w), lambda: sa_forward(
+            pad, w, Permutation(np.arange(n)), Convention.CAUSAL_ONE_SIDED)]
         for kernel in kernels:
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
@@ -364,6 +401,21 @@ class TestHeadStack:
         for conv in Convention:
             assert np.array_equal(sa_forward(stacked, w, perm, conv),
                                   np.stack([sa_forward(one, w, perm, conv) for one in heads]))
+
+    @pytest.mark.parametrize("n, w, h", [(40, 12, None), (40, 12, 3), (9, 9, 2), (130, 64, 4)])
+    def test_strided_inputs_equal_their_copies(self, n, w, h):
+        # views with no unit stride: SWA reads them in place past the pads, where
+        # a product through such an operand may round differently, and its pad
+        # chunk gathers from a whole copy; SA copies them once
+        shape = (2 * n, 10) if h is None else (h, 2 * n, 10)
+        big = np.random.default_rng(n + w).normal(size=(3,) + shape)
+        views = AttentionInputs(*(x[..., ::2, ::2] for x in big))
+        copies = AttentionInputs(*(np.ascontiguousarray(x) for x in (views.q, views.k, views.v)))
+        perm = sample_permutation(n, SeededRng(n))
+        assert np.abs(swa_forward(views, w) - swa_forward(copies, w)).max() <= 1e-12
+        for conv in Convention:
+            assert np.array_equal(sa_forward(views, w, perm, conv),
+                                  sa_forward(copies, w, perm, conv))
 
     @given(st.integers(1, 40), st.sampled_from([1, 2, 4]), st.sampled_from([2, 4, 8]),
            st.integers(0, 2**32 - 1))

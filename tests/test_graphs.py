@@ -542,18 +542,27 @@ class TestSmallWorld:
         assert c_union > c_ring / 2
 
     def test_random_baseline_edges_match_dense_construction(self):
-        # the edge lists against the pair table the baselines were drawn from
+        # the edge lists against the pair table the baselines were drawn from;
+        # a draw that leaves a node isolated is refused as None
         from stochattn.graphs import _random_graph_same_edges
-        for n, n_edges in [(2, 1), (9, 20), (40, 100), (64, 2016)]:
-            rows, cols = _random_graph_same_edges(n, n_edges, SeededRng(n))
+        refused = 0
+        for n, n_edges in [(2, 1), (9, 20), (40, 100), (64, 2016), (9, 4), (40, 60)]:
+            edges = _random_graph_same_edges(n, n_edges, SeededRng(n))
             iu, ju = np.triu_indices(n, 1)
             sel = SeededRng(n).choice(iu.size, size=n_edges, replace=False)
             want = np.zeros((n, n), dtype=bool)
             want[iu[sel], ju[sel]] = True
+            want |= want.T
+            assert (edges is None) == (not want.any(axis=1).all())
+            if edges is None:
+                refused += 1
+                continue
+            rows, cols = edges
             got = np.zeros((n, n), dtype=bool)
             got[rows, cols] = True
-            assert np.array_equal(got, want | want.T)
+            assert np.array_equal(got, want)
             assert rows.size == 2 * n_edges and np.all(np.diff(rows) >= 0)
+        assert refused == 1
 
     def test_smallworld_names_the_node_the_path_length_names(self):
         # the O(n + m) connectivity test against the all-pairs BFS's report

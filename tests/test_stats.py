@@ -10,15 +10,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stochattn import (
+    AttentionInputs,
     BiasReport,
     Convention,
     GateParams,
+    Permutation,
     SeededRng,
     WindowSpec,
     build_stochastic_mask,
     fusion_bv_decompose,
     intersect_causal,
     sa_bias_mc,
+    sa_forward,
     sa_variance_exact,
     sa_variance_mc,
     sample_permutation,
@@ -119,6 +122,19 @@ class TestCausalSampler:
         for row in batch:
             dense = _dense_causal_uniform_sa_sample(v, w, sample_permutation(n, rng))
             assert np.abs(row - dense).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, w, d, seed", [(32, 8, 3, 0), (32, 8, 3, 1), (17, 5, 2, 2),
+                                               (40, 40, 1, 3), (64, 9, 4, 4)])
+    def test_a_draw_is_the_kernel_at_zero_scores(self, n, w, d, seed):
+        # q = k = 0 scores every key 0, so the kernel's weights are uniform over
+        # its valid keys, the window's tokens <= the query's token
+        v = np.asarray(SeededRng(seed).normal(size=(n, d)))
+        got = _causal_uniform_sa_samples(v, w, SeededRng(seed), 1)[0]
+        zero = np.zeros((n, d))
+        want = sa_forward(AttentionInputs(zero, zero, v), w,
+                          Permutation(SeededRng(seed).permutations(1, n)[0]),
+                          Convention.SYMMETRIC_CIRCULAR)
+        assert np.abs(got - want).max() <= 1e-12
 
     @given(_sampler_case(), st.integers(1, 7))
     @example((32, 8, 1, 4), 6)
