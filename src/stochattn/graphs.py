@@ -5,10 +5,12 @@ the induced random walks, and an analytic FLOP cost model.
 Reachability and path lengths are exact multi-source BFS over packed
 bitsets (one bit per token, one row per source). Under the circular
 convention each layer gathers the rows of its ``masks.window_keys`` table
-once and propagates with O(log w) shifted ORs; the causal convention ORs the
-rows of each token's ``masks.window_neighbours`` entries, and arbitrary
-graphs those of each node's neighbour list. Small-world graphs are edge
-lists built from the same neighbour tables. No route builds an n x n array;
+once and propagates with O(log w) shifted ORs; SA rows stay in the slot
+order of the layer's permutation, so the next layer's one gather reads them
+through that permutation composed with its own table. The causal convention
+ORs the rows of each token's ``masks.window_neighbours`` entries, and
+arbitrary graphs those of each node's neighbour list. Small-world graphs are
+edge lists built from the same neighbour tables. No route builds an n x n array;
 dense masks serve as test oracles and for mask images.
 """
 
@@ -82,8 +84,10 @@ def _pack_identity(n: int) -> np.ndarray:
 
 
 def _popcount_rows(packed: np.ndarray) -> np.ndarray:
-    """Set bits per row of word-padded packed rows."""
-    return np.bitwise_count(packed.view(np.uint64)).sum(axis=1, dtype=np.int64)
+    """Set bits per row of word-padded packed rows: each row's word counts
+    summed by one float product, exact while a row holds under 2^53 bits."""
+    words = packed.view(np.uint64)
+    return np.dot(np.bitwise_count(words), np.ones(words.shape[1])).astype(np.int64)
 
 
 # Bytes of neighbour rows gathered at once by _or_neighbours: bounds its
@@ -104,8 +108,8 @@ def _or_neighbours(reached: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
         hi = int(np.searchsorted(indptr, indptr[lo] + per_block, side="right")) - 1
         hi = min(max(hi, lo + 1), n)
         start = indptr[lo]
-        gathered = words[indices[start:indptr[hi]]]
-        out_words[lo:hi] = np.bitwise_or.reduceat(gathered, indptr[lo:hi] - start, axis=0)
+        gathered = np.take(words, indices[start:indptr[hi]], axis=0)
+        np.bitwise_or.reduceat(gathered, indptr[lo:hi] - start, axis=0, out=out_words[lo:hi])
         lo = hi
 
 
@@ -197,13 +201,18 @@ def _simulate_seed(n: int, w: int, layers: int, mode: RoutingMode, convention: C
     A circular layer ORs the rows of each slot's ``window_keys`` in O(log w)
     shifted ORs, of the permuted table for SA (a permutation drawn from
     ``rng``); a causal layer ORs the rows of each token's
-    ``_layer_neighbours``. Row i can reach every token (circular) or tokens
+    ``_layer_neighbours``. A circular SA layer leaves its rows in its slot
+    order, and the next layer gathers them once, through the previous
+    ``forward`` composed with its own key table; only the n counts are put
+    back in token order. Row i can reach every token (circular) or tokens
     0..i (causal); the run stops once every row holds all it can, which
     every later layer keeps, and fills the remaining rows with that count."""
     circular = convention is Convention.SYMMETRIC_CIRCULAR
     local = window_keys(n, WindowSpec(w)) if circular else None
     full = np.full(n, n) if circular else np.arange(1, n + 1)
     reached = _pack_identity(n)
+    # token i's row of reached: SA keeps its rows in its permutation's slot order
+    where = np.arange(n)
     counts = np.empty((layers + 1, n), dtype=np.int64)
     counts[0] = 1
     for ell in range(1, layers + 1):
@@ -216,11 +225,15 @@ def _simulate_seed(n: int, w: int, layers: int, mode: RoutingMode, convention: C
             step = _window_or(reached, local)
         else:
             perm = sample_permutation(n, rng)
-            step = _window_or(reached, window_keys(n, WindowSpec(w), perm.inverse))[perm.forward]
-            if mode is RoutingMode.FUSED:
+            keys = window_keys(n, WindowSpec(w), perm.inverse)
+            if mode is RoutingMode.SA:
+                step = _window_or(reached, where[keys])
+                where = perm.forward
+            else:
+                step = _window_or(reached, keys)[perm.forward]
                 step |= _window_or(reached, local)
         reached = step
-        counts[ell] = _popcount_rows(reached)
+        counts[ell] = _popcount_rows(reached)[where]
         if np.array_equal(counts[ell], full):
             counts[ell + 1:] = full
             break
@@ -290,10 +303,12 @@ def reachability_cost(n: int, w: int, layers: int, seeds: int, modes,
     means (the last curve's, the new means and their contiguous copy). A
     seed's simulation holds packed reachability rows of n bits in whole
     64-bit words: about 5n + 3w of them under the circular convention (the
-    rows, the next rows, two gathered OR buffers of n + w - 1 rows and the
-    overlap copy of an in-place OR) and four int64 arrays of about n (the
-    layer's permutation, its inverse and two window-key tables), and two
-    sets of n under the causal one, with three n x 2w (n x w
+    rows, a gathered OR buffer of n + w - 1 rows, the overlap copy of its
+    in-place OR and, FUSED, a second buffer and the token-order copy of the
+    permuted OR; SA keeps its rows in slot order and copies none back) and
+    six int64 arrays of about n (the layer's permutation, its inverse, the
+    last layer's ``forward``, two window-key tables and their composed
+    index), and two sets of n under the causal one, with three n x 2w (n x w
     without FUSED) int64 neighbour tables and two gathers of up to
     _GATHER_BYTES or one token's neighbour rows. Per seed and layer each row
     ORs about 2 log2(w) + 4 rows (circular: shifted doublings and gathers),
@@ -305,7 +320,7 @@ def reachability_cost(n: int, w: int, layers: int, seeds: int, modes,
         rows = 2 * n * 8 * words + 3 * n * width * 8 + 2 * max(_GATHER_BYTES, width * 8 * words)
         per_row = width
     else:
-        rows = (5 * n + 3 * w) * 8 * words + 4 * n * 8
+        rows = (5 * n + 3 * w) * 8 * words + 6 * n * 8
         per_row = 2 * w.bit_length() + 4
     return ((seeds + 1) * (layers + 1) * n * 8 + 3 * seeds * (layers + 1) * 8 + rows,
             len(modes) * seeds * layers * n * words * per_row)
@@ -366,9 +381,9 @@ def _slot_pairs(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _connprob_trial_bytes(n: int, w: int, causal: bool) -> int:
-    """A trial's largest array: its int64 pair draw, or causal, its n x w
-    boolean window comparisons when they are larger."""
-    return n * max(w, 8) if causal else 8
+    """A trial's largest array: its int64 pair draw, or causal, its n + w - 1
+    int64 window keys."""
+    return 8 * (n + w - 1) if causal else 8
 
 
 def connection_probability_mc(
@@ -407,9 +422,11 @@ def connection_probability_mc(
         # the mask's ones are the (slot a, window slot) pairs whose slot holds
         # a token no later than slot a's; the n diagonal ones are a itself
         tok = inverse_rows(rng.permutations(hi - lo, n))
-        keys = np.lib.stride_tricks.sliding_window_view(window_keys(n, spec, tok), w, axis=1)
-        kept = keys <= tok[:, :, None]
-        densities[lo:hi] = (np.count_nonzero(kept, axis=(1, 2)) - n) / off_cells
+        table = window_keys(n, spec, tok)
+        kept = np.zeros(tok.shape, dtype=np.min_scalar_type(w))
+        for j in range(w):
+            kept += table[:, j:j + n] <= tok
+        densities[lo:hi] = (kept.sum(axis=1, dtype=np.int64) - n) / off_cells
     est = float(densities.mean())
     stderr = float(densities.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return est, stderr
@@ -423,19 +440,20 @@ def connection_probability_cost(n: int, w: int, trials: int, causal: bool) -> tu
     t-long int64 arrays (its draw, its pair and the last chunk's pair) and
     three booleans (the two window tests and their OR), after the check's
     enumeration of the 720 orders of 6 tokens left about 100 KiB of tuples
-    in the interpreter's free list. Causal, a chunk holds two t x n x w boolean comparisons (the
-    last chunk's and its own, read through a sliding view of the window
-    keys), about six t x n int64 arrays (the last chunk's and its own tokens
-    and window keys, the draw and the identity that ``inverse_rows``
-    scatters) with 2 t w int64 entries of key padding, and the run two
-    floats a trial (the densities and their deviations), plus 256 KiB for
-    the comparison's and the count's ufunc buffers. The work is, non-causal,
-    five int64 entries a trial (the draw, the pair and the pair's offset),
-    and causal, the permutation and window entries."""
+    in the interpreter's free list. Causal, a chunk holds about six t x n
+    int64 arrays (the last chunk's and its own tokens and window keys, the
+    draw and the identity that ``inverse_rows`` scatters) with 2 t w int64
+    entries of key padding, two t x n counts of ``np.min_scalar_type(w)``
+    (the last chunk's and its own) and one t x n boolean window comparison,
+    and the run two floats a trial (the densities and their deviations),
+    plus 256 KiB for the comparison's and the count's ufunc buffers. The
+    work is, non-causal, five int64 entries a trial (the draw, the pair and
+    the pair's offset), and causal, the permutation and window entries."""
     t = chunk_trials(_connprob_trial_bytes(n, w, causal))
     if not causal:
         return t * (5 * 8 + 3) + 100 * 1024, 5 * trials
-    return 16 * trials + t * (2 * n * w + 8 * (6 * n + 2 * w)) + 256 * 1024, trials * n * w
+    per_trial = 8 * (6 * n + 2 * w) + (2 * np.min_scalar_type(w).itemsize + 1) * n
+    return 16 * trials + t * per_trial + 256 * 1024, trials * n * w
 
 
 def connection_probability_exhaustive(n: int, w: int) -> float:

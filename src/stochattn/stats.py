@@ -252,7 +252,9 @@ def _causal_uniform_sa_samples(v: np.ndarray, w: int, rng: SeededRng,
     # a token's window is its slot's
     keys = sliding_window_view(table, w, axis=1)[np.arange(trials)[:, None], forward]
     kept = keys <= np.arange(n)[:, None]
-    gathered = np.take(v, keys, axis=0) * kept[..., None]
+    # a dropped key reads the zero row appended after the n tokens
+    padded = np.concatenate([v, np.zeros((1, v.shape[1]))])
+    gathered = np.take(padded, np.where(kept, keys, n), axis=0)
     return gathered.sum(axis=2) / kept.sum(axis=2, keepdims=True)
 
 

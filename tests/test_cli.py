@@ -63,7 +63,7 @@ class TestExitCodes:
         ["stats", "variance", "--n", 16, "--w", 4, "--trials", 2_000_000_000],
         ["stats", "bvdecomp", "--n", 8192, "--w", 16, "--trials", 10000],
         ["smallworld", "--n", 8192, "--w", 8192],
-        # refused by work, 100 000 default trials x n w = 6.7e12; it would hold 130 MiB
+        # refused by work, 100 000 default trials x n w = 6.7e12; it would hold 6.1 MiB
         ["connprob", "--causal", "--n", 8192, "--w", 8192],
         # the pair draw indexes n(n - 1) pairs by one int64; 10**19 is past int64 itself
         ["connprob", "--n", 10**12],
@@ -219,12 +219,17 @@ class TestExitCodes:
 
     # One size a command: its estimate is at least 16 MiB (gradcheck's 6 MiB:
     # a 16 MiB gradcheck, n = 342, runs about 6 s; non-causal connprob's
-    # 5.5 MiB, its largest at any size) and it runs in seconds.
+    # 5.5 MiB, its largest at any size; causal connprob's 5.3 and 6.5 MiB,
+    # one short chunk and whole chunks, about its largest while a chunk holds
+    # more than one trial) and it runs in seconds.
     # tracemalloc sees numpy's arrays but not LAPACK's workspace, whose
     # buffers the estimates leave out.
     @pytest.mark.parametrize("args", [
         ["coverage"],
         ["connprob", "--causal", "--n", 2048, "--w", 1024, "--trials", 5],
+        # four whole chunks of 62 trials: peak 4.2 MiB, estimate 6.5 MiB
+        pytest.param(["connprob", "--causal", "--n", 2048, "--w", 64, "--trials", 248],
+                     id="connprob-causal-whole-chunks"),
         ["smallworld"],
         ["spectrum", "--n", 725, "--perms", 1, "--depth", 1, "--seeds", 1],
         ["--format", "csv", "maskviz", "--kind", "union", "--n", 2048],

@@ -140,6 +140,21 @@ class TestReachability:
         # engine fills the layers after
         assert np.all(dense[4:] == np.arange(1, n + 1)), mode
 
+    @given(st.sampled_from(list(RoutingMode)), st.integers(1, 64).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(0, 6),
+                            st.integers(0, 2**32 - 1))))
+    @example(RoutingMode.SA, (1, 1, 6, 0))
+    @example(RoutingMode.SA, (64, 2, 6, 1))
+    @example(RoutingMode.SA, (64, 64, 6, 2))    # saturated at layer 1
+    @example(RoutingMode.FUSED, (40, 3, 0, 3))
+    def test_circular_engine_matches_dense_propagation(self, mode, case):
+        # an SA layer's rows stay in the slot order of its permutation: every
+        # later layer, saturated or not, reads them through it
+        n, w, layers, seed = case
+        fast = _simulate_seed(n, w, layers, mode, _CIRCULAR, SeededRng(seed))
+        dense = _dense_reachability(n, w, layers, mode, _CIRCULAR, SeededRng(seed))
+        assert np.array_equal(fast, dense)
+
     @given(st.integers(1, 96).flatmap(lambda n: st.tuples(
         st.just(n), st.integers(1, n), st.integers(1, 3), st.integers(0, 2**32 - 1))))
     @example((1, 1, 1, 0))
@@ -318,7 +333,9 @@ class TestConnectionProbability:
 
     @pytest.mark.parametrize("chunk_bytes", [1, 3000, numerics.MC_CHUNK_BYTES])
     @pytest.mark.parametrize("causal", [False, True])
-    @pytest.mark.parametrize("n,w,trials", [(2, 1, 9), (9, 4, 301), (128, 8, 777)])
+    # w > 255 counts a slot's window keys past one byte; w = n is the whole ring
+    @pytest.mark.parametrize("n,w,trials", [(2, 1, 9), (9, 4, 301), (128, 8, 777),
+                                            (300, 300, 5), (600, 257, 3)])
     def test_chunked_mc_equals_one_by_one_loop(self, monkeypatch, chunk_bytes, causal,
                                                n, w, trials):
         monkeypatch.setattr(numerics, "MC_CHUNK_BYTES", chunk_bytes)
@@ -450,6 +467,7 @@ class TestGraphRoutesAgainstDense:
 
     @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @example(1, 1, 0)
+    @example(3, 70, 1)    # a full row of 4480 bits
     def test_word_popcount_matches_byte_table(self, rows, words, seed):
         packed = np.random.default_rng(seed).integers(0, 256, size=(rows, 8 * words),
                                                       dtype=np.uint8)
